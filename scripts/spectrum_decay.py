@@ -32,7 +32,6 @@ def main():
     parser.add_argument("--eval-dates", type=int, default=100)
     parser.add_argument("--beta", type=float, default=0.5)
     parser.add_argument("--seed", type=int, default=21)
-    parser.add_argument("--threads", type=int, default=4)
     parser.add_argument("--csv", help="optional path for the mean spectrum")
     args = parser.parse_args()
 
@@ -47,8 +46,8 @@ def main():
     print(f"kernel T_eff = {effective_length(kernel):.2f}, "
           f"q = {args.assets / effective_length(kernel):.3f}")
 
-    series = rolling_covariance(generate_returns(spec), kernel, threads=args.threads)
-    spectra = spectrum_series(series, threads=args.threads)
+    series = rolling_covariance(generate_returns(spec), kernel)
+    spectra = spectrum_series(series)
     mean = log_mean_spectrum(spectra)
 
     n = args.assets

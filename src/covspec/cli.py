@@ -28,7 +28,10 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("config", help="flat key=value config file")
         cmd.add_argument("--out", metavar="DIR", help="output directory override")
-        cmd.add_argument("--threads", type=int, metavar="N", help="thread budget")
+        cmd.add_argument(
+            "--threads", type=int, metavar="N",
+            help="accepted for compatibility; has no effect",
+        )
         cmd.add_argument("--seed", type=int, metavar="S", help="ensemble seed override")
         cmd.add_argument("--format", choices=("csv", "json"), help="tabular output format")
         cmd.add_argument(
@@ -72,7 +75,6 @@ def main(argv=None) -> int:
             for key, value in config.flat().items():
                 print(f"{key} = {value}")
             print(f"output.dir = {config.output_dir}")
-            print(f"threads = {config.threads}")
             return 0
         if args.command == "synth":
             config = validate_config(args.config, overrides, require_analyses=False)

@@ -66,9 +66,9 @@ KNOWN_KEYS = frozenset(
     }
 )
 
-# Keys echoed into the manifest; where outputs land and how many threads ran
-# must not change the manifest bytes.
-_MANIFEST_EXCLUDED = {"output.dir", "threads"}
+# Keys echoed into the manifest; where outputs land must not change the
+# manifest bytes.
+_MANIFEST_EXCLUDED = {"output.dir"}
 
 
 @dataclass(frozen=True)
@@ -95,7 +95,6 @@ class RunConfig:
     output_dir: str
     output_format: str
     dump_matrices: bool
-    threads: int
     synth_output: str
     synth_path: str | None
 
@@ -360,7 +359,8 @@ def config_from_mapping(
         mapping, "output.format", errors, OUTPUT_FORMATS, default="csv"
     )
     dump_matrices = _get_bool(mapping, "output.dump_matrices", errors, default=False)
-    threads = _get_int(mapping, "threads", errors, default=1, minimum=1)
+    # Accepted and checked so that existing configs load; selects nothing.
+    _get_int(mapping, "threads", errors, default=1, minimum=1)
     synth_output = _get_enum(
         mapping, "synth.output", errors, SYNTH_OUTPUTS, default="prices"
     )
@@ -390,7 +390,6 @@ def config_from_mapping(
         output_dir=output_dir,
         output_format=output_format,
         dump_matrices=dump_matrices,
-        threads=threads,
         synth_output=synth_output,
         synth_path=synth_path,
     )

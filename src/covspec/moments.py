@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._parallel import parallel_map
 from .errors import DegenerateAssetError, InsufficientDataError, ParameterError
 from .kernels import EXPONENTIAL, RECTANGULAR, WeightKernel
 from .panel import ReturnPanel
@@ -67,21 +66,13 @@ def _resolve_eval_indices(returns: ReturnPanel, kernel: WeightKernel, eval_dates
         return list(range(first_feasible, len(dates)))
 
     index_of = {d: j for j, d in enumerate(dates)}
-    if isinstance(eval_dates, tuple) and len(eval_dates) == 2:
-        start, end = eval_dates
-        idx = [
-            j
-            for j, d in enumerate(dates)
-            if (start is None or d >= start) and (end is None or d <= end)
-        ]
-        if not idx:
-            raise InsufficientDataError(f"no panel dates inside [{start!r}, {end!r}]")
-    else:
-        idx = []
-        for d in eval_dates:
-            if d not in index_of:
-                raise ParameterError(f"evaluation date {d!r} not in the return panel")
-            idx.append(index_of[d])
+    idx = []
+    for d in eval_dates:
+        if d not in index_of:
+            raise ParameterError(f"evaluation date {d!r} not in the return panel")
+        idx.append(index_of[d])
+    if not idx:
+        raise ParameterError("no evaluation dates given")
     for j in idx:
         if j < first_feasible:
             raise InsufficientDataError(
@@ -103,14 +94,13 @@ def rolling_covariance(
     eval_dates=None,
     *,
     method: str = "auto",
-    threads: int = 1,
 ) -> CovarianceSeries:
     """Weighted covariance at each evaluation date.
 
-    ``eval_dates`` is None for every feasible date, a (start, end) label pair,
-    or an explicit list of dates. ``method`` is "direct", "incremental", or
-    "auto" (incremental for rectangular/exponential kernels over consecutive
-    dates, direct otherwise).
+    ``eval_dates`` is None for every feasible date, or an explicit sequence
+    of dates. ``method`` is "direct", "incremental", or "auto" (incremental
+    for rectangular/exponential kernels over consecutive dates, direct
+    otherwise).
     """
     if method not in ("auto", "direct", "incremental"):
         raise ParameterError(f"unknown method {method!r}")
@@ -134,11 +124,8 @@ def rolling_covariance(
     matrices = np.empty((len(idx), n, n))
 
     if method == "direct":
-        results = parallel_map(
-            lambda j: _direct_matrix(r, weights_rev, j, length), idx, threads
-        )
-        for t, mat in enumerate(results):
-            matrices[t] = mat
+        for t, j in enumerate(idx):
+            matrices[t] = _direct_matrix(r, weights_rev, j, length)
     else:
         cov = _direct_matrix(r, weights_rev, idx[0], length)
         matrices[0] = cov

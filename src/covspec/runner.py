@@ -3,8 +3,7 @@
 Every enabled analysis writes plot-ready CSV/JSON files into the output
 directory; a manifest records each file with its content hash plus the
 resolved config. Outputs are byte-deterministic for a fixed config and
-seed, at any thread count. On failure the manifest is still written,
-marked incomplete.
+seed. On failure the manifest is still written, marked incomplete.
 """
 
 from __future__ import annotations
@@ -20,7 +19,13 @@ import numpy as np
 
 from .config import RunConfig
 from .ensembles import generate_returns
-from .errors import AnalysisError, ConfigError, CovspecError, ParameterError
+from .errors import (
+    AnalysisError,
+    ConfigError,
+    CovspecError,
+    InsufficientDataError,
+    ParameterError,
+)
 from .kernels import build_kernel, effective_length
 from .moments import (
     CORRELATION,
@@ -132,7 +137,8 @@ class _BundleWriter:
         entries = []
         for name in sorted(self.files):
             path = os.path.join(self.output_dir, name)
-            data = open(path, "rb").read()
+            with open(path, "rb") as fh:
+                data = fh.read()
             entries.append(
                 {
                     "name": name,
@@ -167,10 +173,19 @@ def _resolve_returns(config: RunConfig, writer: _BundleWriter) -> ReturnPanel:
     return compute_returns(map_prices(panel))
 
 
-def _eval_range(config: RunConfig):
-    if config.eval_start is None and config.eval_end is None:
+def _eval_range(config: RunConfig, returns: ReturnPanel):
+    """The panel dates inside [eval.start, eval.end], or None for all."""
+    start, end = config.eval_start, config.eval_end
+    if start is None and end is None:
         return None
-    return (config.eval_start, config.eval_end)
+    dates = [
+        d
+        for d in returns.dates
+        if (start is None or d >= start) and (end is None or d <= end)
+    ]
+    if not dates:
+        raise InsufficientDataError(f"no panel dates inside [{start!r}, {end!r}]")
+    return dates
 
 
 def _spectrum_files(writer, spectra: SpectrumSeries) -> None:
@@ -280,15 +295,13 @@ def _projector_files(writer, spectra, config, want_spectrum, want_fluctuation) -
 
 def _lagged_file(writer, returns, config, eval_dates) -> None:
     compact = build_kernel("rectangular", config.lagged_length)
-    lag_cov = rolling_covariance(
-        returns, compact, eval_dates, threads=config.threads
-    )
+    lag_cov = rolling_covariance(returns, compact, eval_dates)
     labelled = [
         ("covariance", lag_cov.matrices),
         ("correlation", to_correlation(lag_cov).matrices),
     ]
     if config.projector_ranks:
-        lag_spectra = spectrum_series(lag_cov, store_vectors=True, threads=config.threads)
+        lag_spectra = spectrum_series(lag_cov, store_vectors=True)
         for k in config.projector_ranks:
             labelled.append((f"projector_k{k}", projector_series(lag_spectra, k)))
     rows = []
@@ -318,11 +331,8 @@ def run_analysis(config: RunConfig) -> ReportBundle:
                 tau0_days=config.kernel_tau0_days,
             ),
         )
-        eval_dates = _eval_range(config)
-        cov = _stage(
-            "moments",
-            lambda: rolling_covariance(returns, kernel, eval_dates, threads=config.threads),
-        )
+        eval_dates = _stage("moments", lambda: _eval_range(config, returns))
+        cov = _stage("moments", lambda: rolling_covariance(returns, kernel, eval_dates))
         base: CovarianceSeries = cov
         if config.flavor == CORRELATION:
             base = _stage("moments", lambda: to_correlation(cov))
@@ -341,8 +351,7 @@ def run_analysis(config: RunConfig) -> ReportBundle:
         if need_spectra:
             spectra = _stage(
                 "spectral",
-                lambda: spectrum_series(base, store_vectors=need_vectors,
-                                        threads=config.threads),
+                lambda: spectrum_series(base, store_vectors=need_vectors),
             )
 
         if "spectrum" in analyses:
@@ -355,7 +364,7 @@ def run_analysis(config: RunConfig) -> ReportBundle:
             else:
                 corr_spectra = _stage(
                     "spectral",
-                    lambda: spectrum_series(to_correlation(cov), threads=config.threads),
+                    lambda: spectrum_series(to_correlation(cov)),
                 )
             _stage(
                 "spectral",

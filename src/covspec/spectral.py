@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq, least_squares, minimize_scalar
 
-from ._parallel import parallel_map
 from .errors import ContractViolationError, FitError, NumericalError, ParameterError
 from .moments import CORRELATION, CovarianceSeries
 
@@ -199,19 +198,20 @@ def eigendecompose(matrix) -> EigenSystem:
 
 
 def spectrum_series(
-    series: CovarianceSeries, store_vectors: bool = False, threads: int = 1
+    series: CovarianceSeries, store_vectors: bool = False
 ) -> SpectrumSeries:
     """Eigendecompose every matrix of the series into a spectrum stack."""
-
-    def one(t: int) -> EigenSystem:
+    t_len, n = len(series), series.n_assets
+    values = np.empty((t_len, n))
+    vectors = np.empty((t_len, n, n)) if store_vectors else None
+    for t in range(t_len):
         try:
-            return eigendecompose(series.matrices[t])
+            system = eigendecompose(series.matrices[t])
         except Exception as exc:
             raise type(exc)(f"at date {series.dates[t]!r}: {exc}") from exc
-
-    systems = parallel_map(one, range(len(series)), threads)
-    values = np.stack([s.values for s in systems])
-    vectors = np.stack([s.vectors for s in systems]) if store_vectors else None
+        values[t] = system.values
+        if store_vectors:
+            vectors[t] = system.vectors
     return SpectrumSeries(series.dates, values, vectors)
 
 

@@ -234,8 +234,8 @@ def test_criterion_7_exponential_spectrum_decay():
         EnsembleSpec("one-factor", n, length + n_dates - 1, beta=0.5, seed=21)
     )
     kernel = build_kernel("long-memory", length, tau0_days=1560)
-    series = rolling_covariance(panel, kernel, threads=4)
-    spectra = spectrum_series(series, threads=4)
+    series = rolling_covariance(panel, kernel)
+    spectra = spectrum_series(series)
     mean = log_mean_spectrum(spectra)
 
     lo, hi = n // 4, 3 * n // 4

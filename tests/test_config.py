@@ -26,8 +26,15 @@ def test_minimal_config_gets_all_defaults(tmp_path):
     assert config.lagged_length == 21
     assert config.flavor == "covariance"
     assert config.output_format == "csv"
-    assert config.threads == 1
     assert config.analyses == ("spectrum",)
+
+
+def test_threads_key_accepted_and_checked(tmp_path):
+    config = validate_config(write(tmp_path, MINIMAL + "threads = 4\n"))
+    assert not hasattr(config, "threads")
+    with pytest.raises(ConfigError) as err:
+        validate_config(write(tmp_path, MINIMAL + "threads = 0\n"))
+    assert any("threads" in msg for msg in err.value.errors)
 
 
 def test_comments_and_blank_lines_ignored():

@@ -75,14 +75,28 @@ def test_eval_date_range_and_explicit_list():
     panel = panel_from(np.random.default_rng(3).standard_normal((2, 30)))
     kernel = build_kernel("rectangular", 10)
     full = rolling_covariance(panel, kernel, method="direct")
-    ranged = rolling_covariance(
-        panel, kernel, (panel.dates[12], panel.dates[15]), method="direct"
-    )
+    ranged = rolling_covariance(panel, kernel, panel.dates[12:16], method="direct")
     assert ranged.dates == panel.dates[12:16]
     listed = rolling_covariance(panel, kernel, [panel.dates[12], panel.dates[15]])
     assert listed.dates == (panel.dates[12], panel.dates[15])
     j = full.dates.index(panel.dates[12])
     assert np.array_equal(ranged.matrices[0], full.matrices[j])
+
+
+def test_two_date_tuple_is_two_dates_not_a_range():
+    panel = panel_from(np.random.default_rng(3).standard_normal((2, 30)))
+    kernel = build_kernel("rectangular", 10)
+    pair = (panel.dates[12], panel.dates[15])
+    series = rolling_covariance(panel, kernel, pair)
+    assert series.dates == pair
+    full = rolling_covariance(panel, kernel, method="direct")
+    assert np.array_equal(series.matrices[1], full.matrices[full.dates.index(pair[1])])
+
+
+def test_empty_eval_dates_rejected():
+    panel = panel_from(np.random.default_rng(3).standard_normal((2, 30)))
+    with pytest.raises(ParameterError, match="no evaluation dates"):
+        rolling_covariance(panel, build_kernel("rectangular", 5), [])
 
 
 def test_unknown_eval_date_rejected():
@@ -130,15 +144,6 @@ def test_incremental_refused_for_gapped_dates():
     dates = [panel.dates[20], panel.dates[30]]
     with pytest.raises(ParameterError, match="consecutive"):
         rolling_covariance(panel, kernel, dates, method="incremental")
-
-
-def test_threads_do_not_change_direct_results():
-    rng = np.random.default_rng(7)
-    panel = panel_from(rng.standard_normal((4, 120)))
-    kernel = build_kernel("long-memory", 30, tau0_days=400)
-    one = rolling_covariance(panel, kernel, method="direct", threads=1)
-    four = rolling_covariance(panel, kernel, method="direct", threads=4)
-    assert np.array_equal(one.matrices, four.matrices)
 
 
 def test_correlation_of_diagonal_covariance_is_identity():

@@ -108,14 +108,6 @@ def test_vectors_stored_on_request():
     assert without.vectors is None
 
 
-def test_threads_do_not_change_spectra():
-    series = random_covariance_series(n=6, length=15, n_dates=12, seed=6)
-    one = spectrum_series(series, store_vectors=True, threads=1)
-    four = spectrum_series(series, store_vectors=True, threads=4)
-    assert np.array_equal(one.values, four.values)
-    assert np.array_equal(one.vectors, four.vectors)
-
-
 def test_series_error_names_offending_date():
     series = random_covariance_series(n=3, length=5, n_dates=3, seed=7)
     broken = series.matrices.copy()
