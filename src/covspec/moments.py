@@ -54,7 +54,7 @@ class CovarianceSeries:
         return self.matrices.shape[1]
 
 
-def _resolve_eval_indices(returns: ReturnPanel, kernel: WeightKernel, eval_dates):
+def resolve_eval_indices(returns: ReturnPanel, kernel: WeightKernel, eval_dates):
     """Map the requested evaluation dates onto return-panel indices."""
     dates = returns.dates
     first_feasible = kernel.length - 1
@@ -104,7 +104,7 @@ def rolling_covariance(
     """
     if method not in ("auto", "direct", "incremental"):
         raise ParameterError(f"unknown method {method!r}")
-    idx = _resolve_eval_indices(returns, kernel, eval_dates)
+    idx = resolve_eval_indices(returns, kernel, eval_dates)
     consecutive = all(b == a + 1 for a, b in zip(idx, idx[1:]))
     recursive_scheme = kernel.scheme in (RECTANGULAR, EXPONENTIAL)
     if method == "auto":
@@ -172,12 +172,17 @@ def to_correlation(
 def dump_matrices(series: CovarianceSeries, directory) -> list[str]:
     """Write one dense lower-triangle CSV per date; returns the file names."""
     os.makedirs(directory, exist_ok=True)
+    # "%.17g" % v and f"{v:.17g}" give the same text; one template per row
+    # length formats a whole row in one call.
+    templates = [",".join(["%.17g"] * (i + 1)) + "\n" for i in range(series.n_assets)]
     names = []
     for t, date in enumerate(series.dates):
         name = f"{series.flavor}_{date}.csv"
-        mat = series.matrices[t]
+        rows = series.matrices[t].tolist()
         with open(os.path.join(directory, name), "w") as fh:
-            for i in range(mat.shape[0]):
-                fh.write(",".join(f"{v:.17g}" for v in mat[i, : i + 1]) + "\n")
+            fh.write("".join(
+                template % tuple(row[: i + 1])
+                for i, (template, row) in enumerate(zip(templates, rows))
+            ))
         names.append(name)
     return names

@@ -1,7 +1,9 @@
 """Eigen-spectra of matrix series, spectral densities, and the spectrum fit.
 
-Covers the per-date eigendecomposition, descending spectrum series, the
-geometric (logarithmic) mean spectrum, histogram spectral densities, the
+Covers the per-date eigendecomposition (values only where no vectors are
+read), descending spectrum series, leading eigenvectors of rolling
+covariances from the thin SVD of their return windows, the geometric
+(logarithmic) mean spectrum, histogram spectral densities, the
 Marchenko-Pastur reference density, the three-parameter parametric fit of
 the log spectrum
 
@@ -19,8 +21,16 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq, least_squares, minimize_scalar
 
-from .errors import ContractViolationError, FitError, NumericalError, ParameterError
-from .moments import CORRELATION, CovarianceSeries
+from .errors import (
+    ContractViolationError,
+    CovspecError,
+    FitError,
+    NumericalError,
+    ParameterError,
+)
+from .kernels import WeightKernel
+from .moments import CORRELATION, CovarianceSeries, resolve_eval_indices
+from .panel import ReturnPanel
 
 SYMMETRY_RTOL = 1e-10
 DEFAULT_BIN_COUNT = 60
@@ -165,54 +175,110 @@ class DensityCurve:
     in_range: np.ndarray
 
 
-def eigendecompose(matrix) -> EigenSystem:
-    """Descending eigendecomposition with a deterministic sign convention.
-
-    Each eigenvector is flipped so its largest-magnitude component is
-    positive. The input must be symmetric within 1e-10 relative.
-    """
+def _symmetric_part(matrix) -> np.ndarray:
+    """(M + M')/2 of a square, finite matrix symmetric within 1e-10 relative."""
     matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ContractViolationError(f"expected a square matrix, got {matrix.shape}")
     scale = float(np.abs(matrix).max())
+    if not math.isfinite(scale):
+        raise NumericalError(f"matrix has non-finite entries (max |entry| {scale})")
     asym = float(np.abs(matrix - matrix.T).max())
     if asym > SYMMETRY_RTOL * max(scale, 1e-300):
         raise ContractViolationError(
             f"matrix is not symmetric: max asymmetry {asym:.3e} vs scale {scale:.3e}"
         )
-    sym = (matrix + matrix.T) / 2.0
+    return (matrix + matrix.T) / 2.0
+
+
+def _solve(solver, matrix: np.ndarray, **options):
+    """Run a LAPACK solver, turning its failure into NumericalError."""
     try:
-        values, vectors = np.linalg.eigh(sym)
+        return solver(matrix, **options)
     except np.linalg.LinAlgError as exc:
-        n = matrix.shape[0]
+        rows, cols = matrix.shape
         raise NumericalError(
-            f"eigendecomposition failed for {n}x{n} matrix "
-            f"(fro norm {np.linalg.norm(sym):.3e}, max entry {scale:.3e}): {exc}"
+            f"{solver.__name__} failed for {rows}x{cols} matrix "
+            f"(fro norm {np.linalg.norm(matrix):.3e}): {exc}"
         ) from exc
-    values = values[::-1]
-    vectors = vectors[:, ::-1]
+
+
+def _fix_signs(vectors: np.ndarray) -> np.ndarray:
+    """Flip each column so its largest-magnitude component is positive."""
     lead = np.argmax(np.abs(vectors), axis=0)
     signs = np.sign(vectors[lead, np.arange(vectors.shape[1])])
     signs[signs == 0] = 1.0
-    return EigenSystem(np.ascontiguousarray(values), vectors * signs)
+    return vectors * signs
 
 
-def spectrum_series(
-    series: CovarianceSeries, store_vectors: bool = False
-) -> SpectrumSeries:
-    """Eigendecompose every matrix of the series into a spectrum stack."""
+def eigendecompose(matrix) -> EigenSystem:
+    """Descending eigendecomposition with a deterministic sign convention.
+
+    Each eigenvector is flipped so its largest-magnitude component is
+    positive. The input must be finite and symmetric within 1e-10 relative.
+    """
+    values, vectors = _solve(np.linalg.eigh, _symmetric_part(matrix))
+    return EigenSystem(np.ascontiguousarray(values[::-1]), _fix_signs(vectors[:, ::-1]))
+
+
+def eigenvalues(matrix) -> np.ndarray:
+    """Descending eigenvalues alone, under the checks of ``eigendecompose``."""
+    return np.ascontiguousarray(_solve(np.linalg.eigvalsh, _symmetric_part(matrix))[::-1])
+
+
+def spectrum_series(series: CovarianceSeries, n_vectors: int = 0) -> SpectrumSeries:
+    """Spectrum of every matrix of the series, with its top ``n_vectors``
+    eigenvectors per date.
+
+    With ``n_vectors`` 0 only the eigenvalues are solved for; otherwise the
+    full eigendecomposition runs and the leading columns are kept, giving a
+    (T, N, n_vectors) vector stack.
+    """
     t_len, n = len(series), series.n_assets
+    if not 0 <= n_vectors <= n:
+        raise ParameterError(f"n_vectors={n_vectors} outside [0, {n}]")
     values = np.empty((t_len, n))
-    vectors = np.empty((t_len, n, n)) if store_vectors else None
+    vectors = np.empty((t_len, n, n_vectors)) if n_vectors else None
     for t in range(t_len):
         try:
-            system = eigendecompose(series.matrices[t])
-        except Exception as exc:
+            if n_vectors:
+                system = eigendecompose(series.matrices[t])
+                values[t] = system.values
+                vectors[t] = system.vectors[:, :n_vectors]
+            else:
+                values[t] = eigenvalues(series.matrices[t])
+        except CovspecError as exc:
             raise type(exc)(f"at date {series.dates[t]!r}: {exc}") from exc
-        values[t] = system.values
-        if store_vectors:
-            vectors[t] = system.vectors
     return SpectrumSeries(series.dates, values, vectors)
+
+
+def window_vectors(
+    returns: ReturnPanel, kernel: WeightKernel, k: int, eval_dates=None
+) -> np.ndarray:
+    """Top-k eigenvectors of each rolling covariance, shape (T, N, k).
+
+    The covariance at a date is W W' with W = r * sqrt(lambda) the N x L
+    weighted return window, so its leading eigenvectors are the leading left
+    singular vectors of W; the thin SVD never forms the N x N matrix. Dates
+    and signs follow ``rolling_covariance`` and ``eigendecompose``.
+    """
+    n = returns.n_assets
+    if not 1 <= k <= min(n, kernel.length):
+        raise ParameterError(f"rank k={k} outside [1, {min(n, kernel.length)}]")
+    if np.any(kernel.weights < 0):
+        raise ParameterError("thin-SVD vectors need non-negative kernel weights")
+    idx = resolve_eval_indices(returns, kernel, eval_dates)
+    r = returns.returns
+    root_weights = np.sqrt(kernel.weights[::-1])
+    length = kernel.length
+    out = np.empty((len(idx), n, k))
+    for t, j in enumerate(idx):
+        window = r[:, j - length + 1 : j + 1] * root_weights
+        if not np.isfinite(window).all():
+            raise NumericalError(f"at date {returns.dates[j]!r}: non-finite returns")
+        left = _solve(np.linalg.svd, window, full_matrices=False)[0]
+        out[t] = _fix_signs(left[:, :k])
+    return out
 
 
 def log_mean_spectrum(series: SpectrumSeries, floor: float | None = None) -> MeanSpectrum:

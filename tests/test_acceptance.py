@@ -149,7 +149,7 @@ def test_criterion_5_projector_suite():
     n, t_len = 30, 100
     panel = generate_returns(EnsembleSpec("gaussian-iid", n, n + t_len - 1, seed=11))
     series = rolling_covariance(panel, build_kernel("rectangular", n))
-    spectra = spectrum_series(series, store_vectors=True)
+    spectra = spectrum_series(series, n_vectors=n)
 
     worst_idem, worst_trace = 0.0, 0.0
     date0 = eigendecompose(series.matrices[0])

@@ -216,3 +216,23 @@ def test_dump_matrices_lower_triangle(tmp_path):
     mat = series.matrices[0]
     for i, row in enumerate(parsed):
         assert row == pytest.approx(mat[i, : i + 1], rel=1e-15)
+
+
+def test_dump_matrices_bytes_match_per_value_formatting(tmp_path):
+    rng = np.random.default_rng(15)
+    stack = rng.standard_normal((2, 6, 6)) * 10.0 ** rng.integers(-300, 300, (2, 6, 6))
+    stack = (stack + np.transpose(stack, (0, 2, 1))) / 2.0
+    for i, j, v in ((0, 0, -0.0), (1, 0, 5e-324), (1, 1, 1e300), (2, 0, 1.0)):
+        stack[0, i, j] = stack[0, j, i] = v
+    series = random_covariance_series(n=6, length=10, n_dates=2, seed=16)
+    series = type(series)(series.flavor, series.dates, stack, series.kernel, series.assets)
+    names = dump_matrices(series, tmp_path)
+    for t, name in enumerate(names):
+        expected = "".join(
+            ",".join(f"{v:.17g}" for v in stack[t, i, : i + 1]) + "\n" for i in range(6)
+        )
+        assert (tmp_path / name).read_bytes() == expected.encode()
+    first = (tmp_path / names[0]).read_text().splitlines()
+    assert first[0] == "-0"
+    assert first[1] == "4.9406564584124654e-324,1.0000000000000001e+300"
+    assert first[2].split(",")[0] == "1"

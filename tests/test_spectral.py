@@ -9,20 +9,26 @@ from scipy.integrate import quad
 from covspec import (
     AnsatzFit,
     DensityBins,
+    EnsembleSpec,
     SpectrumSeries,
+    build_kernel,
     default_fit_range,
     density_of_states_curve,
     eigendecompose,
+    eigenvalues,
     fit_ansatz,
+    generate_returns,
+    rolling_covariance,
     log_mean_spectrum,
     make_business_dates,
     mp_density,
     mp_support,
     spectral_density,
     spectrum_series,
+    window_vectors,
 )
 from covspec import to_correlation
-from covspec.errors import ContractViolationError, ParameterError
+from covspec.errors import ContractViolationError, NumericalError, ParameterError
 from testutil import random_covariance_series, random_symmetric
 
 
@@ -101,11 +107,28 @@ def test_trace_identity_on_wishart_series():
 
 def test_vectors_stored_on_request():
     series = random_covariance_series(n=5, length=10, n_dates=4, seed=5)
-    with_vectors = spectrum_series(series, store_vectors=True)
+    with_vectors = spectrum_series(series, n_vectors=5)
     assert with_vectors.vectors is not None
     assert with_vectors.vectors.shape == (4, 5, 5)
+    leading = spectrum_series(series, n_vectors=2)
+    assert np.array_equal(leading.vectors, with_vectors.vectors[:, :, :2])
+    assert np.array_equal(leading.values, with_vectors.values)
     without = spectrum_series(series)
     assert without.vectors is None
+    for bad in (-1, 6):
+        with pytest.raises(ParameterError, match="n_vectors"):
+            spectrum_series(series, n_vectors=bad)
+
+
+def test_values_only_spectra_match_eigendecompose():
+    for seed, length in ((6, 30), (7, 5)):
+        series = random_covariance_series(n=12, length=length, n_dates=20, seed=seed,
+                                          kind="one-factor", beta=0.6)
+        spectra = spectrum_series(series)
+        for row, mat in zip(spectra.values, series.matrices):
+            reference = eigendecompose(mat).values
+            assert np.abs(row - reference).max() <= 1e-13 * reference[0]
+            assert np.all(np.diff(row) <= 0)
 
 
 def test_series_error_names_offending_date():
@@ -113,8 +136,70 @@ def test_series_error_names_offending_date():
     broken = series.matrices.copy()
     broken[1, 0, 1] += 1.0  # break symmetry at the second date
     bad = type(series)(series.flavor, series.dates, broken, series.kernel, series.assets)
-    with pytest.raises(ContractViolationError, match=series.dates[1]):
-        spectrum_series(bad)
+    for n_vectors in (0, 2):
+        with pytest.raises(ContractViolationError, match=series.dates[1]):
+            spectrum_series(bad, n_vectors=n_vectors)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_matrix_rejected(value):
+    with pytest.raises(NumericalError, match="non-finite"):
+        eigendecompose(np.array([[value, 0.0], [0.0, 1.0]]))
+    with pytest.raises(NumericalError, match="non-finite"):
+        eigenvalues(np.array([[1.0, value], [value, 1.0]]))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_non_finite_series_names_offending_date(value):
+    series = random_covariance_series(n=3, length=5, n_dates=3, seed=8)
+    broken = series.matrices.copy()
+    broken[2, 1, 1] = value
+    bad = type(series)(series.flavor, series.dates, broken, series.kernel, series.assets)
+    for n_vectors in (0, 1):
+        with pytest.raises(NumericalError, match=series.dates[2]):
+            spectrum_series(bad, n_vectors=n_vectors)
+
+
+def projector(vectors):
+    return vectors @ vectors.T
+
+
+def test_window_vectors_match_eigh_projectors():
+    spec = EnsembleSpec("one-factor", 15, 60, beta=0.5, seed=9)
+    returns = generate_returns(spec)
+    for scheme, length in (("rectangular", 6), ("long-memory", 10)):
+        kernel = build_kernel(scheme, length, tau0_days=60)
+        series = rolling_covariance(returns, kernel, method="direct")
+        k = 4
+        vectors = window_vectors(returns, kernel, k)
+        assert vectors.shape == (len(series), 15, k)
+        for t, mat in enumerate(series.matrices):
+            eig = eigendecompose(mat)
+            for j in range(1, k + 1):
+                diff = projector(vectors[t, :, :j]) - projector(eig.vectors[:, :j])
+                assert np.abs(diff).max() < 1e-12
+            # same sign convention as eigendecompose
+            lead = np.argmax(np.abs(vectors[t]), axis=0)
+            assert np.all(vectors[t][lead, np.arange(k)] > 0)
+
+
+def test_window_vectors_dates_follow_rolling_covariance():
+    returns = generate_returns(EnsembleSpec("gaussian-iid", 8, 40, seed=10))
+    kernel = build_kernel("rectangular", 5)
+    dates = returns.dates[10:20:3]
+    series = rolling_covariance(returns, kernel, dates)
+    vectors = window_vectors(returns, kernel, 2, dates)
+    for t, mat in enumerate(series.matrices):
+        reference = projector(eigendecompose(mat).vectors[:, :2])
+        assert np.abs(projector(vectors[t]) - reference).max() < 1e-12
+
+
+def test_window_vectors_rank_limited_by_window():
+    returns = generate_returns(EnsembleSpec("gaussian-iid", 8, 40, seed=11))
+    with pytest.raises(ParameterError, match="rank"):
+        window_vectors(returns, build_kernel("rectangular", 5), 6)
+    with pytest.raises(ParameterError, match="rank"):
+        window_vectors(returns, build_kernel("rectangular", 20), 9)
 
 
 # ---------------------------------------------------------------- log mean

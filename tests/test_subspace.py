@@ -6,17 +6,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from covspec import (
+    EnsembleSpec,
     MeanProjector,
     SpectrumSeries,
+    build_kernel,
     eigendecompose,
     fluctuation_index,
+    generate_returns,
     leading_projector,
     matrix_lagged_correlation,
     mean_projector,
+    projector_lagged_correlation,
     projector_series,
     projector_spectrum,
+    rolling_covariance,
     spectrum_series,
 )
+from covspec import subspace
+from covspec.subspace import GRAM_MIN_GAMMA, LAGGED_KERNEL_LENGTH
 from covspec.errors import (
     ContractViolationError,
     DegenerateSeriesError,
@@ -28,7 +35,7 @@ from testutil import basis_series, random_covariance_series, random_symmetric
 
 def random_spectra(n=6, n_dates=10, seed=0):
     series = random_covariance_series(n=n, length=2 * n, n_dates=n_dates, seed=seed)
-    return spectrum_series(series, store_vectors=True)
+    return spectrum_series(series, n_vectors=n)
 
 
 # ---------------------------------------------------------------- projector
@@ -100,6 +107,26 @@ def test_vectors_required():
     no_vectors = SpectrumSeries(spectra.dates, spectra.values, None)
     with pytest.raises(ContractViolationError, match="vectors"):
         mean_projector(no_vectors, 1)
+
+
+def test_mean_projector_matches_stacked_mean():
+    spectra = random_spectra(n=9, n_dates=40, seed=22)
+    for k in (1, 4, 9):
+        stacked = projector_series(spectra, k).mean(axis=0)
+        mp = mean_projector(spectra, k)
+        assert mp.sample_count == 40
+        assert np.array_equal(mp.matrix, mp.matrix.T)
+        # k unit-norm columns per date, summed in another order
+        assert np.abs(mp.matrix - stacked).max() <= 4 * k * np.finfo(float).eps
+
+
+def test_rank_above_stored_vectors_rejected():
+    series = random_covariance_series(n=6, length=12, n_dates=5, seed=23)
+    spectra = spectrum_series(series, n_vectors=2)
+    assert mean_projector(spectra, 2).matrix.shape == (6, 6)
+    for fn in (mean_projector, projector_series):
+        with pytest.raises(ContractViolationError, match="keeps 2"):
+            fn(spectra, 3)
 
 
 def test_mean_trace_preserves_rank():
@@ -278,3 +305,77 @@ def test_projector_series_shape_and_idempotence():
     for mat in stack:
         assert np.abs(mat @ mat - mat).max() < 1e-10
         assert abs(np.trace(mat) - 2.0) < 1e-10
+
+
+# ---------------------------------------------------------------- projector lagged correlation from V_k
+
+
+def one_factor_lagged_spectra(n=20, n_dates=300, seed=24):
+    spec = EnsembleSpec("one-factor", n, LAGGED_KERNEL_LENGTH + n_dates - 1, beta=0.5,
+                        seed=seed)
+    kernel = build_kernel("rectangular", LAGGED_KERNEL_LENGTH)
+    return spectrum_series(rolling_covariance(generate_returns(spec), kernel), n_vectors=n)
+
+
+def wandering_subspace(delta, n=12, k=2, n_dates=200, seed=25):
+    """Orthonormal (T, n, k) bases of a subspace that drifts by ~delta per
+    date around a fixed one, as an AR(1) perturbation."""
+    rng = np.random.default_rng(seed)
+    base = np.linalg.qr(rng.standard_normal((n, k)))[0]
+    noise = np.zeros((n, k))
+    vectors = np.empty((n_dates, n, k))
+    for t in range(n_dates):
+        noise = 0.9 * noise + rng.standard_normal((n, k))
+        vectors[t] = np.linalg.qr(base + delta * noise)[0]
+    return vectors
+
+
+def test_gram_rho_matches_stacked_rho():
+    spectra = one_factor_lagged_spectra()
+    lags = [0, 1, 5, 10, 21, 30]
+    for k in (1, 2, 5):
+        assert fluctuation_index(mean_projector(spectra, k)).gamma > GRAM_MIN_GAMMA
+        stacked = matrix_lagged_correlation(projector_series(spectra, k), lags)
+        gram = projector_lagged_correlation(spectra, k, lags)
+        assert gram[0] == 1.0
+        assert np.abs(gram - stacked).max() <= 1e-12 * np.abs(stacked).max()
+        assert np.array_equal(projector_lagged_correlation(spectra.vectors, k, lags), gram)
+
+
+def test_near_static_subspace_takes_the_stacked_route(monkeypatch):
+    vectors = wandering_subspace(3.7e-5)
+    gamma = fluctuation_index(mean_projector(vectors, 2)).gamma
+    assert 1e-7 < gamma < GRAM_MIN_GAMMA
+    lags = [0, 1, 3, 10]
+    stacked = matrix_lagged_correlation(projector_series(vectors, 2), lags)
+    assert np.array_equal(projector_lagged_correlation(vectors, 2, lags), stacked)
+    # the trace identities alone would miss the 1e-12 bound here
+    monkeypatch.setattr(subspace, "GRAM_MIN_GAMMA", 0.0)
+    gram = projector_lagged_correlation(vectors, 2, lags)
+    assert np.abs(gram - stacked).max() > 1e-12
+
+
+def test_gram_rho_error_bound_above_guard():
+    lags = [0, 1, 3, 10, 40]
+    for delta in (3.5e-3, 1e-2, 1e-1):
+        vectors = wandering_subspace(delta)
+        assert fluctuation_index(mean_projector(vectors, 2)).gamma >= GRAM_MIN_GAMMA
+        stacked = matrix_lagged_correlation(projector_series(vectors, 2), lags)
+        gram = projector_lagged_correlation(vectors, 2, lags)
+        assert np.abs(gram - stacked).max() <= 1e-12
+
+
+def test_gram_rho_exact_on_basis_switches():
+    series = basis_series([0, 1] * 20, n=3)
+    rho = projector_lagged_correlation(series, 1, [0, 1, 2, 3])
+    assert rho == pytest.approx([1.0, -1.0, 1.0, -1.0], abs=1e-14)
+
+
+def test_gram_rho_rejects_static_subspace_and_bad_lags():
+    with pytest.raises(DegenerateSeriesError):
+        projector_lagged_correlation(basis_series([1] * 10, n=3), 1, [1])
+    series = basis_series([0, 1] * 5, n=3)
+    with pytest.raises(ParameterError, match="lag"):
+        projector_lagged_correlation(series, 1, [9])
+    with pytest.raises(ParameterError):
+        projector_lagged_correlation(series, 1, [-1])
