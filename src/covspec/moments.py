@@ -5,8 +5,9 @@ return vectors,
 
     Sigma(t) = sum_{i=0}^{L-1} lambda(i) * r(t-i) r(t-i)',
 
-with no mean subtraction. Rectangular and exponential kernels admit an exact
-sliding recursion; long-memory kernels are recomputed per date.
+with no mean subtraction. Every evaluation date gets its own direct product
+of its window, whatever the kernel, so no date carries rounding error over
+from another.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateAssetError, InsufficientDataError, ParameterError
-from .kernels import EXPONENTIAL, RECTANGULAR, WeightKernel
+from .kernels import WeightKernel
 from .panel import ReturnPanel
 
 COVARIANCE = "covariance"
@@ -82,85 +83,41 @@ def resolve_eval_indices(returns: ReturnPanel, kernel: WeightKernel, eval_dates)
     return idx
 
 
-def _direct_matrix(r: np.ndarray, weights_rev: np.ndarray, j: int, length: int):
-    window = r[:, j - length + 1 : j + 1]
-    cov = (window * weights_rev) @ window.T
-    return (cov + cov.T) / 2.0
-
-
 def rolling_covariance(
-    returns: ReturnPanel,
-    kernel: WeightKernel,
-    eval_dates=None,
-    *,
-    method: str = "auto",
+    returns: ReturnPanel, kernel: WeightKernel, eval_dates=None
 ) -> CovarianceSeries:
     """Weighted covariance at each evaluation date.
 
     ``eval_dates`` is None for every feasible date, or an explicit sequence
-    of dates. ``method`` is "direct", "incremental", or "auto" (incremental
-    for rectangular/exponential kernels over consecutive dates, direct
-    otherwise).
+    of dates.
     """
-    if method not in ("auto", "direct", "incremental"):
-        raise ParameterError(f"unknown method {method!r}")
     idx = resolve_eval_indices(returns, kernel, eval_dates)
-    consecutive = all(b == a + 1 for a, b in zip(idx, idx[1:]))
-    recursive_scheme = kernel.scheme in (RECTANGULAR, EXPONENTIAL)
-    if method == "auto":
-        method = "incremental" if (recursive_scheme and consecutive) else "direct"
-    if method == "incremental":
-        if not recursive_scheme:
-            raise ParameterError(
-                f"no exact sliding update for {kernel.scheme!r} kernels"
-            )
-        if not consecutive:
-            raise ParameterError("incremental method needs consecutive evaluation dates")
-
     r = returns.returns
     n = returns.n_assets
     length = kernel.length
     weights_rev = kernel.weights[::-1]
     matrices = np.empty((len(idx), n, n))
-
-    if method == "direct":
-        for t, j in enumerate(idx):
-            matrices[t] = _direct_matrix(r, weights_rev, j, length)
-    else:
-        cov = _direct_matrix(r, weights_rev, idx[0], length)
-        matrices[0] = cov
-        head = kernel.weights[0]
-        if kernel.scheme == RECTANGULAR:
-            decay, tail = 1.0, head
-        else:
-            mu = kernel.params["mu"]
-            decay, tail = mu, head * mu**length
-        for t, j in enumerate(idx[1:], start=1):
-            new = r[:, j]
-            old = r[:, j - length]
-            cov = decay * cov + head * np.outer(new, new) - tail * np.outer(old, old)
-            cov = (cov + cov.T) / 2.0
-            matrices[t] = cov
-
+    for t, j in enumerate(idx):
+        window = r[:, j - length + 1 : j + 1]
+        cov = (window * weights_rev) @ window.T
+        matrices[t] = (cov + cov.T) / 2.0
     dates = tuple(returns.dates[j] for j in idx)
     return CovarianceSeries(COVARIANCE, dates, matrices, kernel, returns.asset_ids)
 
 
-def to_correlation(
-    series: CovarianceSeries, variance_floor: float = VARIANCE_FLOOR
-) -> CovarianceSeries:
+def to_correlation(series: CovarianceSeries) -> CovarianceSeries:
     """Normalize each covariance matrix to unit diagonal."""
     if series.flavor != COVARIANCE:
         raise ParameterError(f"expected a covariance series, got {series.flavor!r}")
     out = np.empty_like(series.matrices)
     for t, cov in enumerate(series.matrices):
         diag = np.diag(cov)
-        low = np.nonzero(diag <= variance_floor)[0]
+        low = np.nonzero(diag <= VARIANCE_FLOOR)[0]
         if low.size:
             a = int(low[0])
             raise DegenerateAssetError(
                 f"variance {diag[a]!r} of asset {series.assets[a]!r} at date "
-                f"{series.dates[t]!r} is at or below the floor {variance_floor}"
+                f"{series.dates[t]!r} is at or below the floor {VARIANCE_FLOOR}"
             )
         inv_s = 1.0 / np.sqrt(diag)
         corr = cov * np.outer(inv_s, inv_s)

@@ -34,6 +34,7 @@ from .panel import ReturnPanel
 
 SYMMETRY_RTOL = 1e-10
 DEFAULT_BIN_COUNT = 60
+MP_Q_BOUNDS = (1e-3, 1.0)
 
 
 @dataclass(frozen=True)
@@ -366,12 +367,12 @@ def mp_density(lam, q: float):
     return out
 
 
-def fit_mp_q(hist: DensityHistogram, q_bounds: tuple[float, float] = (1e-3, 1.0)) -> float:
+def fit_mp_q(hist: DensityHistogram) -> float:
     """Least-squares fit of the M-P ratio q to a binned density."""
     def loss(q: float) -> float:
         return float(np.sum((hist.densities - mp_density(hist.centers, q)) ** 2))
 
-    res = minimize_scalar(loss, bounds=q_bounds, method="bounded",
+    res = minimize_scalar(loss, bounds=MP_Q_BOUNDS, method="bounded",
                           options={"xatol": 1e-8})
     return float(res.x)
 

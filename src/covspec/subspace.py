@@ -21,7 +21,7 @@ from .errors import (
     DegenerateSubspaceWarning,
     ParameterError,
 )
-from .spectral import EigenSystem, eigendecompose
+from .spectral import EigenSystem, eigenvalues
 
 DEGENERACY_RTOL = 1e-10
 # The trace identities of projector_lagged_correlation move rho by about
@@ -127,7 +127,7 @@ def mean_projector(series, k: int) -> MeanProjector:
 
 def projector_spectrum(mp: MeanProjector) -> np.ndarray:
     """Descending eigenvalues of the mean projector; they sum to k."""
-    return eigendecompose(mp.matrix).values
+    return eigenvalues(mp.matrix)
 
 
 def fluctuation_index(mp: MeanProjector) -> FluctuationIndex:

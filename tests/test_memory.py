@@ -35,7 +35,7 @@ def panel_and_kernel():
 
 @pytest.fixture(scope="module")
 def series(panel_and_kernel):
-    return rolling_covariance(*panel_and_kernel, method="direct")
+    return rolling_covariance(*panel_and_kernel)
 
 
 def peak_added_bytes(fn):
@@ -53,7 +53,7 @@ def peak_added_bytes(fn):
 
 def test_direct_covariance_peaks_near_one_stack(panel_and_kernel):
     peak, series = peak_added_bytes(
-        lambda: rolling_covariance(*panel_and_kernel, method="direct")
+        lambda: rolling_covariance(*panel_and_kernel)
     )
     assert series.matrices.shape == (N_DATES, N_ASSETS, N_ASSETS)
     assert peak < 1.5 * series.matrices.nbytes

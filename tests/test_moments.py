@@ -74,8 +74,8 @@ def test_window_shorter_than_kernel_rejected():
 def test_eval_date_range_and_explicit_list():
     panel = panel_from(np.random.default_rng(3).standard_normal((2, 30)))
     kernel = build_kernel("rectangular", 10)
-    full = rolling_covariance(panel, kernel, method="direct")
-    ranged = rolling_covariance(panel, kernel, panel.dates[12:16], method="direct")
+    full = rolling_covariance(panel, kernel)
+    ranged = rolling_covariance(panel, kernel, panel.dates[12:16])
     assert ranged.dates == panel.dates[12:16]
     listed = rolling_covariance(panel, kernel, [panel.dates[12], panel.dates[15]])
     assert listed.dates == (panel.dates[12], panel.dates[15])
@@ -89,7 +89,7 @@ def test_two_date_tuple_is_two_dates_not_a_range():
     pair = (panel.dates[12], panel.dates[15])
     series = rolling_covariance(panel, kernel, pair)
     assert series.dates == pair
-    full = rolling_covariance(panel, kernel, method="direct")
+    full = rolling_covariance(panel, kernel)
     assert np.array_equal(series.matrices[1], full.matrices[full.dates.index(pair[1])])
 
 
@@ -117,33 +117,51 @@ def test_scaling_returns_scales_covariance_quadratically():
     assert corr_scaled.matrices == pytest.approx(corr_base.matrices, abs=1e-12)
 
 
+def outer_product_sums(panel, kernel):
+    """sum_i lambda(i) r(t-i) r(t-i)' at every feasible date, by einsum."""
+    windows = np.lib.stride_tricks.sliding_window_view(panel.returns, kernel.length, axis=1)
+    lagged = windows[:, :, ::-1]  # (N, dates, lag)
+    return np.einsum("i,ati,bti->tab", kernel.weights, lagged, lagged)
+
+
+def relative_error_per_date(series, reference):
+    diff = np.abs(series.matrices - reference).max(axis=(1, 2))
+    return diff / np.abs(reference).max(axis=(1, 2))
+
+
 @pytest.mark.parametrize(
     "scheme,kwargs",
-    [("rectangular", {}), ("exponential", {"mu": 0.94})],
+    [
+        ("rectangular", {}),
+        ("exponential", {"mu": 0.94}),
+        ("long-memory", {"tau0_days": 360}),
+    ],
 )
-def test_incremental_matches_direct(scheme, kwargs):
+def test_covariance_matches_outer_product_sum(scheme, kwargs):
     rng = np.random.default_rng(5)
     panel = panel_from(rng.standard_normal((5, 400)))
     kernel = build_kernel(scheme, 60, **kwargs)
-    direct = rolling_covariance(panel, kernel, method="direct")
-    incremental = rolling_covariance(panel, kernel, method="incremental")
-    scale = np.abs(direct.matrices).max()
-    assert np.abs(direct.matrices - incremental.matrices).max() < 1e-10 * scale
+    series = rolling_covariance(panel, kernel)
+    reference = outer_product_sums(panel, kernel)
+    assert series.dates == panel.dates[59:]
+    assert relative_error_per_date(series, reference).max() <= 1e-12
 
 
-def test_incremental_refused_for_long_memory():
-    panel = panel_from(np.random.default_rng(6).standard_normal((2, 50)))
-    kernel = build_kernel("long-memory", 10, tau0_days=100)
-    with pytest.raises(ParameterError, match="sliding"):
-        rolling_covariance(panel, kernel, method="incremental")
-
-
-def test_incremental_refused_for_gapped_dates():
-    panel = panel_from(np.random.default_rng(6).standard_normal((2, 50)))
-    kernel = build_kernel("rectangular", 10)
-    dates = [panel.dates[20], panel.dates[30]]
-    with pytest.raises(ParameterError, match="consecutive"):
-        rolling_covariance(panel, kernel, dates, method="incremental")
+@pytest.mark.parametrize(
+    "scheme,kwargs",
+    [("rectangular", {}), ("exponential", {"mu": 0.97})],
+)
+def test_volatility_drop_leaves_no_residue(scheme, kwargs):
+    # A 1000x volatility drop mid-sample: each date after it must be as
+    # accurate, relative to its own scale, as the dates before it.
+    rng = np.random.default_rng(17)
+    returns = rng.standard_normal((5, 1000))
+    returns[:, 500:] *= 1e-3
+    panel = panel_from(returns)
+    kernel = build_kernel(scheme, 60, **kwargs)
+    series = rolling_covariance(panel, kernel)
+    reference = outer_product_sums(panel, kernel)
+    assert relative_error_per_date(series, reference).max() <= 1e-12
 
 
 def test_correlation_of_diagonal_covariance_is_identity():

@@ -169,7 +169,7 @@ def test_window_vectors_match_eigh_projectors():
     returns = generate_returns(spec)
     for scheme, length in (("rectangular", 6), ("long-memory", 10)):
         kernel = build_kernel(scheme, length, tau0_days=60)
-        series = rolling_covariance(returns, kernel, method="direct")
+        series = rolling_covariance(returns, kernel)
         k = 4
         vectors = window_vectors(returns, kernel, k)
         assert vectors.shape == (len(series), 15, k)

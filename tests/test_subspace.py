@@ -193,6 +193,15 @@ def test_spectrum_sums_to_rank_and_stays_in_unit_interval():
         assert values.max() < 1.0 + 1e-10
 
 
+def test_spectrum_values_match_full_eigendecomposition():
+    spectra = random_spectra(n=7, n_dates=20, seed=11)
+    for k in (1, 4, 7):
+        mp = mean_projector(spectra, k)
+        values = projector_spectrum(mp)
+        assert np.abs(values - eigendecompose(mp.matrix).values).max() <= 1e-13 * k
+        assert abs(values.sum() - k) <= 1e-13 * k
+
+
 # ---------------------------------------------------------------- fluctuation index
 
 
