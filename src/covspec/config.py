@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from .ensembles import DEFAULT_STUDENT_NU, ENSEMBLE_KINDS, EnsembleSpec
 from .errors import ConfigError
 from .kernels import DEFAULT_LENGTH, DEFAULT_TAU0_DAYS, KERNEL_SCHEMES, LONG_MEMORY
-from .panel import ASSET_CLASSES, LOG_PRICE, MISSING_POLICIES, IngestConfig
+from .panel import ASSET_CLASSES, LOG_PRICE, MISSING_POLICIES, IngestConfig, is_iso_date
 from .spectral import DEFAULT_BIN_COUNT
 from .subspace import LAGGED_KERNEL_LENGTH
 
@@ -321,6 +321,9 @@ def config_from_mapping(
 
     eval_start = mapping.get("eval.start")
     eval_end = mapping.get("eval.end")
+    for key, value in (("eval.start", eval_start), ("eval.end", eval_end)):
+        if value is not None and not is_iso_date(value):
+            errors.append(f"{key}: expected a YYYY-MM-DD date, got {value!r}")
     if eval_start and eval_end and eval_start > eval_end:
         errors.append(f"eval.start {eval_start!r} is after eval.end {eval_end!r}")
 
@@ -353,6 +356,9 @@ def config_from_mapping(
         errors.append("projectors.ranks is required when projectors or fluctuation is enabled")
     if "lagged" in analyses and not lags:
         errors.append("lagged.lags is required when lagged is enabled")
+    k_max = max(projector_ranks, default=0)
+    if "lagged" in analyses and lagged_length and k_max > lagged_length:
+        errors.append(f"projectors.ranks: rank {k_max} exceeds lagged.length {lagged_length}")
 
     output_dir = mapping.get("output.dir", "out")
     output_format = _get_enum(

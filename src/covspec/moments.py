@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateAssetError, InsufficientDataError, ParameterError
+from .errors import DegenerateAssetError, InsufficientDataError, NumericalError, ParameterError
 from .kernels import WeightKernel
 from .panel import ReturnPanel
 
@@ -105,22 +105,49 @@ def rolling_covariance(
     return CovarianceSeries(COVARIANCE, dates, matrices, kernel, returns.asset_ids)
 
 
+def weighted_windows(returns: ReturnPanel, kernel: WeightKernel, eval_dates=None):
+    """The dates and the (T, N, L) stack of weighted return windows
+    W = r * sqrt(lambda), whose products W W' are ``rolling_covariance``."""
+    if np.any(kernel.weights < 0):
+        raise ParameterError("return windows need non-negative kernel weights")
+    idx = np.array(resolve_eval_indices(returns, kernel, eval_dates))
+    windows = np.lib.stride_tricks.sliding_window_view(returns.returns.T, kernel.length, axis=0)
+    windows = windows[idx - kernel.length + 1]  # one gathered copy, scaled in place
+    windows *= np.sqrt(kernel.weights[::-1])
+    finite = np.isfinite(windows).all(axis=(1, 2))
+    if not finite.all():
+        bad = returns.dates[idx[finite.argmin()]]
+        raise NumericalError(f"at date {bad!r}: non-finite returns")
+    return tuple(returns.dates[j] for j in idx), windows
+
+
+def _inverse_scales(variances: np.ndarray, dates, assets) -> np.ndarray:
+    """1/sqrt of (T, N) variances; the first at or below VARIANCE_FLOOR raises."""
+    low = np.argwhere(variances <= VARIANCE_FLOOR)
+    if low.size:
+        t, a = low[0]
+        raise DegenerateAssetError(
+            f"variance {variances[t, a]!r} of asset {assets[a]!r} at date "
+            f"{dates[t]!r} is at or below the floor {VARIANCE_FLOOR}"
+        )
+    return 1.0 / np.sqrt(variances)
+
+
+def unit_rows(windows: np.ndarray, dates, assets) -> np.ndarray:
+    """The windows with each row at unit norm: U U' is the correlation of W W'."""
+    variances = np.einsum("tij,tij->ti", windows, windows)
+    return windows * _inverse_scales(variances, dates, assets)[:, :, None]
+
+
 def to_correlation(series: CovarianceSeries) -> CovarianceSeries:
     """Normalize each covariance matrix to unit diagonal."""
     if series.flavor != COVARIANCE:
         raise ParameterError(f"expected a covariance series, got {series.flavor!r}")
+    diagonals = np.diagonal(series.matrices, axis1=1, axis2=2)
+    inv_s = _inverse_scales(diagonals, series.dates, series.assets)
     out = np.empty_like(series.matrices)
     for t, cov in enumerate(series.matrices):
-        diag = np.diag(cov)
-        low = np.nonzero(diag <= VARIANCE_FLOOR)[0]
-        if low.size:
-            a = int(low[0])
-            raise DegenerateAssetError(
-                f"variance {diag[a]!r} of asset {series.assets[a]!r} at date "
-                f"{series.dates[t]!r} is at or below the floor {VARIANCE_FLOOR}"
-            )
-        inv_s = 1.0 / np.sqrt(diag)
-        corr = cov * np.outer(inv_s, inv_s)
+        corr = cov * np.outer(inv_s[t], inv_s[t])
         np.fill_diagonal(corr, 1.0)
         out[t] = np.clip(corr, -1.0, 1.0)
     return CovarianceSeries(CORRELATION, series.dates, out, series.kernel, series.assets)

@@ -137,12 +137,12 @@ class ReturnPanel:
         return tuple(a.id for a in self.assets)
 
 
-def _parse_date(token: str, line: int) -> str:
+def is_iso_date(token: str) -> bool:
+    """True for YYYY-MM-DD alone, not 20240103 or other forms fromisoformat takes."""
     try:
-        _dt.date.fromisoformat(token)
+        return _dt.date.fromisoformat(token).isoformat() == token
     except ValueError:
-        raise ParseError(f"date {token!r} is not ISO-8601", line) from None
-    return token
+        return False
 
 
 def load_panel(path, config: IngestConfig) -> PricePanel:
@@ -173,7 +173,9 @@ def load_panel(path, config: IngestConfig) -> PricePanel:
                 raise ParseError(
                     f"expected {len(header)} columns, got {len(row)}", line_no
                 )
-            date = _parse_date(row[0].strip(), line_no)
+            date = row[0].strip()
+            if not is_iso_date(date):
+                raise ParseError(f"date {date!r} is not a YYYY-MM-DD date", line_no)
             cells: list[float | None] = []
             for col, tok in zip(asset_ids, row[1:]):
                 tok = tok.strip()

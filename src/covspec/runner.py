@@ -34,6 +34,8 @@ from .moments import (
     dump_matrices,
     rolling_covariance,
     to_correlation,
+    unit_rows,
+    weighted_windows,
 )
 from .panel import ReturnPanel, compute_returns, load_panel, map_prices
 from .spectral import (
@@ -51,24 +53,15 @@ from .spectral import (
     window_vectors,
 )
 from .subspace import (
+    factor_lagged_correlation,
     fluctuation_index,
-    matrix_lagged_correlation,
     mean_projector,
-    projector_lagged_correlation,
     projector_spectrum,
 )
 
 logger = logging.getLogger(__name__)
 
 MANIFEST_NAME = "manifest.json"
-
-# Largest window length L, as a fraction of N, for which the lagged stage
-# takes its projector vectors from the thin SVD of the N x L return window
-# rather than from eigh of the N x N lagged covariance. Measured on a
-# 2-vCPU x86-64 host (numpy 2.4, OpenBLAS 0.3.31) per 150 dates, rank 5:
-# the SVD wins 0.04 vs 0.065 s at N=60, L=24 and 0.79 vs 0.87 s at N=250,
-# L=100; eigh wins from L/N of 0.5 (N=250) to 0.75 (N=60).
-THIN_SVD_MAX_WINDOW_RATIO = 0.4
 
 
 @dataclass(frozen=True)
@@ -304,28 +297,18 @@ def _projector_files(writer, spectra, config, want_spectrum, want_fluctuation) -
 
 def _lagged_file(writer, returns, config, eval_dates) -> None:
     compact = build_kernel("rectangular", config.lagged_length)
-    lag_cov = rolling_covariance(returns, compact, eval_dates)
-    rhos = [
-        ("covariance", matrix_lagged_correlation(lag_cov.matrices, config.lags)),
-        (
-            "correlation",
-            matrix_lagged_correlation(to_correlation(lag_cov).matrices, config.lags),
-        ),
+    dates, windows = weighted_windows(returns, compact, eval_dates)
+    factors = [
+        ("covariance", windows),
+        ("correlation", unit_rows(windows, dates, returns.asset_ids)),
     ]
     if config.projector_ranks:
-        k_max = max(config.projector_ranks)
-        if k_max <= compact.length <= THIN_SVD_MAX_WINDOW_RATIO * returns.n_assets:
-            vectors = window_vectors(returns, compact, k_max, eval_dates)
-        else:
-            vectors = spectrum_series(lag_cov, n_vectors=k_max).vectors
-        for k in config.projector_ranks:
-            rhos.append(
-                (f"projector_k{k}", projector_lagged_correlation(vectors, k, config.lags))
-            )
+        vectors = window_vectors(windows, max(config.projector_ranks))
+        factors += [(f"projector_k{k}", vectors[:, :, :k]) for k in config.projector_ranks]
     rows = [
         [label, lag, float(rho)]
-        for label, values in rhos
-        for lag, rho in zip(config.lags, values)
+        for label, f in factors
+        for lag, rho in zip(config.lags, factor_lagged_correlation(f, config.lags))
     ]
     writer.write_table("lagged_correlation", ["series", "lag", "rho"], rows)
 

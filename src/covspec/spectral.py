@@ -28,9 +28,7 @@ from .errors import (
     NumericalError,
     ParameterError,
 )
-from .kernels import WeightKernel
-from .moments import CORRELATION, CovarianceSeries, resolve_eval_indices
-from .panel import ReturnPanel
+from .moments import CORRELATION, CovarianceSeries
 
 SYMMETRY_RTOL = 1e-10
 DEFAULT_BIN_COUNT = 60
@@ -101,10 +99,6 @@ class DensityHistogram:
     densities: np.ndarray
     n_excluded: int
     n_total: int
-
-    @property
-    def half_widths(self) -> np.ndarray:
-        return self.widths / 2.0
 
     @property
     def included_fraction(self) -> float:
@@ -253,30 +247,15 @@ def spectrum_series(series: CovarianceSeries, n_vectors: int = 0) -> SpectrumSer
     return SpectrumSeries(series.dates, values, vectors)
 
 
-def window_vectors(
-    returns: ReturnPanel, kernel: WeightKernel, k: int, eval_dates=None
-) -> np.ndarray:
-    """Top-k eigenvectors of each rolling covariance, shape (T, N, k).
-
-    The covariance at a date is W W' with W = r * sqrt(lambda) the N x L
-    weighted return window, so its leading eigenvectors are the leading left
-    singular vectors of W; the thin SVD never forms the N x N matrix. Dates
-    and signs follow ``rolling_covariance`` and ``eigendecompose``.
-    """
-    n = returns.n_assets
-    if not 1 <= k <= min(n, kernel.length):
-        raise ParameterError(f"rank k={k} outside [1, {min(n, kernel.length)}]")
-    if np.any(kernel.weights < 0):
-        raise ParameterError("thin-SVD vectors need non-negative kernel weights")
-    idx = resolve_eval_indices(returns, kernel, eval_dates)
-    r = returns.returns
-    root_weights = np.sqrt(kernel.weights[::-1])
-    length = kernel.length
-    out = np.empty((len(idx), n, k))
-    for t, j in enumerate(idx):
-        window = r[:, j - length + 1 : j + 1] * root_weights
-        if not np.isfinite(window).all():
-            raise NumericalError(f"at date {returns.dates[j]!r}: non-finite returns")
+def window_vectors(windows: np.ndarray, k: int) -> np.ndarray:
+    """Top-k left singular vectors of each N x L window, shape (T, N, k): for
+    the windows W of ``moments.weighted_windows``, the leading eigenvectors of
+    W W' without forming it. Signs follow ``eigendecompose``."""
+    t_len, n, length = windows.shape
+    if not 1 <= k <= min(n, length):
+        raise ParameterError(f"rank k={k} outside [1, {min(n, length)}]")
+    out = np.empty((t_len, n, k))
+    for t, window in enumerate(windows):
         left = _solve(np.linalg.svd, window, full_matrices=False)[0]
         out[t] = _fix_signs(left[:, :k])
     return out

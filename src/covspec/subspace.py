@@ -2,9 +2,9 @@
 
 The rank-k projector at a date is the sum of outer products of the top-k
 eigenvectors. Its time average has trace k and eigenvalues in [0, 1]; how
-far those eigenvalues sit below one is what the fluctuation index and the
-scalar lagged correlation quantify. Both are computed from the (T, N, k)
-leading eigenvectors through trace identities, without per-date projectors.
+far those eigenvalues sit below one is what the fluctuation index quantifies.
+The lagged correlation of a series X_t = F_t F_t' (covariance, correlation or
+projector) comes from the (T, N, m) factors F, without per-date matrices.
 """
 
 from __future__ import annotations
@@ -24,9 +24,9 @@ from .errors import (
 from .spectral import EigenSystem, eigenvalues
 
 DEGENERACY_RTOL = 1e-10
-# The trace identities of projector_lagged_correlation move rho by about
-# 3e-16 / gamma (measured from gamma = 0.9 down to 3e-5); below this
-# fluctuation index, where that passes 3e-13, the projector stack is used.
+# The trace identities of factor_lagged_correlation move rho by about 3e-16 / g,
+# g the ratio of centred to total variance (gamma, for projectors; measured from
+# 0.9 down to 3e-5); below this g, where that passes 3e-13, the stack is used.
 GRAM_MIN_GAMMA = 1e-3
 LAGGED_KERNEL_LENGTH = 21
 
@@ -95,8 +95,8 @@ def _leading_vectors(series, k: int) -> np.ndarray:
     return vectors[:, :, :k]
 
 
-def _projector_stack(vk: np.ndarray) -> np.ndarray:
-    stack = vk @ np.transpose(vk, (0, 2, 1))
+def _outer_stack(factors: np.ndarray) -> np.ndarray:
+    stack = factors @ np.transpose(factors, (0, 2, 1))
     return (stack + np.transpose(stack, (0, 2, 1))) / 2.0
 
 
@@ -107,7 +107,7 @@ def _side_by_side(vk: np.ndarray) -> np.ndarray:
 
 def projector_series(series, k: int) -> np.ndarray:
     """Stack of per-date rank-k projectors, shape (T, N, N)."""
-    return _projector_stack(_leading_vectors(series, k))
+    return _outer_stack(_leading_vectors(series, k))
 
 
 def mean_projector(series, k: int) -> MeanProjector:
@@ -186,42 +186,33 @@ def matrix_lagged_correlation(series, lags) -> np.ndarray:
 
 
 def _overlaps(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """||A_t' B_t||_F^2 per date, which is tr(P_t Q_t) for the projectors
-    onto the orthonormal columns of A_t and B_t."""
+    """||A_t' B_t||_F^2 per date, which is tr(A_t A_t' B_t B_t')."""
     gram = np.transpose(a, (0, 2, 1)) @ b
     return np.einsum("tij,tij->t", gram, gram)
 
 
-def projector_lagged_correlation(series, k: int, lags) -> np.ndarray:
-    """``matrix_lagged_correlation`` of the rank-k projector series, from the
-    eigenvectors alone.
-
-    ``series`` is a spectrum series or a (T, N, m) vector stack, m >= k.
-    With P_t = V_t V_t' and M the mean projector,
-    tr(P_t P_s) = ||V_t' V_s||_F^2 and tr(P_t M) = tr(V_t' M V_t), so each
-    centred trace costs O(N k^2) and no projector is formed. The centred
-    denominator is k * gamma, with gamma the fluctuation index, and this
-    form moves rho by about 3e-16 / gamma from the stacked one; a series
-    with gamma below GRAM_MIN_GAMMA is computed from its projector stack.
-    """
-    vk = _leading_vectors(series, k)
-    t_len, n, _ = vk.shape
+def factor_lagged_correlation(factors, lags) -> np.ndarray:
+    """``matrix_lagged_correlation`` of X_t = F_t F_t' from the (T, N, m) factors F
+    alone, by tr(X_t X_s) = ||F_t' F_s||_F^2 and tr(X_t M) = tr(F_t' M F_t) for M
+    the mean of X. A constant or near-static series (GRAM_MIN_GAMMA) goes to
+    ``matrix_lagged_correlation`` of its stack, which refuses a constant one."""
+    f = np.asarray(factors, dtype=float)
+    if f.ndim != 3:
+        raise ParameterError(f"expected a (T,N,m) factor stack, got {f.shape}")
+    t_len, n, m = f.shape
     lags = _checked_lags(lags, t_len)
 
-    mean = mean_projector(vk, k).matrix
+    y = _side_by_side(f)
+    mean = (y @ y.T) / t_len  # exactly symmetric: numpy takes Y Y' to syrk
     mean_sq = float(np.sum(mean * mean))
-    # tr(P_t M) per date, from the N x (T k) product M Y.
-    y = _side_by_side(vk)
+    # tr(X_t M) per date, from the N x (T m) product M Y.
     with_mean = np.einsum(
-        "itk,itk->t", (mean @ y).reshape(n, t_len, k), y.reshape(n, t_len, k)
+        "itk,itk->t", (mean @ y).reshape(n, t_len, m), y.reshape(n, t_len, m)
     )
-    own = _overlaps(vk, vk)
+    own = _overlaps(f, f)
     denom = float(np.mean(own - 2.0 * with_mean + mean_sq))
-    scale = float(np.mean(own))
-    if denom <= 1e-24 * max(scale, 1e-300):
-        raise DegenerateSeriesError("matrix series is constant; rho is undefined")
-    if denom < GRAM_MIN_GAMMA * scale:
-        return matrix_lagged_correlation(_projector_stack(vk), lags)
+    if denom <= GRAM_MIN_GAMMA * float(np.mean(own)):
+        return matrix_lagged_correlation(_outer_stack(f), lags)
 
     out = np.empty(len(lags))
     for i, lag in enumerate(lags):
@@ -229,7 +220,7 @@ def projector_lagged_correlation(series, k: int, lags) -> np.ndarray:
             out[i] = 1.0
             continue
         cross = (
-            _overlaps(vk[:-lag], vk[lag:]).sum()
+            _overlaps(f[:-lag], f[lag:]).sum()
             - with_mean[:-lag].sum()
             - with_mean[lag:].sum()
             + (t_len - lag) * mean_sq

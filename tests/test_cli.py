@@ -10,6 +10,7 @@ from covspec import (
     compute_returns,
     generate_returns,
     load_panel,
+    make_business_dates,
     map_prices,
     run_analysis,
     validate_config,
@@ -250,6 +251,34 @@ def test_analyze_from_csv_input(tmp_path):
     assert main(["analyze", run_cfg]) == 0
     assert (tmp_path / "out" / "spectrum.csv").exists()
     assert (tmp_path / "out" / "provenance.log").exists()
+
+
+def test_flat_asset_fails_lagged_stage_naming_asset_and_date(tmp_path):
+    # bbb's price is flat over 21 returns, one full lagged window; the
+    # 40-return main window always reaches moving prices
+    dates = make_business_dates(90)
+    rng = np.random.default_rng(3)
+    prices = np.exp(np.cumsum(0.01 * rng.standard_normal((3, 90)), axis=1))
+    prices[1, 50:72] = prices[1, 50]
+    lines = ["date,aaa,bbb,ccc"] + [
+        d + "," + ",".join(f"{v:.17g}" for v in prices[:, t]) for t, d in enumerate(dates)
+    ]
+    (tmp_path / "p.csv").write_text("\n".join(lines) + "\n")
+    cfg = write_cfg(
+        tmp_path,
+        f"input.path = {tmp_path / 'p.csv'}\n"
+        "kernel.scheme = rectangular\nkernel.length = 40\n"
+        "analyses = spectrum,lagged\nlagged.lags = 0,1\n"
+        f"output.dir = {tmp_path / 'out'}\n",
+    )
+    with pytest.raises(AnalysisError) as err:
+        run_analysis(validate_config(cfg))
+    message = str(err.value)
+    assert message.startswith("subspace: variance ")
+    assert message.endswith(
+        f" of asset 'bbb' at date {dates[71]!r} is at or below the floor 1e-16"
+    )
+    assert "0.0" in message
 
 
 def test_env_var_log_level(tmp_path, monkeypatch, capsys):

@@ -186,6 +186,30 @@ def test_eval_range_ordering(tmp_path):
     assert any("eval.start" in msg for msg in err.value.errors)
 
 
+def test_eval_dates_must_be_canonical(tmp_path):
+    text = MINIMAL + "eval.start = 1999-1-5\neval.end = 20240103\n"
+    with pytest.raises(ConfigError) as err:
+        validate_config(write(tmp_path, text))
+    assert any(m.startswith("eval.start") and "1999-1-5" in m for m in err.value.errors)
+    assert any(m.startswith("eval.end") and "20240103" in m for m in err.value.errors)
+    config = validate_config(write(tmp_path, MINIMAL + "eval.start = 1999-01-05\n"))
+    assert config.eval_start == "1999-01-05"
+
+
+def test_rank_above_lagged_window_rejected(tmp_path):
+    text = MINIMAL.replace("analyses = spectrum", "analyses = projectors,lagged") + (
+        "projectors.ranks = 1,6\nlagged.lags = 0,1\nlagged.length = 5\n"
+    )
+    with pytest.raises(ConfigError) as err:
+        validate_config(write(tmp_path, text))
+    assert any(
+        "projectors.ranks" in m and "lagged.length" in m for m in err.value.errors
+    )
+    # the window bounds the rank only where the lagged stage runs
+    config = validate_config(write(tmp_path, text.replace("projectors,lagged", "projectors")))
+    assert config.projector_ranks == (1, 6)
+
+
 def test_flat_echo_is_sorted_and_excludes_output_dir():
     mapping = {
         "ensemble.kind": "gaussian-iid",

@@ -1,6 +1,8 @@
 """End-to-end equivalence of the solvers each analysis uses with the
 reference ones: full eigendecompositions kept for every date, stacked
-(T,N,N) projector series, their stacked mean and stacked lagged correlation.
+(T,N,N) projector series and their stacked mean, and for every lagged
+series the stacked F_t F_t' of its factors with eigh vectors of the lagged
+covariance.
 
 Each config runs twice, once as shipped and once with the reference
 functions patched into the runner, and every number of every output must
@@ -20,7 +22,6 @@ from covspec import (
     eigendecompose,
     matrix_lagged_correlation,
     projector_series,
-    rolling_covariance,
     run_analysis,
     runner,
     spectrum_series,
@@ -45,14 +46,12 @@ lagged.length = {lagged_length}
 """
 
 CASES = {
-    # window of 8 returns <= 0.4 N: projector vectors from the thin SVD
-    "thin-svd": dict(n=24, ranks="1,2,5", lagged_length=8, svd=True),
-    # window above 0.4 N: eigendecomposition of the lagged covariance
-    "window-above-crossover": dict(n=24, ranks="1,2,5", lagged_length=21, svd=False),
+    # window of 8 returns, at most 0.4 N
+    "thin-svd": dict(n=24, ranks="1,2,5", lagged_length=8),
+    # window above 0.4 N, where the thin SVD costs more than eigh of N x N
+    "window-above-crossover": dict(n=24, ranks="1,2,5", lagged_length=21),
     # window longer than N
-    "window-above-n": dict(n=12, ranks="1,2,5", lagged_length=15, svd=False),
-    # rank above the window
-    "rank-above-window": dict(n=24, ranks="1,6", lagged_length=5, svd=False),
+    "window-above-n": dict(n=12, ranks="1,2,5", lagged_length=15),
 }
 
 
@@ -70,12 +69,16 @@ def reference_mean_projector(series, k):
     return MeanProjector(k, (mean + mean.T) / 2.0, len(series.vectors))
 
 
-def reference_window_vectors(returns, kernel, k, eval_dates=None):
-    return reference_spectra(rolling_covariance(returns, kernel, eval_dates)).vectors
+def outer_stack(factors):
+    return factors @ np.transpose(factors, (0, 2, 1))
 
 
-def reference_projector_rho(vectors, k, lags):
-    return matrix_lagged_correlation(projector_series(vectors, k), lags)
+def reference_window_vectors(windows, k):
+    return np.array([eigendecompose(m).vectors[:, :k] for m in outer_stack(windows)])
+
+
+def reference_factor_rho(factors, lags):
+    return matrix_lagged_correlation(outer_stack(factors), lags)
 
 
 def read_columns(path):
@@ -106,11 +109,11 @@ def run(tmp_path, name, case):
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_outputs_match_reference_solvers(tmp_path, monkeypatch, case):
-    svd_calls, kept_vectors = [], []
+    svd_ranks, kept_vectors = [], []
 
-    def counted_window_vectors(*args, **kwargs):
-        svd_calls.append(args)
-        return window_vectors(*args, **kwargs)
+    def counted_window_vectors(windows, k):
+        svd_ranks.append(k)
+        return window_vectors(windows, k)
 
     def counted_spectrum_series(series, n_vectors=0):
         kept_vectors.append(n_vectors)
@@ -120,16 +123,16 @@ def test_outputs_match_reference_solvers(tmp_path, monkeypatch, case):
         patch.setattr(runner, "window_vectors", counted_window_vectors)
         patch.setattr(runner, "spectrum_series", counted_spectrum_series)
         shipped = run(tmp_path, "shipped", CASES[case])
-    # main spectra keep max(k) vectors, the M-P correlation spectra none,
-    # and the lagged covariance is eigendecomposed only off the SVD route
+    # main spectra keep max(k) vectors and the M-P correlation spectra none;
+    # the lagged stage takes max(k) vectors from its windows
     k_max = max(int(k) for k in CASES[case]["ranks"].split(","))
-    assert len(svd_calls) == CASES[case]["svd"]
-    assert kept_vectors == [k_max, 0] + ([] if CASES[case]["svd"] else [k_max])
+    assert svd_ranks == [k_max]
+    assert kept_vectors == [k_max, 0]
     with monkeypatch.context() as patch:
         patch.setattr(runner, "spectrum_series", reference_spectra)
         patch.setattr(runner, "mean_projector", reference_mean_projector)
         patch.setattr(runner, "window_vectors", reference_window_vectors)
-        patch.setattr(runner, "projector_lagged_correlation", reference_projector_rho)
+        patch.setattr(runner, "factor_lagged_correlation", reference_factor_rho)
         reference = run(tmp_path, "reference", CASES[case])
 
     assert shipped.files == reference.files

@@ -4,22 +4,26 @@ Each loop writes its results straight into a preallocated output stack, so
 a call holds one stack of results and a few per-date temporaries; a loop
 that collects per-date results and then stacks them holds two. Projector
 statistics read only the (T,N,k) leading vectors and never hold a (T,N,N)
-stack.
+stack. The lagged stage reads only (T,N,L) return windows and the factors
+derived from them.
 """
 
 import tracemalloc
+from types import SimpleNamespace
 
 import pytest
 
 from covspec import (
     EnsembleSpec,
     build_kernel,
+    factor_lagged_correlation,
     generate_returns,
-    projector_lagged_correlation,
     rolling_covariance,
+    runner,
     spectrum_series,
     window_vectors,
 )
+from covspec.moments import weighted_windows
 
 N_ASSETS = 60
 N_DATES = 300
@@ -85,9 +89,35 @@ def test_lagged_projector_path_holds_no_projector_stack(panel_and_kernel):
     stack_bytes = 8 * (N_DATES + KERNEL_LENGTH - 21) * N_ASSETS**2
 
     def lagged():
-        vectors = window_vectors(returns, compact, 5)
-        return [projector_lagged_correlation(vectors, k, lags) for k in (1, 2, 5)]
+        vectors = window_vectors(weighted_windows(returns, compact)[1], 5)
+        return [factor_lagged_correlation(vectors[:, :, :k], lags) for k in (1, 2, 5)]
 
     peak, rhos = peak_added_bytes(lagged)
     assert all(rho[0] == 1.0 for rho in rhos)
     assert peak < 0.5 * stack_bytes
+
+
+class TableSink:
+    """Stands in for the bundle writer; keeps the rows of each table."""
+
+    def __init__(self):
+        self.tables = {}
+
+    def write_table(self, stem, header, rows):
+        self.tables[stem] = rows
+
+
+def test_lagged_stage_peaks_below_one_stack():
+    n, n_dates, length = 120, 300, 21
+    spec = EnsembleSpec("one-factor", n, length + n_dates - 1, beta=0.5, seed=4)
+    returns = generate_returns(spec)
+    config = SimpleNamespace(
+        lagged_length=length, lags=(0, 1, 5, 21), projector_ranks=(1, 2, 5)
+    )
+    sink = TableSink()
+    peak, _ = peak_added_bytes(lambda: runner._lagged_file(sink, returns, config, None))
+    rows = sink.tables["lagged_correlation"]
+    assert [label for label, lag, _ in rows if lag == 0] == [
+        "covariance", "correlation", "projector_k1", "projector_k2", "projector_k5"
+    ]
+    assert peak < 8 * n_dates * n**2

@@ -4,6 +4,7 @@ import pytest
 from covspec import (
     AssetSpec,
     ReturnPanel,
+    WeightKernel,
     build_kernel,
     dump_matrices,
     make_business_dates,
@@ -13,8 +14,10 @@ from covspec import (
 from covspec.errors import (
     DegenerateAssetError,
     InsufficientDataError,
+    NumericalError,
     ParameterError,
 )
+from covspec.moments import unit_rows, weighted_windows
 from testutil import random_covariance_series
 
 
@@ -206,6 +209,60 @@ def test_degenerate_asset_names_asset_and_date():
     series = rolling_covariance(panel, build_kernel("rectangular", 10))
     with pytest.raises(DegenerateAssetError, match="a1.*" + series.dates[0]):
         to_correlation(series)
+
+
+def outer_products(windows):
+    return windows @ np.transpose(windows, (0, 2, 1))
+
+
+@pytest.mark.parametrize(
+    "scheme,kwargs",
+    [
+        ("rectangular", {}),
+        ("exponential", {"mu": 0.94}),
+        ("long-memory", {"tau0_days": 360}),
+    ],
+)
+def test_window_products_match_covariance_and_correlation(scheme, kwargs):
+    rng = np.random.default_rng(6)
+    panel = panel_from(rng.standard_normal((5, 200)) * [[1e-3], [1], [10], [1], [1]])
+    kernel = build_kernel(scheme, 60, **kwargs)
+    eval_dates = panel.dates[80:120:3]
+    series = rolling_covariance(panel, kernel, eval_dates)
+    dates, windows = weighted_windows(panel, kernel, eval_dates)
+    assert dates == series.dates
+    assert windows.shape == (len(dates), 5, 60)
+    assert relative_error_per_date(series, outer_products(windows)).max() <= 1e-12
+    units = unit_rows(windows, dates, panel.asset_ids)
+    corr = to_correlation(series).matrices
+    assert np.abs(outer_products(units) - corr).max() <= 1e-12
+
+
+def test_unit_rows_refuse_a_degenerate_asset_like_to_correlation():
+    rng = np.random.default_rng(11)
+    returns = rng.standard_normal((3, 30))
+    returns[1, 12:25] = 0.0
+    panel = panel_from(returns)
+    kernel = build_kernel("rectangular", 10)
+    with pytest.raises(DegenerateAssetError) as want:
+        to_correlation(rolling_covariance(panel, kernel))
+    dates, windows = weighted_windows(panel, kernel)
+    with pytest.raises(DegenerateAssetError) as got:
+        unit_rows(windows, dates, panel.asset_ids)
+    assert str(got.value) == str(want.value)
+    assert "'a1'" in str(got.value) and repr(panel.dates[21]) in str(got.value)
+
+
+def test_windows_refuse_negative_weights_and_non_finite_returns():
+    rng = np.random.default_rng(12)
+    returns = rng.standard_normal((3, 30))
+    panel = panel_from(returns)
+    signed = WeightKernel("custom", [0.6, 0.6, -0.2], {})
+    with pytest.raises(ParameterError, match="non-negative"):
+        weighted_windows(panel, signed)
+    returns[2, 17] = np.nan
+    with pytest.raises(NumericalError, match=repr(panel.dates[17])):
+        weighted_windows(panel_from(returns), build_kernel("rectangular", 5))
 
 
 def test_correlation_trace_is_exactly_n():

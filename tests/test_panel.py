@@ -94,6 +94,14 @@ def test_load_bad_date_names_line(tmp_path):
         load_panel(write(tmp_path, text), IngestConfig())
 
 
+@pytest.mark.parametrize("token", ["20010102", "2001-W01-2", "2001-1-2"])
+def test_load_non_canonical_date_names_line(tmp_path, token):
+    # a non-canonical spelling would sort and compare as text out of date order
+    text = f"date,aaa\n2001-01-01,1\n{token},2\n2001-01-03,3\n2001-01-02,4\n"
+    with pytest.raises(ParseError, match=f"line 3.*{token}|{token}.*line 3"):
+        load_panel(write(tmp_path, text), IngestConfig())
+
+
 def test_load_unknown_rate_id_rejected(tmp_path):
     with pytest.raises(PanelError, match="zzz"):
         load_panel(write(tmp_path, WELL_FORMED), IngestConfig(rate_ids=("zzz",)))

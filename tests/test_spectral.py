@@ -28,6 +28,7 @@ from covspec import (
     window_vectors,
 )
 from covspec import to_correlation
+from covspec.moments import weighted_windows
 from covspec.errors import ContractViolationError, NumericalError, ParameterError
 from testutil import random_covariance_series, random_symmetric
 
@@ -171,7 +172,7 @@ def test_window_vectors_match_eigh_projectors():
         kernel = build_kernel(scheme, length, tau0_days=60)
         series = rolling_covariance(returns, kernel)
         k = 4
-        vectors = window_vectors(returns, kernel, k)
+        vectors = window_vectors(weighted_windows(returns, kernel)[1], k)
         assert vectors.shape == (len(series), 15, k)
         for t, mat in enumerate(series.matrices):
             eig = eigendecompose(mat)
@@ -188,7 +189,7 @@ def test_window_vectors_dates_follow_rolling_covariance():
     kernel = build_kernel("rectangular", 5)
     dates = returns.dates[10:20:3]
     series = rolling_covariance(returns, kernel, dates)
-    vectors = window_vectors(returns, kernel, 2, dates)
+    vectors = window_vectors(weighted_windows(returns, kernel, dates)[1], 2)
     for t, mat in enumerate(series.matrices):
         reference = projector(eigendecompose(mat).vectors[:, :2])
         assert np.abs(projector(vectors[t]) - reference).max() < 1e-12
@@ -197,9 +198,9 @@ def test_window_vectors_dates_follow_rolling_covariance():
 def test_window_vectors_rank_limited_by_window():
     returns = generate_returns(EnsembleSpec("gaussian-iid", 8, 40, seed=11))
     with pytest.raises(ParameterError, match="rank"):
-        window_vectors(returns, build_kernel("rectangular", 5), 6)
+        window_vectors(weighted_windows(returns, build_kernel("rectangular", 5))[1], 6)
     with pytest.raises(ParameterError, match="rank"):
-        window_vectors(returns, build_kernel("rectangular", 20), 9)
+        window_vectors(weighted_windows(returns, build_kernel("rectangular", 20))[1], 9)
 
 
 # ---------------------------------------------------------------- log mean

@@ -11,12 +11,12 @@ from covspec import (
     SpectrumSeries,
     build_kernel,
     eigendecompose,
+    factor_lagged_correlation,
     fluctuation_index,
     generate_returns,
     leading_projector,
     matrix_lagged_correlation,
     mean_projector,
-    projector_lagged_correlation,
     projector_series,
     projector_spectrum,
     rolling_covariance,
@@ -345,10 +345,9 @@ def test_gram_rho_matches_stacked_rho():
     for k in (1, 2, 5):
         assert fluctuation_index(mean_projector(spectra, k)).gamma > GRAM_MIN_GAMMA
         stacked = matrix_lagged_correlation(projector_series(spectra, k), lags)
-        gram = projector_lagged_correlation(spectra, k, lags)
+        gram = factor_lagged_correlation(spectra.vectors[:, :, :k], lags)
         assert gram[0] == 1.0
         assert np.abs(gram - stacked).max() <= 1e-12 * np.abs(stacked).max()
-        assert np.array_equal(projector_lagged_correlation(spectra.vectors, k, lags), gram)
 
 
 def test_near_static_subspace_takes_the_stacked_route(monkeypatch):
@@ -357,10 +356,10 @@ def test_near_static_subspace_takes_the_stacked_route(monkeypatch):
     assert 1e-7 < gamma < GRAM_MIN_GAMMA
     lags = [0, 1, 3, 10]
     stacked = matrix_lagged_correlation(projector_series(vectors, 2), lags)
-    assert np.array_equal(projector_lagged_correlation(vectors, 2, lags), stacked)
+    assert np.array_equal(factor_lagged_correlation(vectors, lags), stacked)
     # the trace identities alone would miss the 1e-12 bound here
     monkeypatch.setattr(subspace, "GRAM_MIN_GAMMA", 0.0)
-    gram = projector_lagged_correlation(vectors, 2, lags)
+    gram = factor_lagged_correlation(vectors, lags)
     assert np.abs(gram - stacked).max() > 1e-12
 
 
@@ -370,21 +369,67 @@ def test_gram_rho_error_bound_above_guard():
         vectors = wandering_subspace(delta)
         assert fluctuation_index(mean_projector(vectors, 2)).gamma >= GRAM_MIN_GAMMA
         stacked = matrix_lagged_correlation(projector_series(vectors, 2), lags)
-        gram = projector_lagged_correlation(vectors, 2, lags)
+        gram = factor_lagged_correlation(vectors, lags)
+        assert np.abs(gram - stacked).max() <= 1e-12
+
+
+def drifting_factors(delta, n=12, m=3, n_dates=200, seed=26):
+    """Non-orthonormal (T, n, m) factors that drift by ~delta per date around
+    a fixed one, as an AR(1) perturbation."""
+    rng = np.random.default_rng(seed)
+    base = rng.standard_normal((n, m))
+    noise = np.zeros((n, m))
+    factors = np.empty((n_dates, n, m))
+    for t in range(n_dates):
+        noise = 0.9 * noise + rng.standard_normal((n, m))
+        factors[t] = base + delta * noise
+    return factors
+
+
+def outer_stack(factors):
+    stack = factors @ np.transpose(factors, (0, 2, 1))
+    return (stack + np.transpose(stack, (0, 2, 1))) / 2.0
+
+
+def centred_variance_ratio(stack):
+    centred = stack - stack.mean(axis=0)
+    return np.sum(centred * centred) / np.sum(stack * stack)
+
+
+def test_near_static_factors_take_the_stacked_route(monkeypatch):
+    factors = drifting_factors(1e-3)
+    stack = outer_stack(factors)
+    assert 1e-7 < centred_variance_ratio(stack) < GRAM_MIN_GAMMA
+    lags = [0, 1, 3, 10, 40]
+    stacked = matrix_lagged_correlation(stack, lags)
+    assert np.array_equal(factor_lagged_correlation(factors, lags), stacked)
+    monkeypatch.setattr(subspace, "GRAM_MIN_GAMMA", 0.0)
+    gram = factor_lagged_correlation(factors, lags)
+    assert np.abs(gram - stacked).max() > 1e-12
+
+
+def test_factor_rho_error_bound_above_guard():
+    lags = [0, 1, 3, 10, 40]
+    for delta in (3e-2, 1e-1, 1.0):
+        factors = drifting_factors(delta)
+        stack = outer_stack(factors)
+        assert centred_variance_ratio(stack) >= GRAM_MIN_GAMMA
+        stacked = matrix_lagged_correlation(stack, lags)
+        gram = factor_lagged_correlation(factors, lags)
         assert np.abs(gram - stacked).max() <= 1e-12
 
 
 def test_gram_rho_exact_on_basis_switches():
     series = basis_series([0, 1] * 20, n=3)
-    rho = projector_lagged_correlation(series, 1, [0, 1, 2, 3])
+    rho = factor_lagged_correlation(series.vectors[:, :, :1], [0, 1, 2, 3])
     assert rho == pytest.approx([1.0, -1.0, 1.0, -1.0], abs=1e-14)
 
 
 def test_gram_rho_rejects_static_subspace_and_bad_lags():
     with pytest.raises(DegenerateSeriesError):
-        projector_lagged_correlation(basis_series([1] * 10, n=3), 1, [1])
-    series = basis_series([0, 1] * 5, n=3)
+        factor_lagged_correlation(basis_series([1] * 10, n=3).vectors[:, :, :1], [1])
+    vectors = basis_series([0, 1] * 5, n=3).vectors[:, :, :1]
     with pytest.raises(ParameterError, match="lag"):
-        projector_lagged_correlation(series, 1, [9])
+        factor_lagged_correlation(vectors, [9])
     with pytest.raises(ParameterError):
-        projector_lagged_correlation(series, 1, [-1])
+        factor_lagged_correlation(vectors, [-1])
