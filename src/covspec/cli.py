@@ -28,10 +28,6 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("config", help="flat key=value config file")
         cmd.add_argument("--out", metavar="DIR", help="output directory override")
-        cmd.add_argument(
-            "--threads", type=int, metavar="N",
-            help="accepted for compatibility; has no effect",
-        )
         cmd.add_argument("--seed", type=int, metavar="S", help="ensemble seed override")
         cmd.add_argument("--format", choices=("csv", "json"), help="tabular output format")
         cmd.add_argument(
@@ -54,8 +50,6 @@ def _collect_overrides(args) -> dict[str, str]:
         overrides[key.strip()] = value.strip()
     if args.out:
         overrides["output.dir"] = args.out
-    if args.threads is not None:
-        overrides["threads"] = str(args.threads)
     if args.seed is not None:
         overrides["ensemble.seed"] = str(args.seed)
     if args.format:

@@ -12,6 +12,7 @@ import datetime as _dt
 import hashlib
 import json
 import logging
+import math
 import os
 from dataclasses import dataclass
 
@@ -80,6 +81,16 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _json_cell(value):
+    """A table cell as a JSON value; a non-finite number, which JSON cannot
+    hold, becomes null."""
+    if isinstance(value, float):
+        return float(value) if math.isfinite(value) else None
+    if isinstance(value, (int, np.integer)):
+        return int(value)
+    return value
+
+
 class _BundleWriter:
     """Accumulates output files and writes the manifest."""
 
@@ -97,14 +108,7 @@ class _BundleWriter:
         run format is json."""
         if self.out_format == "json":
             name = f"{stem}.json"
-            payload = [
-                {
-                    key: (float(v) if isinstance(v, float)
-                          else int(v) if isinstance(v, (int, np.integer)) else v)
-                    for key, v in zip(header, row)
-                }
-                for row in rows
-            ]
+            payload = [{key: _json_cell(v) for key, v in zip(header, row)} for row in rows]
             self.write_json(name, payload)
             return name
         name = f"{stem}.csv"
@@ -119,7 +123,7 @@ class _BundleWriter:
     def write_json(self, name: str, payload) -> str:
         path = os.path.join(self.output_dir, name)
         with open(path, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
+            json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
             fh.write("\n")
         self._register(name)
         return name
@@ -153,7 +157,7 @@ class _BundleWriter:
             manifest["error"] = error
         path = os.path.join(self.output_dir, MANIFEST_NAME)
         with open(path, "w") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
+            json.dump(manifest, fh, indent=2, sort_keys=True, allow_nan=False)
             fh.write("\n")
         return path
 
@@ -302,9 +306,12 @@ def _lagged_file(writer, returns, config, eval_dates) -> None:
         ("covariance", windows),
         ("correlation", unit_rows(windows, dates, returns.asset_ids)),
     ]
-    if config.projector_ranks:
-        vectors = window_vectors(windows, max(config.projector_ranks))
-        factors += [(f"projector_k{k}", vectors[:, :, :k]) for k in config.projector_ranks]
+    # A window of L dates spans at most L directions: ranks above L get no
+    # lagged projector series.
+    ranks = [k for k in config.projector_ranks if k <= config.lagged_length]
+    if ranks:
+        vectors = window_vectors(windows, max(ranks))
+        factors += [(f"projector_k{k}", vectors[:, :, :k]) for k in ranks]
     rows = [
         [label, lag, float(rho)]
         for label, f in factors

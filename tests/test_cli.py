@@ -75,8 +75,8 @@ def test_determinism_across_runs_and_threads(tmp_path):
     cfg_b = write_cfg(
         tmp_path, ENSEMBLE_CFG + f"output.dir = {tmp_path / 'b'}\n", name="b.cfg"
     )
-    assert main(["analyze", cfg_a, "--threads", "1"]) == 0
-    assert main(["analyze", cfg_b, "--threads", "4"]) == 0
+    assert main(["analyze", cfg_a]) == 0
+    assert main(["analyze", cfg_b]) == 0
     for name in ("spectrum.csv", "mean_spectrum.csv", "density.csv", "manifest.json"):
         assert read_bytes(tmp_path / "a", name) == read_bytes(tmp_path / "b", name)
 
@@ -128,6 +128,47 @@ def test_json_format_outputs(tmp_path):
     rows = json.loads(read_bytes(bundle.output_dir, "spectrum.json"))
     assert rows[0]["date"] == rows[0]["date"]
     assert "eps_1" in rows[0]
+
+
+def _reject_constant(token):
+    raise ValueError(f"not valid JSON: {token}")
+
+
+def test_json_outputs_hold_no_nan(tmp_path):
+    # N=30 > L=20: ranks above 20 have no mean value, and gamma_max is 0 at k = N
+    text = """
+ensemble.kind = one-factor
+ensemble.assets = 30
+ensemble.dates = 200
+ensemble.beta = 0.4
+ensemble.seed = 5
+kernel.scheme = rectangular
+kernel.length = 20
+analyses = spectrum,fluctuation
+projectors.ranks = 1,30
+output.format = json
+"""
+    cfg = write_cfg(tmp_path, text + f"output.dir = {tmp_path}\n")
+    bundle = run_analysis(validate_config(cfg))
+    for name in (*bundle.files, "manifest.json"):
+        json.loads(read_bytes(tmp_path, name), parse_constant=_reject_constant)
+    mean = json.loads(read_bytes(tmp_path, "mean_spectrum.json"))
+    assert [row["rank"] for row in mean if row["value"] is None] == list(range(21, 31))
+    fluct = json.loads(read_bytes(tmp_path, "fluctuation_index.json"))
+    assert [row["ratio"] is None for row in fluct] == [False, True]
+
+
+def test_lagged_projectors_take_ranks_up_to_lagged_length(tmp_path):
+    text = ENSEMBLE_CFG.replace("analyses = spectrum,density", "analyses = projectors,lagged") + (
+        "projectors.ranks = 1,6\nlagged.lags = 0,1\nlagged.length = 5\n"
+    )
+    out = tmp_path / "out"
+    run_analysis(validate_config(write_cfg(tmp_path, text + f"output.dir = {out}\n")))
+    spectrum = (out / "mean_projector_spectrum.csv").read_text().splitlines()[1:]
+    assert sum(line.startswith("6,") for line in spectrum) == 20
+    lagged = (out / "lagged_correlation.csv").read_text().splitlines()[1:]
+    series = {line.split(",")[0] for line in lagged}
+    assert series == {"covariance", "correlation", "projector_k1"}
 
 
 def test_failed_run_marks_manifest_incomplete(tmp_path):

@@ -196,18 +196,16 @@ def test_eval_dates_must_be_canonical(tmp_path):
     assert config.eval_start == "1999-01-05"
 
 
-def test_rank_above_lagged_window_rejected(tmp_path):
-    text = MINIMAL.replace("analyses = spectrum", "analyses = projectors,lagged") + (
-        "projectors.ranks = 1,6\nlagged.lags = 0,1\nlagged.length = 5\n"
+def test_repeated_list_entries_dropped_in_order(tmp_path):
+    text = MINIMAL.replace("analyses = spectrum", "analyses = lagged,projectors,lagged") + (
+        "projectors.ranks = 2,1,2,02\nlagged.lags = 0,1,1\nassets.rate_ids = b,a,b\n"
     )
-    with pytest.raises(ConfigError) as err:
-        validate_config(write(tmp_path, text))
-    assert any(
-        "projectors.ranks" in m and "lagged.length" in m for m in err.value.errors
-    )
-    # the window bounds the rank only where the lagged stage runs
-    config = validate_config(write(tmp_path, text.replace("projectors,lagged", "projectors")))
-    assert config.projector_ranks == (1, 6)
+    config = validate_config(write(tmp_path, text))
+    assert config.analyses == ("lagged", "projectors")
+    assert config.projector_ranks == (2, 1)
+    assert config.lags == (0, 1)
+    assert config.ingest.rate_ids == ("b", "a")
+    assert config.flat()["projectors.ranks"] == "2,1"
 
 
 def test_flat_echo_is_sorted_and_excludes_output_dir():
@@ -224,3 +222,134 @@ def test_flat_echo_is_sorted_and_excludes_output_dir():
     assert "threads" not in flat
     assert list(flat) == sorted(flat)
     assert flat["analyses"] == "spectrum,density"
+
+
+FLAT_CASES = {
+    "csv": (
+        {
+            "input.path": "prices.csv",
+            "assets.default_class": "log-price",
+            "assets.rate_ids": "us10y,eur3m",
+            "assets.rate_scale": "0.05",
+            "assets.missing_policy": "forward-fill",
+            "eval.start": "2004-01-02",
+            "eval.end": "2005-06-30",
+            "output.format": "json",
+            "analyses": "spectrum,lagged",
+            "lagged.lags": "0,1,5",
+            "output.dir": "somewhere",
+            "threads": "2",
+        },
+        {
+            "analyses": "spectrum,lagged",
+            "assets.default_class": "log-price",
+            "assets.missing_policy": "forward-fill",
+            "assets.rate_ids": "us10y,eur3m",
+            "assets.rate_scale": "0.05",
+            "density.bins": "60",
+            "eval.end": "2005-06-30",
+            "eval.start": "2004-01-02",
+            "input.path": "prices.csv",
+            "kernel.length": "260",
+            "kernel.scheme": "long-memory",
+            "kernel.tau0_days": "1560.0",
+            "lagged.lags": "0,1,5",
+            "lagged.length": "21",
+            "matrix.flavor": "covariance",
+            "output.dump_matrices": "false",
+            "output.format": "json",
+            "synth.output": "prices",
+        },
+    ),
+    "student-iid": (
+        {
+            "ensemble.kind": "student-iid",
+            "ensemble.assets": "40",
+            "ensemble.dates": "500",
+            "ensemble.nu": "4.5",
+            "ensemble.beta": "0.3",
+            "ensemble.seed": "3",
+            "matrix.flavor": "correlation",
+            "kernel.scheme": "exponential",
+            "kernel.mu": "0.97",
+            "analyses": "spectrum,mp-compare,projectors",
+            "projectors.ranks": "1,3",
+            "density.scale": "linear",
+            "mp.q": "0.5",
+            "output.dump_matrices": "true",
+        },
+        {
+            "analyses": "spectrum,mp-compare,projectors",
+            "assets.default_class": "log-price",
+            "assets.missing_policy": "reject",
+            "assets.rate_scale": "0.04",
+            "density.bins": "60",
+            "density.scale": "linear",
+            "ensemble.assets": "40",
+            "ensemble.dates": "500",
+            "ensemble.kind": "student-iid",
+            "ensemble.nu": "4.5",
+            "ensemble.seed": "3",
+            "kernel.length": "260",
+            "kernel.mu": "0.97",
+            "kernel.scheme": "exponential",
+            "kernel.tau0_days": "1560.0",
+            "lagged.length": "21",
+            "matrix.flavor": "correlation",
+            "mp.q": "0.5",
+            "output.dump_matrices": "true",
+            "output.format": "csv",
+            "projectors.ranks": "1,3",
+            "synth.output": "prices",
+        },
+    ),
+    "one-factor": (
+        {
+            "ensemble.kind": "one-factor",
+            "ensemble.assets": "30",
+            "ensemble.dates": "400",
+            "ensemble.nu": "7",
+            "ensemble.beta": "0.4",
+            "ensemble.seed": "7",
+            "kernel.length": "130",
+            "analyses": "spectrum,density,ansatz,fluctuation,lagged",
+            "projectors.ranks": "1,2,5",
+            "lagged.lags": "0,1,5,10",
+            "lagged.length": "30",
+            "density.bins": "40",
+            "synth.output": "returns",
+            "synth.path": "x.csv",
+        },
+        {
+            "analyses": "spectrum,density,ansatz,fluctuation,lagged",
+            "assets.default_class": "log-price",
+            "assets.missing_policy": "reject",
+            "assets.rate_scale": "0.04",
+            "density.bins": "40",
+            "ensemble.assets": "30",
+            "ensemble.beta": "0.4",
+            "ensemble.dates": "400",
+            "ensemble.kind": "one-factor",
+            "ensemble.seed": "7",
+            "kernel.length": "130",
+            "kernel.scheme": "long-memory",
+            "kernel.tau0_days": "1560.0",
+            "lagged.lags": "0,1,5,10",
+            "lagged.length": "30",
+            "matrix.flavor": "covariance",
+            "output.dump_matrices": "false",
+            "output.format": "csv",
+            "projectors.ranks": "1,2,5",
+            "synth.output": "returns",
+            "synth.path": "x.csv",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FLAT_CASES))
+def test_flat_echo_literal(case):
+    mapping, expected = FLAT_CASES[case]
+    flat = config_from_mapping(mapping).flat()
+    assert flat == expected
+    assert list(flat) == sorted(expected)
