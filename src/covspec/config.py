@@ -8,6 +8,7 @@ value is read and checked, and which `RunConfig` attribute holds it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import partial
 
@@ -110,7 +111,10 @@ def parse_flat_text(text: str) -> tuple[dict[str, str], list[str]]:
 
 
 def _get_str(mapping, key, errors, default=None):
-    return mapping.get(key, default)
+    raw = mapping.get(key, default)
+    if raw == "":
+        errors.append(f"{key}: must not be blank")
+    return raw
 
 
 def _get_path(mapping, key, errors):
@@ -141,8 +145,8 @@ def _get_int(mapping, key, errors, default=None, minimum=None):
 
 
 def _get_float(mapping, key, errors, default=None, bad=None, rule=""):
-    """A number; `bad(value)` true appends `rule` as an error but keeps the
-    value, so the cross-key rules see what was given."""
+    """A finite number; nan, inf or `bad(value)` true appends an error but
+    keeps the value, so the cross-key rules see what was given."""
     raw = mapping.get(key)
     if raw is None:
         return default
@@ -151,7 +155,9 @@ def _get_float(mapping, key, errors, default=None, bad=None, rule=""):
     except ValueError:
         errors.append(f"{key}: expected number, got {raw!r}")
         return default
-    if bad is not None and bad(value):
+    if not math.isfinite(value):
+        errors.append(f"{key}: expected a finite number, got {raw!r}")
+    elif bad is not None and bad(value):
         errors.append(f"{key}: {rule}, got {value}")
     return value
 

@@ -78,7 +78,7 @@ def build_kernel(
         raw = float(mu) ** np.arange(length)
     else:
         tau0 = DEFAULT_TAU0_DAYS if tau0_days is None else float(tau0_days)
-        if tau0 <= 1.0:
+        if not tau0 > 1.0:
             raise ParameterError(f"tau0_days must exceed 1 day, got {tau0!r}")
         params["tau0_days"] = tau0
         raw = 1.0 - np.log(np.arange(1, length + 1)) / np.log(tau0)

@@ -134,9 +134,11 @@ def _inverse_scales(variances: np.ndarray, dates, assets) -> np.ndarray:
 
 
 def unit_rows(windows: np.ndarray, dates, assets) -> np.ndarray:
-    """The windows with each row at unit norm: U U' is the correlation of W W'."""
+    """Scale each row of the windows to unit norm in place, and return them:
+    U U' is the correlation of W W'."""
     variances = np.einsum("tij,tij->ti", windows, windows)
-    return windows * _inverse_scales(variances, dates, assets)[:, :, None]
+    windows *= _inverse_scales(variances, dates, assets)[:, :, None]
+    return windows
 
 
 def to_correlation(series: CovarianceSeries) -> CovarianceSeries:

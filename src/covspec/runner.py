@@ -30,9 +30,8 @@ from .errors import (
 from .kernels import build_kernel, effective_length
 from .moments import (
     CORRELATION,
-    COVARIANCE,
-    CovarianceSeries,
     dump_matrices,
+    resolve_eval_indices,
     rolling_covariance,
     to_correlation,
     unit_rows,
@@ -63,6 +62,13 @@ from .subspace import (
 logger = logging.getLogger(__name__)
 
 MANIFEST_NAME = "manifest.json"
+
+# The main stage runs over blocks of dates holding at most this many bytes of
+# N x N matrices, so no (T,N,N) stack is built. Blocks rather than single
+# dates: after each threaded BLAS call a worker thread spin-waits for about
+# 0.1 s, and per-date dump formatting between eigensolves bills that spin to
+# every date (csv-dump cpu_s rose by a third when streamed date by date).
+BLOCK_BYTES = 16 * 2**20
 
 
 @dataclass(frozen=True)
@@ -302,22 +308,71 @@ def _projector_files(writer, spectra, config, want_spectrum, want_fluctuation) -
 def _lagged_file(writer, returns, config, eval_dates) -> None:
     compact = build_kernel("rectangular", config.lagged_length)
     dates, windows = weighted_windows(returns, compact, eval_dates)
-    factors = [
-        ("covariance", windows),
-        ("correlation", unit_rows(windows, dates, returns.asset_ids)),
-    ]
+    # Everything read from the raw windows comes first; then they are scaled
+    # to unit rows in place, so no second window stack is held.
     # A window of L dates spans at most L directions: ranks above L get no
     # lagged projector series.
     ranks = [k for k in config.projector_ranks if k <= config.lagged_length]
-    if ranks:
-        vectors = window_vectors(windows, max(ranks))
-        factors += [(f"projector_k{k}", vectors[:, :, :k]) for k in ranks]
+    vectors = window_vectors(windows, max(ranks)) if ranks else None
+    rhos = {"covariance": factor_lagged_correlation(windows, config.lags)}
+    unit_rows(windows, dates, returns.asset_ids)
+    rhos["correlation"] = factor_lagged_correlation(windows, config.lags)
+    del windows
+    for k in ranks:
+        rhos[f"projector_k{k}"] = factor_lagged_correlation(vectors[:, :, :k], config.lags)
     rows = [
         [label, lag, float(rho)]
-        for label, f in factors
-        for lag, rho in zip(config.lags, factor_lagged_correlation(f, config.lags))
+        for label, rho_of_lag in rhos.items()
+        for lag, rho in zip(config.lags, rho_of_lag)
     ]
     writer.write_table("lagged_correlation", ["series", "lag", "rho"], rows)
+
+
+def _main_stage(writer, returns, kernel, dates, config):
+    """The main matrices, block by block: dump them if asked, and solve the
+    spectra the analyses read. Returns the main spectra (with the top
+    max(projectors.ranks) vectors for projectors and fluctuation) and the
+    correlation spectra for mp-compare, or None for each not read."""
+    analyses = set(config.analyses)
+    need_spectra = bool(
+        analyses & {"spectrum", "density", "mp-compare", "ansatz", "projectors",
+                    "fluctuation"}
+    )
+    if not (need_spectra or config.dump_matrices):
+        return None, None
+    n_vectors = (
+        max(config.projector_ranks) if analyses & {"projectors", "fluctuation"} else 0
+    )
+    # mp-compare reads the main spectra in correlation flavor, its own otherwise.
+    corr_apart = "mp-compare" in analyses and config.flavor != CORRELATION
+    n = returns.n_assets
+    step = max(1, BLOCK_BYTES // (8 * n * n))
+    t_len = len(dates)
+    values = np.empty((t_len, n)) if need_spectra else None
+    vectors = np.empty((t_len, n, n_vectors)) if n_vectors else None
+    corr_values = np.empty((t_len, n)) if corr_apart else None
+    for lo in range(0, t_len, step):
+        block = dates[lo : lo + step]
+        rows = slice(lo, lo + len(block))
+        cov = _stage("moments", lambda: rolling_covariance(returns, kernel, block))
+        base = cov
+        if config.flavor == CORRELATION:
+            base = _stage("moments", lambda: to_correlation(cov))
+        if config.dump_matrices:
+            names = dump_matrices(base, os.path.join(config.output_dir, "matrices"))
+            writer.register_external(os.path.join("matrices", name) for name in names)
+        if need_spectra:
+            part = _stage("spectral", lambda: spectrum_series(base, n_vectors=n_vectors))
+            values[rows] = part.values
+            if n_vectors:
+                vectors[rows] = part.vectors[:, :, :n_vectors]
+        if corr_apart:
+            corr_values[rows] = _stage(
+                "spectral", lambda: spectrum_series(to_correlation(cov))
+            ).values
+        del cov, base  # freed before the next block is built
+    spectra = SpectrumSeries(dates, values, vectors) if need_spectra else None
+    return spectra, SpectrumSeries(dates, corr_values) if corr_apart else spectra
 
 
 def run_analysis(config: RunConfig) -> ReportBundle:
@@ -341,44 +396,17 @@ def run_analysis(config: RunConfig) -> ReportBundle:
             ),
         )
         eval_dates = _stage("moments", lambda: _eval_range(config, returns))
-        cov = _stage("moments", lambda: rolling_covariance(returns, kernel, eval_dates))
-        base: CovarianceSeries = cov
-        if config.flavor == CORRELATION:
-            base = _stage("moments", lambda: to_correlation(cov))
+        idx = _stage("moments", lambda: resolve_eval_indices(returns, kernel, eval_dates))
+        dates = tuple(returns.dates[j] for j in idx)
 
-        if config.dump_matrices:
-            names = dump_matrices(base, os.path.join(config.output_dir, "matrices"))
-            writer.register_external(os.path.join("matrices", n_) for n_ in names)
+        spectra, corr_spectra = _main_stage(writer, returns, kernel, dates, config)
 
         analyses = set(config.analyses)
-        n_vectors = (
-            max(config.projector_ranks)
-            if analyses & {"projectors", "fluctuation"}
-            else 0
-        )
-        need_spectra = bool(
-            analyses & {"spectrum", "density", "mp-compare", "ansatz", "projectors",
-                        "fluctuation"}
-        )
-        spectra = None
-        if need_spectra:
-            spectra = _stage(
-                "spectral",
-                lambda: spectrum_series(base, n_vectors=n_vectors),
-            )
-
         if "spectrum" in analyses:
             _stage("spectral", lambda: _spectrum_files(writer, spectra))
         if "density" in analyses:
             _stage("spectral", lambda: _density_file(writer, spectra, config.flavor, config))
         if "mp-compare" in analyses:
-            if config.flavor == CORRELATION:
-                corr_spectra = spectra
-            else:
-                corr_spectra = _stage(
-                    "spectral",
-                    lambda: spectrum_series(to_correlation(cov)),
-                )
             _stage(
                 "spectral",
                 lambda: _mp_compare_file(writer, corr_spectra, kernel, n, config),

@@ -322,6 +322,16 @@ def test_flat_asset_fails_lagged_stage_naming_asset_and_date(tmp_path):
     assert "0.0" in message
 
 
+@pytest.mark.parametrize(
+    "command, key", [("analyze", "output.dir"), ("synth", "synth.path")]
+)
+def test_blank_output_path_is_a_config_error(tmp_path, monkeypatch, capsys, command, key):
+    monkeypatch.chdir(tmp_path)
+    cfg = write_cfg(tmp_path, ENSEMBLE_CFG)
+    assert main([command, cfg, "--set", f"{key}="]) == 1
+    assert capsys.readouterr().err == f"error: {key}: must not be blank\n"
+
+
 def test_env_var_log_level(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("COVSPEC_LOG", "DEBUG")
     cfg = write_cfg(tmp_path, ENSEMBLE_CFG)

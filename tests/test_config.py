@@ -179,6 +179,30 @@ def test_mp_q_bounds(tmp_path):
     assert any("mp.q" in msg for msg in err.value.errors)
 
 
+ENSEMBLE = {
+    "ensemble.kind": "student-iid",
+    "ensemble.assets": "5",
+    "ensemble.dates": "50",
+    "analyses": "spectrum",
+}
+
+
+@pytest.mark.parametrize(
+    "key, value, base",
+    [
+        ("kernel.tau0_days", "nan", ENSEMBLE),
+        ("kernel.tau0_days", "inf", ENSEMBLE),
+        ("kernel.tau0_days", "-inf", ENSEMBLE),
+        ("assets.rate_scale", "nan", {"input.path": "x", "analyses": "spectrum"}),
+        ("ensemble.nu", "inf", ENSEMBLE),
+    ],
+)
+def test_non_finite_numbers_rejected(key, value, base):
+    with pytest.raises(ConfigError) as err:
+        config_from_mapping({**base, key: value})
+    assert err.value.errors == [f"{key}: expected a finite number, got {value!r}"]
+
+
 def test_eval_range_ordering(tmp_path):
     text = MINIMAL + "eval.start = 2005-01-01\neval.end = 2004-01-01\n"
     with pytest.raises(ConfigError) as err:

@@ -64,6 +64,12 @@ def test_mu_outside_unit_interval_rejected():
             build_kernel("exponential", 10, mu=mu)
 
 
+def test_tau0_nan_or_at_most_one_day_rejected():
+    for tau0 in (float("nan"), 1.0, 0.5):
+        with pytest.raises(ParameterError, match="tau0_days"):
+            build_kernel("long-memory", 10, tau0_days=tau0)
+
+
 def test_exponential_requires_mu():
     with pytest.raises(ParameterError, match="mu"):
         build_kernel("exponential", 10)

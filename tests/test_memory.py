@@ -4,8 +4,12 @@ Each loop writes its results straight into a preallocated output stack, so
 a call holds one stack of results and a few per-date temporaries; a loop
 that collects per-date results and then stacks them holds two. Projector
 statistics read only the (T,N,k) leading vectors and never hold a (T,N,N)
-stack. The lagged stage reads only (T,N,L) return windows and the factors
-derived from them.
+stack. The runner's main stage calls those loops on one block of dates at a
+time (``runner.BLOCK_BYTES``), so a whole run holds one block of matrices
+plus the (T,N) values and (T,N,k) vectors, well below one (T,N,N) stack. The
+lagged stage reads only (T,N,L) return windows and the factors derived from
+them, and scales the windows to unit rows in place: it holds the window
+stack plus the two window-sized temporaries of ``factor_lagged_correlation``.
 """
 
 import tracemalloc
@@ -23,6 +27,7 @@ from covspec import (
     spectrum_series,
     window_vectors,
 )
+from covspec.config import config_from_mapping
 from covspec.moments import weighted_windows
 
 N_ASSETS = 60
@@ -121,3 +126,27 @@ def test_lagged_stage_peaks_below_one_stack():
         "covariance", "correlation", "projector_k1", "projector_k2", "projector_k5"
     ]
     assert peak < 8 * n_dates * n**2
+    # the raw windows' reads come first, then they are scaled to unit rows in
+    # place: no second window stack is held next to factor_lagged_correlation's
+    # two window-sized temporaries
+    assert peak < 3.5 * 8 * n_dates * n * length
+
+
+def test_main_stage_holds_no_matrix_stack(tmp_path, monkeypatch):
+    n, n_dates, length = 80, 300, 100
+    config = config_from_mapping({
+        "ensemble.kind": "one-factor",
+        "ensemble.assets": str(n),
+        "ensemble.dates": str(length + n_dates - 1),
+        "ensemble.beta": "0.5",
+        "ensemble.seed": "6",
+        "kernel.scheme": "long-memory",
+        "kernel.length": str(length),
+        "analyses": "spectrum,density,ansatz,projectors,fluctuation",
+        "projectors.ranks": "1,2,5",
+        "output.dir": str(tmp_path / "out"),
+    })
+    monkeypatch.setattr(runner, "BLOCK_BYTES", 10 * 8 * n**2)  # 30 blocks
+    peak, bundle = peak_added_bytes(lambda: runner.run_analysis(config))
+    assert bundle.complete
+    assert peak < 0.25 * 8 * n_dates * n**2
