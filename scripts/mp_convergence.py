@@ -11,8 +11,7 @@ M-P curve at q = N / T. Example:
 import argparse
 import time
 
-import numpy as np
-
+# covspec before numpy: importing it runs OpenBLAS on one thread.
 from covspec import (
     DensityBins,
     EnsembleSpec,
@@ -27,6 +26,8 @@ from covspec import (
     spectrum_series,
     to_correlation,
 )
+
+import numpy as np
 
 
 def pooled_spectra(n_assets, t_eff, samples, seed):

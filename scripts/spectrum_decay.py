@@ -10,8 +10,7 @@ three-parameter spectrum shape, and reports both. Example:
 
 import argparse
 
-import numpy as np
-
+# covspec before numpy: importing it runs OpenBLAS on one thread.
 from covspec import (
     EnsembleSpec,
     build_kernel,
@@ -22,6 +21,8 @@ from covspec import (
     rolling_covariance,
     spectrum_series,
 )
+
+import numpy as np
 
 
 def main():

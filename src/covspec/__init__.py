@@ -1,5 +1,16 @@
 """Spectral and subspace diagnostics of rolling weighted covariance matrices."""
 
+import os
+
+# Run OpenBLAS on one thread unless the caller chose a count; this must come
+# before the first import that loads numpy. The per-date solves are small
+# (N x N, N a few hundred), where a second thread does little, but after each
+# threaded call it spin-waits about 0.1 s. On a 2-vCPU host the longmem-full
+# benchmark billed 11.8 s of CPU for 5.6 s of analysis on two threads, and
+# 6.1 s for 5.3 s on one (medians of 10 runs each). One thread also makes the
+# output bytes independent of the core count.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .config import RunConfig, validate_config
 from .ensembles import EnsembleSpec, generate_returns, top_eigenvalue_oracle
 from .kernels import WeightKernel, build_kernel, effective_length

@@ -212,8 +212,14 @@ def eigendecompose(matrix) -> EigenSystem:
     Each eigenvector is flipped so its largest-magnitude component is
     positive. The input must be finite and symmetric within 1e-10 relative.
     """
+    return _leading_system(matrix, None)
+
+
+def _leading_system(matrix, k: int | None) -> EigenSystem:
+    """``eigendecompose`` keeping only the top k vectors (all for None): the
+    sign flip is per column, so it runs on the kept columns alone."""
     values, vectors = _solve(np.linalg.eigh, _symmetric_part(matrix))
-    return EigenSystem(np.ascontiguousarray(values[::-1]), _fix_signs(vectors[:, ::-1]))
+    return EigenSystem(np.ascontiguousarray(values[::-1]), _fix_signs(vectors[:, ::-1][:, :k]))
 
 
 def eigenvalues(matrix) -> np.ndarray:
@@ -237,9 +243,9 @@ def spectrum_series(series: CovarianceSeries, n_vectors: int = 0) -> SpectrumSer
     for t in range(t_len):
         try:
             if n_vectors:
-                system = eigendecompose(series.matrices[t])
+                system = _leading_system(series.matrices[t], n_vectors)
                 values[t] = system.values
-                vectors[t] = system.vectors[:, :n_vectors]
+                vectors[t] = system.vectors
             else:
                 values[t] = eigenvalues(series.matrices[t])
         except CovspecError as exc:

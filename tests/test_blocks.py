@@ -18,6 +18,7 @@ from covspec import (
     rolling_covariance,
     run_analysis,
     runner,
+    spectrum_series,
     to_correlation,
     validate_config,
 )
@@ -150,3 +151,38 @@ def test_run_without_spectra_or_dump_builds_no_main_matrices(tmp_path, monkeypat
     monkeypatch.setattr(runner, "rolling_covariance", refused)
     bundle = run_analysis(validate_config(str(cfg)))
     assert bundle.files == ("lagged_correlation.csv",)
+
+
+def test_mp_compare_alone_solves_only_the_spectra_it_reads(tmp_path, monkeypatch):
+    """mp-compare reads correlation spectra: in covariance flavor its own, so
+    the covariance spectra are not solved; in correlation flavor the main
+    ones. Either way one spectrum_series call per block."""
+    bundles = {}
+    for flavor, analyses in [
+        ("covariance", "mp-compare"),
+        ("covariance", "mp-compare,spectrum"),
+        ("correlation", "mp-compare"),
+    ]:
+        solved = []
+
+        def counted(series, n_vectors=0, solved=solved):
+            solved.append(series.flavor)
+            return spectrum_series(series, n_vectors=n_vectors)
+
+        out = tmp_path / f"{flavor}-{analyses}"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            BLOCKED_CFG.replace("output.dump_matrices = true", "")
+            .replace("spectrum,density,mp-compare,ansatz,projectors,fluctuation", analyses)
+            + f"matrix.flavor = {flavor}\noutput.dir = {out}\n"
+        )
+        with monkeypatch.context() as patch:
+            patch.setattr(runner, "BLOCK_BYTES", 3 * MATRIX_BYTES)  # 4 blocks
+            patch.setattr(runner, "spectrum_series", counted)
+            assert run_analysis(validate_config(str(cfg))).complete
+        bundles[flavor, analyses] = bundle_bytes(out)
+        if analyses == "mp-compare":
+            assert solved == ["correlation"] * 4, flavor
+    alone = bundles["covariance", "mp-compare"]
+    for reference in (("covariance", "mp-compare,spectrum"), ("correlation", "mp-compare")):
+        assert alone["mp_compare.json"] == bundles[reference]["mp_compare.json"], reference

@@ -17,6 +17,7 @@ from covspec import (
 )
 from covspec.cli import main
 from covspec.errors import AnalysisError
+from covspec.runner import _BundleWriter, _fmt
 
 ENSEMBLE_CFG = """
 ensemble.kind = gaussian-iid
@@ -66,6 +67,22 @@ def test_spectrum_csv_shape(tmp_path):
     assert header[1] == "eps_1"
     assert len(header) == 21
     assert len(lines) == 1 + (300 - 100 + 1)
+
+
+def test_series_rows_are_the_cell_formatted_text(tmp_path):
+    labels = ("2000-01-03", "2000-01-04")
+    values = np.array([[np.nan, -0.0, 5e-324, 1e300], [1.0 / 3.0, -2.5, np.inf, 0.0]])
+    header = ["date", "a", "b", "c", "d"]
+    rows = [[d, *row] for d, row in zip(labels, values)]
+    _BundleWriter(str(tmp_path), "csv").write_series("spectrum", header, labels, values)
+    expected = "".join(",".join(_fmt(v) for v in row) + "\n" for row in [header, *rows])
+    assert (tmp_path / "spectrum.csv").read_text() == expected
+    # the json path is the table writer's
+    _BundleWriter(str(tmp_path / "series"), "json").write_series("spectrum", header, labels, values)
+    _BundleWriter(str(tmp_path / "table"), "json").write_table("spectrum", header, rows)
+    assert (tmp_path / "series" / "spectrum.json").read_bytes() == (
+        tmp_path / "table" / "spectrum.json"
+    ).read_bytes()
 
 
 def test_determinism_across_runs_and_threads(tmp_path):

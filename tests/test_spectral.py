@@ -121,6 +121,17 @@ def test_vectors_stored_on_request():
             spectrum_series(series, n_vectors=bad)
 
 
+def test_kept_vectors_are_eigendecompose_columns():
+    # signs are flipped on the kept columns only; each column's flip is its own
+    series = random_covariance_series(n=12, length=30, n_dates=5, seed=9)
+    systems = [eigendecompose(m) for m in series.matrices]
+    for k in (1, 3, 12):
+        kept = spectrum_series(series, n_vectors=k)
+        for t, system in enumerate(systems):
+            assert np.array_equal(kept.vectors[t], system.vectors[:, :k])
+            assert np.array_equal(kept.values[t], system.values)
+
+
 def test_values_only_spectra_match_eigendecompose():
     for seed, length in ((6, 30), (7, 5)):
         series = random_covariance_series(n=12, length=length, n_dates=20, seed=seed,
