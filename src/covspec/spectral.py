@@ -1,11 +1,11 @@
 """Eigen-spectra of matrix series, spectral densities, and the spectrum fit.
 
 Covers the per-date eigendecomposition (values only where no vectors are
-read), descending spectrum series, leading eigenvectors of rolling
-covariances from the thin SVD of their return windows, the geometric
-(logarithmic) mean spectrum, histogram spectral densities, the
-Marchenko-Pastur reference density, the three-parameter parametric fit of
-the log spectrum
+read, and only the kept vectors where they are few), descending spectrum
+series, leading eigenvectors of rolling covariances from the thin SVD of
+their return windows, the geometric (logarithmic) mean spectrum, histogram
+spectral densities, the Marchenko-Pastur reference density, the
+three-parameter parametric fit of the log spectrum
 
     ln eps(alpha) = ln eps_mid + a*x / (1 - (2x/b)**4),   x = 1/2 - alpha/N,
 
@@ -19,6 +19,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import lapack
 from scipy.optimize import brentq, least_squares, minimize_scalar
 
 from .errors import (
@@ -31,6 +32,16 @@ from .errors import (
 from .moments import CORRELATION, CovarianceSeries
 
 SYMMETRY_RTOL = 1e-10
+# The top k eigenvectors come from MRRR on the tridiagonal form when
+# MRRR_SIZE_PER_VECTOR * k <= N, from a full eigh above. Best-of-7 ms per
+# date (the lower of two runs), one OpenBLAS thread, 2-vCPU x86_64 host,
+# one-factor long-memory L=260 covariance:
+#     N    eigh    tridiagonal route, by k
+#     80   0.78    k=8: 0.75, k=12: 0.86
+#    150   2.90    k=5: 1.74, k=15: 1.86, k=16: 1.96, k=20: 2.77
+#    250   7.78    k=25: 6.08, k=50: 9.57
+#    340   15.8    k=5: 7.14, k=34: 10.5, k=70: 14.4
+MRRR_SIZE_PER_VECTOR = 10
 DEFAULT_BIN_COUNT = 60
 MP_Q_BOUNDS = (1e-3, 1.0)
 
@@ -198,6 +209,43 @@ def _solve(solver, matrix: np.ndarray, **options):
         ) from exc
 
 
+def _check_info(name: str, info: int, n: int) -> None:
+    if info != 0:
+        raise NumericalError(f"{name} failed for {n}x{n} matrix (info {info})")
+
+
+def _tridiagonal_system(sym: np.ndarray, k: int):
+    """Descending eigenvalues of ``sym`` and its top k eigenvectors (None for
+    k = 0), from one tridiagonal reduction: every value from dsterf (what
+    ``eigvalsh`` runs), the k vectors from MRRR (dstemr) and back-transformed
+    by the reduction's reflectors alone. ``sym`` must be exactly symmetric;
+    it is overwritten."""
+    n = sym.shape[0]
+    # Exactly symmetric, so the transpose is the same matrix in Fortran order
+    # and dsytrd reduces it in place; the blocked workspace is dsyevd's.
+    lwork = int(lapack.dsytrd_lwork(n, lower=1)[0])
+    c, d, e, tau, info = lapack.dsytrd(sym.T, lower=1, lwork=lwork, overwrite_a=1)
+    _check_info("dsytrd", info, n)
+    # dstemr takes e of length N (so does dsterf's wrapper at N = 1), and
+    # overwrites it; the last entry is not read.
+    e = np.append(e, 0.0)
+    values, info = lapack.dsterf(d, e[: max(n - 1, 1)])
+    _check_info("dsterf", info, n)
+    values = np.ascontiguousarray(values[::-1])
+    if not k:
+        return values, None
+    _, _, z, info = lapack.dstemr(d, e, 2, 0.0, 0.0, n - k + 1, n)
+    _check_info("dstemr", info, n)
+    z = z[:, :k]
+    if n > 1:
+        # Q = diag(1, H_1 ... H_{N-1}); the minimal workspace runs the
+        # unblocked product, faster than the blocked one for few columns.
+        rows, _, info = lapack.dormqr("L", "N", c[1:, :-1], tau, z[1:], lwork=k)
+        _check_info("dormqr", info, n)
+        z[1:] = rows
+    return values, z[:, ::-1]
+
+
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     """Flip each column so its largest-magnitude component is positive."""
     lead = np.argmax(np.abs(vectors), axis=0)
@@ -217,14 +265,20 @@ def eigendecompose(matrix) -> EigenSystem:
 
 def _leading_system(matrix, k: int | None) -> EigenSystem:
     """``eigendecompose`` keeping only the top k vectors (all for None): the
-    sign flip is per column, so it runs on the kept columns alone."""
-    values, vectors = _solve(np.linalg.eigh, _symmetric_part(matrix))
+    sign flip is per column, so it runs on the kept columns alone. Few
+    vectors (MRRR_SIZE_PER_VECTOR * k <= N) come from the tridiagonal route,
+    with the values of ``eigenvalues``; more from a full eigh."""
+    sym = _symmetric_part(matrix)
+    if k is not None and MRRR_SIZE_PER_VECTOR * k <= sym.shape[0]:
+        values, vectors = _tridiagonal_system(sym, k)
+        return EigenSystem(values, _fix_signs(vectors))
+    values, vectors = _solve(np.linalg.eigh, sym)
     return EigenSystem(np.ascontiguousarray(values[::-1]), _fix_signs(vectors[:, ::-1][:, :k]))
 
 
 def eigenvalues(matrix) -> np.ndarray:
     """Descending eigenvalues alone, under the checks of ``eigendecompose``."""
-    return np.ascontiguousarray(_solve(np.linalg.eigvalsh, _symmetric_part(matrix))[::-1])
+    return _tridiagonal_system(_symmetric_part(matrix), 0)[0]
 
 
 def spectrum_series(series: CovarianceSeries, n_vectors: int = 0) -> SpectrumSeries:
@@ -232,8 +286,9 @@ def spectrum_series(series: CovarianceSeries, n_vectors: int = 0) -> SpectrumSer
     eigenvectors per date.
 
     With ``n_vectors`` 0 only the eigenvalues are solved for; otherwise the
-    full eigendecomposition runs and the leading columns are kept, giving a
-    (T, N, n_vectors) vector stack.
+    leading columns are kept, giving a (T, N, n_vectors) vector stack, and
+    the values are those of the values-only solve while
+    MRRR_SIZE_PER_VECTOR * n_vectors <= N.
     """
     t_len, n = len(series), series.n_assets
     if not 0 <= n_vectors <= n:

@@ -28,14 +28,17 @@ lagged.length = 20
 lagged.lags = 0,1,5
 """
 
-# One product large enough to run threaded, then the environment value and
-# the process's thread count (-1 where /proc/self/task does not exist).
+# One product and one tridiagonal reduction large enough to run threaded, on
+# numpy's OpenBLAS and on SciPy's own, then the environment value and the
+# process's thread count (-1 where /proc/self/task does not exist).
 PROBE = """
 import os
 import covspec
 import numpy as np
+from scipy.linalg import lapack
 a = np.ones((600, 600))
 a @ a
+lapack.dsytrd(a + np.eye(600), lower=1, lwork=600 * 32)
 task = "/proc/self/task"
 threads = len(os.listdir(task)) if os.path.isdir(task) else -1
 print(os.environ.get("OPENBLAS_NUM_THREADS", "unset"), threads)
@@ -70,8 +73,13 @@ def test_import_runs_blas_on_one_thread():
 
 
 def test_preset_thread_count_is_kept():
-    assert probe("2")[0] == "2"
+    value, threads = probe("2")
+    assert value == "2"
     assert probe(None)[0] == "1"
+    # the probe sees BLAS threads where there are any (3 with numpy's and
+    # SciPy's OpenBLAS each on two), so one thread above is not vacuous
+    if os.path.isdir("/proc/self/task") and (os.cpu_count() or 1) > 1:
+        assert threads > 1
 
 
 def bundle(tmp_path, blas):

@@ -27,7 +27,7 @@ from covspec import (
     spectrum_series,
     window_vectors,
 )
-from covspec import to_correlation
+from covspec import run_analysis, spectral, to_correlation, validate_config
 from covspec.moments import weighted_windows
 from covspec.errors import ContractViolationError, NumericalError, ParameterError
 from testutil import random_covariance_series, random_symmetric
@@ -36,6 +36,29 @@ from testutil import random_covariance_series, random_symmetric
 def spectra_from(values):
     values = np.atleast_2d(np.asarray(values, dtype=float))
     return SpectrumSeries(make_business_dates(values.shape[0]), values)
+
+
+def projector(vectors):
+    return vectors @ vectors.T
+
+
+def assert_leading_vectors(matrix, values, vectors):
+    """``values`` are the spectrum of ``matrix`` within 1e-13 of its top value;
+    the projector on each leading j of the columns ``vectors`` is eigh's
+    within 1e-13 wherever the gap below rank j exceeds 1e-8 of the top value;
+    the columns are orthonormal and follow the sign convention."""
+    ref_values, ref_vectors = np.linalg.eigh(matrix)
+    ref_values, ref_vectors = ref_values[::-1], ref_vectors[:, ::-1]
+    n, k = vectors.shape
+    top = abs(ref_values[0])
+    assert np.abs(values - ref_values).max() <= 1e-13 * top
+    assert np.abs(vectors.T @ vectors - np.eye(k)).max() < 1e-13
+    for j in range(1, k + 1):
+        if j == n or ref_values[j - 1] - ref_values[j] > 1e-8 * top:
+            diff = projector(vectors[:, :j]) - projector(ref_vectors[:, :j])
+            assert np.abs(diff).max() < 1e-13, j
+    lead = np.argmax(np.abs(vectors), axis=0)
+    assert np.all(vectors[lead, np.arange(k)] > 0)
 
 
 # ---------------------------------------------------------------- eigen
@@ -81,6 +104,97 @@ def test_non_square_rejected():
         eigendecompose(np.ones((2, 3)))
 
 
+def rank_deficient(n, length, seed):
+    """A covariance of N assets over L < N dates: N - L zero eigenvalues."""
+    return random_covariance_series(n=n, length=length, n_dates=1, seed=seed).matrices[0]
+
+
+TRIDIAGONAL_CASES = {
+    "one-asset": (np.array([[2.5]]), (0, 1)),
+    "two-assets": (np.array([[2.0, -0.5], [-0.5, 1.0]]), (0, 1, 2)),
+    "identity": (np.eye(20), (0, 2, 20)),
+    # 15 positive eigenvalues, then a cluster of 25 at zero
+    "rank-deficient": (rank_deficient(40, 15, seed=11), (0, 4, 15, 20)),
+    "wishart": (random_covariance_series(n=60, length=80, n_dates=1, seed=12,
+                                         kind="one-factor", beta=0.5).matrices[0], (0, 6, 7)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TRIDIAGONAL_CASES))
+def test_tridiagonal_route_matches_eigh(case):
+    matrix, ranks = TRIDIAGONAL_CASES[case]
+    values_only = spectral._tridiagonal_system(spectral._symmetric_part(matrix), 0)
+    assert values_only[1] is None
+    assert np.array_equal(values_only[0], eigenvalues(matrix))
+    for k in ranks[1:]:
+        values, vectors = spectral._tridiagonal_system(spectral._symmetric_part(matrix), k)
+        # every value from the same dsterf, whatever the vectors
+        assert np.array_equal(values, values_only[0])
+        assert vectors.shape == (matrix.shape[0], k)
+        assert_leading_vectors(matrix, values, spectral._fix_signs(vectors))
+
+
+def test_tridiagonal_route_takes_at_most_a_tenth_of_the_vectors(monkeypatch):
+    matrix = TRIDIAGONAL_CASES["wishart"][0]
+    routed = []
+    tridiagonal = spectral._tridiagonal_system
+
+    def counted(sym, k):
+        routed.append(k)
+        return tridiagonal(sym, k)
+
+    monkeypatch.setattr(spectral, "_tridiagonal_system", counted)
+    for k in (6, 7):  # N/10 and N/10 + 1 of 60 assets
+        system = spectral._leading_system(matrix, k)
+        assert_leading_vectors(matrix, system.values, system.vectors)
+    eigendecompose(matrix)
+    assert routed == [6]
+
+
+def test_mrrr_failure_names_offending_date(monkeypatch):
+    series = random_covariance_series(n=20, length=30, n_dates=3, seed=13)
+    dstemr = spectral.lapack.dstemr
+
+    def failing(*args, **kwargs):
+        found, w, z, _ = dstemr(*args, **kwargs)
+        return found, w, z, 1
+
+    monkeypatch.setattr(spectral.lapack, "dstemr", failing)
+    with pytest.raises(NumericalError, match=f"{series.dates[0]}.*dstemr failed"):
+        spectrum_series(series, n_vectors=2)
+    spectrum_series(series)  # values alone do not run dstemr
+
+
+SPECTRA_CFG = """
+ensemble.kind = one-factor
+ensemble.assets = 60
+ensemble.dates = 120
+ensemble.beta = 0.5
+ensemble.seed = 14
+kernel.scheme = long-memory
+kernel.length = 90
+analyses = {analyses}
+projectors.ranks = 1,2,6
+output.dir = {out}
+"""
+
+
+def test_spectra_do_not_depend_on_vectors_read(tmp_path):
+    # at most N/10 vectors: the spectra files are the same bytes with or
+    # without the projectors that read the vectors
+    bundles = {}
+    for analyses in ("spectrum,density", "spectrum,density,projectors"):
+        out = tmp_path / analyses.replace(",", "-")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(SPECTRA_CFG.format(analyses=analyses, out=out))
+        run_analysis(validate_config(str(cfg)))
+        bundles[analyses] = {
+            name: (out / name).read_bytes()
+            for name in ("spectrum.csv", "mean_spectrum.csv", "density.csv")
+        }
+    assert bundles["spectrum,density"] == bundles["spectrum,density,projectors"]
+
+
 # ---------------------------------------------------------------- series
 
 
@@ -107,29 +221,43 @@ def test_trace_identity_on_wishart_series():
 
 
 def test_vectors_stored_on_request():
-    series = random_covariance_series(n=5, length=10, n_dates=4, seed=5)
-    with_vectors = spectrum_series(series, n_vectors=5)
+    # 30 assets: 2 and 3 vectors come from MRRR, 4 and 30 from a full eigh
+    series = random_covariance_series(n=30, length=40, n_dates=4, seed=5)
+    with_vectors = spectrum_series(series, n_vectors=30)
     assert with_vectors.vectors is not None
-    assert with_vectors.vectors.shape == (4, 5, 5)
-    leading = spectrum_series(series, n_vectors=2)
-    assert np.array_equal(leading.vectors, with_vectors.vectors[:, :, :2])
-    assert np.array_equal(leading.values, with_vectors.values)
+    assert with_vectors.vectors.shape == (4, 30, 30)
+    full_leading = spectrum_series(series, n_vectors=4)
+    assert np.array_equal(full_leading.vectors, with_vectors.vectors[:, :, :4])
+    assert np.array_equal(full_leading.values, with_vectors.values)
     without = spectrum_series(series)
     assert without.vectors is None
-    for bad in (-1, 6):
+    for k in (2, 3):
+        leading = spectrum_series(series, n_vectors=k)
+        assert leading.vectors.shape == (4, 30, k)
+        assert np.array_equal(leading.values, without.values)
+        for t, mat in enumerate(series.matrices):
+            assert_leading_vectors(mat, leading.values[t], leading.vectors[t])
+    for bad in (-1, 31):
         with pytest.raises(ParameterError, match="n_vectors"):
             spectrum_series(series, n_vectors=bad)
 
 
 def test_kept_vectors_are_eigendecompose_columns():
-    # signs are flipped on the kept columns only; each column's flip is its own
+    # signs are flipped on the kept columns only; each column's flip is its own.
+    # Above N/10 vectors they are eigendecompose's columns; at most N/10 come
+    # from MRRR, with the values of the values-only solve.
     series = random_covariance_series(n=12, length=30, n_dates=5, seed=9)
     systems = [eigendecompose(m) for m in series.matrices]
+    without = spectrum_series(series)
     for k in (1, 3, 12):
         kept = spectrum_series(series, n_vectors=k)
         for t, system in enumerate(systems):
-            assert np.array_equal(kept.vectors[t], system.vectors[:, :k])
-            assert np.array_equal(kept.values[t], system.values)
+            if 10 * k <= 12:
+                assert np.array_equal(kept.values[t], without.values[t])
+                assert_leading_vectors(series.matrices[t], kept.values[t], kept.vectors[t])
+            else:
+                assert np.array_equal(kept.vectors[t], system.vectors[:, :k])
+                assert np.array_equal(kept.values[t], system.values)
 
 
 def test_values_only_spectra_match_eigendecompose():
@@ -170,10 +298,6 @@ def test_non_finite_series_names_offending_date(value):
     for n_vectors in (0, 1):
         with pytest.raises(NumericalError, match=series.dates[2]):
             spectrum_series(bad, n_vectors=n_vectors)
-
-
-def projector(vectors):
-    return vectors @ vectors.T
 
 
 def test_window_vectors_match_eigh_projectors():
