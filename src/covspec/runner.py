@@ -320,16 +320,6 @@ def _projector_files(writer, spectra, config, want_spectrum, want_fluctuation) -
 def _lagged_file(writer, returns, config, eval_dates) -> None:
     compact = build_kernel("rectangular", config.lagged_length)
     dates, windows = weighted_windows(returns, compact, eval_dates)
-    t_len, n, length = windows.shape
-    if length > n:
-        # A window W longer than N is replaced by the N x N factor R' of
-        # W' = QR: R'R = W W', so the covariance, the unit-row correlation and
-        # the left singular vectors stay, and rho costs N^3, not N L^2. Date by
-        # date, since a stacked qr copies every window first.
-        factors = np.empty((t_len, n, n))
-        for t in range(t_len):
-            factors[t] = np.linalg.qr(windows[t].T, mode="r").T
-        windows = factors
     # Everything read from the raw windows comes first; then they are scaled
     # to unit rows in place, so no second window stack is held.
     # A window of L dates spans at most L directions: ranks above L get no

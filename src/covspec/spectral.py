@@ -1,7 +1,7 @@
 """Eigen-spectra of matrix series, spectral densities, and the spectrum fit.
 
 Covers the per-date eigendecomposition (values only where no vectors are
-read, and only the kept vectors where they are few), descending spectrum
+read, and only the kept vectors where some are), descending spectrum
 series, leading eigenvectors of rolling covariances from the thin SVD of
 their return windows, the geometric (logarithmic) mean spectrum, histogram
 spectral densities, the Marchenko-Pastur reference density, the
@@ -32,16 +32,6 @@ from .errors import (
 from .moments import CORRELATION, CovarianceSeries
 
 SYMMETRY_RTOL = 1e-10
-# The top k eigenvectors come from MRRR on the tridiagonal form when
-# MRRR_SIZE_PER_VECTOR * k <= N, from a full eigh above. Best-of-7 ms per
-# date (the lower of two runs), one OpenBLAS thread, 2-vCPU x86_64 host,
-# one-factor long-memory L=260 covariance:
-#     N    eigh    tridiagonal route, by k
-#     80   0.78    k=8: 0.75, k=12: 0.86
-#    150   2.90    k=5: 1.74, k=15: 1.86, k=16: 1.96, k=20: 2.77
-#    250   7.78    k=25: 6.08, k=50: 9.57
-#    340   15.8    k=5: 7.14, k=34: 10.5, k=70: 14.4
-MRRR_SIZE_PER_VECTOR = 10
 DEFAULT_BIN_COUNT = 60
 MP_Q_BOUNDS = (1e-3, 1.0)
 
@@ -215,11 +205,12 @@ def _check_info(name: str, info: int, n: int) -> None:
 
 
 def _tridiagonal_system(sym: np.ndarray, k: int):
-    """Descending eigenvalues of ``sym`` and its top k eigenvectors (None for
-    k = 0), from one tridiagonal reduction: every value from dsterf (what
-    ``eigvalsh`` runs), the k vectors from MRRR (dstemr) and back-transformed
-    by the reduction's reflectors alone. ``sym`` must be exactly symmetric;
-    it is overwritten."""
+    """Descending eigenvalues of ``sym`` and its top k eigenvectors, from one
+    tridiagonal reduction: every value from dsterf (what ``eigvalsh`` runs),
+    the k vectors from MRRR (dstemr) and back-transformed by the reduction's
+    reflectors alone. The vectors are None for k = 0 and where dstemr or the
+    back-transform fails. ``sym`` must be exactly symmetric; it is
+    overwritten."""
     n = sym.shape[0]
     # Exactly symmetric, so the transpose is the same matrix in Fortran order
     # and dsytrd reduces it in place; the blocked workspace is dsyevd's.
@@ -235,13 +226,16 @@ def _tridiagonal_system(sym: np.ndarray, k: int):
     if not k:
         return values, None
     _, _, z, info = lapack.dstemr(d, e, 2, 0.0, 0.0, n - k + 1, n)
-    _check_info("dstemr", info, n)
+    if info != 0:
+        return values, None
     z = z[:, :k]
     if n > 1:
         # Q = diag(1, H_1 ... H_{N-1}); the minimal workspace runs the
-        # unblocked product, faster than the blocked one for few columns.
+        # unblocked product, faster than the blocked one for few columns
+        # (for k near N the blocked one is faster, but dstemr dominates).
         rows, _, info = lapack.dormqr("L", "N", c[1:, :-1], tau, z[1:], lwork=k)
-        _check_info("dormqr", info, n)
+        if info != 0:
+            return values, None
         z[1:] = rows
     return values, z[:, ::-1]
 
@@ -265,15 +259,18 @@ def eigendecompose(matrix) -> EigenSystem:
 
 def _leading_system(matrix, k: int | None) -> EigenSystem:
     """``eigendecompose`` keeping only the top k vectors (all for None): the
-    sign flip is per column, so it runs on the kept columns alone. Few
-    vectors (MRRR_SIZE_PER_VECTOR * k <= N) come from the tridiagonal route,
-    with the values of ``eigenvalues``; more from a full eigh."""
+    sign flip is per column, so it runs on the kept columns alone. With k
+    given, the values are those of ``eigenvalues`` and the vectors come from
+    the tridiagonal route; where MRRR fails, from a full eigh, as LAPACK's
+    dsyevr falls back on another solver."""
     sym = _symmetric_part(matrix)
-    if k is not None and MRRR_SIZE_PER_VECTOR * k <= sym.shape[0]:
-        values, vectors = _tridiagonal_system(sym, k)
-        return EigenSystem(values, _fix_signs(vectors))
-    values, vectors = _solve(np.linalg.eigh, sym)
-    return EigenSystem(np.ascontiguousarray(values[::-1]), _fix_signs(vectors[:, ::-1][:, :k]))
+    if k is None:
+        values, vectors = _solve(np.linalg.eigh, sym)
+        return EigenSystem(np.ascontiguousarray(values[::-1]), _fix_signs(vectors[:, ::-1]))
+    values, vectors = _tridiagonal_system(sym, k)
+    if vectors is None:
+        vectors = _solve(np.linalg.eigh, _symmetric_part(matrix))[1][:, ::-1][:, :k]
+    return EigenSystem(values, _fix_signs(vectors))
 
 
 def eigenvalues(matrix) -> np.ndarray:
@@ -287,8 +284,7 @@ def spectrum_series(series: CovarianceSeries, n_vectors: int = 0) -> SpectrumSer
 
     With ``n_vectors`` 0 only the eigenvalues are solved for; otherwise the
     leading columns are kept, giving a (T, N, n_vectors) vector stack, and
-    the values are those of the values-only solve while
-    MRRR_SIZE_PER_VECTOR * n_vectors <= N.
+    the values are those of the values-only solve.
     """
     t_len, n = len(series), series.n_assets
     if not 0 <= n_vectors <= n:

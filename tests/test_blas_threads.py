@@ -77,9 +77,16 @@ def test_preset_thread_count_is_kept():
     assert value == "2"
     assert probe(None)[0] == "1"
     # the probe sees BLAS threads where there are any (3 with numpy's and
-    # SciPy's OpenBLAS each on two), so one thread above is not vacuous
-    if os.path.isdir("/proc/self/task") and (os.cpu_count() or 1) > 1:
+    # SciPy's OpenBLAS each on two), so one thread above is not vacuous.
+    # OpenBLAS takes no more threads than the CPUs this process may run on.
+    if os.path.isdir("/proc/self/task") and usable_cpus() > 1:
         assert threads > 1
+
+
+def usable_cpus():
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def bundle(tmp_path, blas):

@@ -19,9 +19,7 @@ import pytest
 from covspec import (
     MeanProjector,
     SpectrumSeries,
-    build_kernel,
     eigendecompose,
-    generate_returns,
     matrix_lagged_correlation,
     projector_series,
     run_analysis,
@@ -30,8 +28,6 @@ from covspec import (
     validate_config,
     window_vectors,
 )
-from covspec.moments import unit_rows, weighted_windows
-from testutil import TableSink
 
 RTOL = 1e-12
 
@@ -54,11 +50,11 @@ CASES = {
     "thin-svd": dict(n=24, ranks="1,2,5", lagged_length=8),
     # window above 0.4 N, where the thin SVD costs more than eigh of N x N
     "window-above-crossover": dict(n=24, ranks="1,2,5", lagged_length=21),
-    # window longer than N, replaced by the N x N factor of its QR
+    # window longer than N
     "window-above-n": dict(n=12, ranks="1,2,5", lagged_length=15),
     # window at least 2N long
     "window-above-2n": dict(n=12, ranks="1,2,5", lagged_length=30),
-    # 10 k <= N: the main vectors come from MRRR on the tridiagonal form
+    # more assets: five of 60 vectors from MRRR on the tridiagonal form
     "mrrr-vectors": dict(n=60, ranks="1,2,5", lagged_length=8),
 }
 
@@ -159,34 +155,3 @@ def test_outputs_match_reference_solvers(tmp_path, monkeypatch, case):
             assert np.array_equal(np.isnan(actual), np.isnan(expected)), (name, key)
             err = float(np.nanmax(np.abs(actual - expected)))
             assert err <= RTOL * scale, (name, key, err / scale)
-
-
-def test_windows_longer_than_n_keep_every_lagged_series(tmp_path):
-    # The lagged stage runs a window longer than N on the N x N factor of its
-    # QR; the reference solvers on the raw windows give the same rho.
-    case = CASES["window-above-2n"]
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(ALL_ANALYSES.format(**case) + f"output.dir = {tmp_path}\n")
-    config = validate_config(str(cfg))
-    returns = generate_returns(config.ensemble)
-    sink = TableSink()
-    runner._lagged_file(sink, returns, config, None)
-
-    dates, windows = weighted_windows(returns, build_kernel("rectangular", case["lagged_length"]))
-    assert windows.shape[2] >= 2 * windows.shape[1]
-    vectors = reference_window_vectors(windows, max(config.projector_ranks))
-    expected = {
-        "covariance": reference_factor_rho(windows, config.lags),
-        "correlation": reference_factor_rho(
-            unit_rows(windows.copy(), dates, returns.asset_ids), config.lags
-        ),
-    }
-    for k in config.projector_ranks:
-        expected[f"projector_k{k}"] = reference_factor_rho(vectors[:, :, :k], config.lags)
-    rows = sink.tables["lagged_correlation"]
-    assert [(label, lag) for label, lag, _ in rows] == [
-        (label, lag) for label in expected for lag in config.lags
-    ]
-    for label, rho in expected.items():
-        got = np.array([value for name, _, value in rows if name == label])
-        assert np.abs(got - rho).max() <= RTOL * np.abs(rho).max(), label

@@ -10,8 +10,6 @@ plus the (T,N) values and (T,N,k) vectors, well below one (T,N,N) stack. The
 lagged stage reads only (T,N,L) return windows and the factors derived from
 them, and scales the windows to unit rows in place: it holds the window
 stack plus the two window-sized temporaries of ``factor_lagged_correlation``.
-Windows longer than N are replaced date by date by N x N factors, so past
-that replacement the stage holds factor-sized arrays only.
 """
 
 import tracemalloc
@@ -31,7 +29,6 @@ from covspec import (
 )
 from covspec.config import config_from_mapping
 from covspec.moments import weighted_windows
-from testutil import TableSink
 
 N_ASSETS = 60
 N_DATES = 300
@@ -105,6 +102,16 @@ def test_lagged_projector_path_holds_no_projector_stack(panel_and_kernel):
     assert peak < 0.5 * stack_bytes
 
 
+class TableSink:
+    """Stands in for the bundle writer; keeps the rows of each table."""
+
+    def __init__(self):
+        self.tables = {}
+
+    def write_table(self, stem, header, rows):
+        self.tables[stem] = rows
+
+
 def test_lagged_stage_peaks_below_one_stack():
     n, n_dates, length = 120, 300, 21
     spec = EnsembleSpec("one-factor", n, length + n_dates - 1, beta=0.5, seed=4)
@@ -123,21 +130,6 @@ def test_lagged_stage_peaks_below_one_stack():
     # place: no second window stack is held next to factor_lagged_correlation's
     # two window-sized temporaries
     assert peak < 3.5 * 8 * n_dates * n * length
-
-
-def test_lagged_stage_with_windows_longer_than_n_peaks_near_one_window_stack():
-    n, n_dates, length = 40, 300, 120
-    spec = EnsembleSpec("one-factor", n, length + n_dates - 1, beta=0.5, seed=4)
-    returns = generate_returns(spec)
-    config = SimpleNamespace(
-        lagged_length=length, lags=(0, 1, 5, 21), projector_ranks=(1, 2, 5)
-    )
-    sink = TableSink()
-    peak, _ = peak_added_bytes(lambda: runner._lagged_file(sink, returns, config, None))
-    assert len(sink.tables["lagged_correlation"]) == 5 * 4
-    # the window stack and its N x N factors (a third of it here); running
-    # rho on the (T,N,L) windows themselves peaks at about five window stacks
-    assert peak < 1.5 * 8 * n_dates * n * length
 
 
 def test_main_stage_holds_no_matrix_stack(tmp_path, monkeypatch):

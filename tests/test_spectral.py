@@ -116,7 +116,7 @@ TRIDIAGONAL_CASES = {
     # 15 positive eigenvalues, then a cluster of 25 at zero
     "rank-deficient": (rank_deficient(40, 15, seed=11), (0, 4, 15, 20)),
     "wishart": (random_covariance_series(n=60, length=80, n_dates=1, seed=12,
-                                         kind="one-factor", beta=0.5).matrices[0], (0, 6, 7)),
+                                         kind="one-factor", beta=0.5).matrices[0], (0, 6, 7, 60)),
 }
 
 
@@ -134,35 +134,44 @@ def test_tridiagonal_route_matches_eigh(case):
         assert_leading_vectors(matrix, values, spectral._fix_signs(vectors))
 
 
-def test_tridiagonal_route_takes_at_most_a_tenth_of_the_vectors(monkeypatch):
-    matrix = TRIDIAGONAL_CASES["wishart"][0]
-    routed = []
-    tridiagonal = spectral._tridiagonal_system
+@pytest.mark.parametrize("routine", ["dstemr", "dormqr"])
+def test_mrrr_failure_falls_back_to_eigh(monkeypatch, routine):
+    # as LAPACK's dsyevr does, a date whose MRRR vectors fail is solved again
+    # by another solver; the values stay those of the values-only solve
+    series = random_covariance_series(n=20, length=30, n_dates=3, seed=13)
+    expected = spectrum_series(series)
+    original = getattr(spectral.lapack, routine)
+    calls = []
 
-    def counted(sym, k):
-        routed.append(k)
-        return tridiagonal(sym, k)
+    def failing(*args, **kwargs):
+        # what a failed call leaves in its outputs is not to be read
+        calls.append(routine)
+        *outputs, _ = original(*args, **kwargs)
+        return (*(np.full_like(a, np.nan) if np.ndim(a) else a for a in outputs), 1)
 
-    monkeypatch.setattr(spectral, "_tridiagonal_system", counted)
-    for k in (6, 7):  # N/10 and N/10 + 1 of 60 assets
-        system = spectral._leading_system(matrix, k)
-        assert_leading_vectors(matrix, system.values, system.vectors)
-    eigendecompose(matrix)
-    assert routed == [6]
+    monkeypatch.setattr(spectral.lapack, routine, failing)
+    kept = spectrum_series(series, n_vectors=2)
+    assert len(calls) == 3
+    assert np.array_equal(kept.values, expected.values)
+    for t, mat in enumerate(series.matrices):
+        assert_leading_vectors(mat, kept.values[t], kept.vectors[t])
 
 
-def test_mrrr_failure_names_offending_date(monkeypatch):
+def test_failure_of_every_solver_names_offending_date(monkeypatch):
     series = random_covariance_series(n=20, length=30, n_dates=3, seed=13)
     dstemr = spectral.lapack.dstemr
 
     def failing(*args, **kwargs):
-        found, w, z, _ = dstemr(*args, **kwargs)
-        return found, w, z, 1
+        return (*dstemr(*args, **kwargs)[:-1], 1)
+
+    def eigh(matrix):
+        raise np.linalg.LinAlgError("did not converge")
 
     monkeypatch.setattr(spectral.lapack, "dstemr", failing)
-    with pytest.raises(NumericalError, match=f"{series.dates[0]}.*dstemr failed"):
+    monkeypatch.setattr(spectral.np.linalg, "eigh", eigh)
+    with pytest.raises(NumericalError, match=f"{series.dates[0]}.*eigh failed"):
         spectrum_series(series, n_vectors=2)
-    spectrum_series(series)  # values alone do not run dstemr
+    spectrum_series(series)  # values alone run neither
 
 
 SPECTRA_CFG = """
@@ -174,19 +183,20 @@ ensemble.seed = 14
 kernel.scheme = long-memory
 kernel.length = 90
 analyses = {analyses}
-projectors.ranks = 1,2,6
+projectors.ranks = {ranks}
 output.dir = {out}
 """
 
 
-def test_spectra_do_not_depend_on_vectors_read(tmp_path):
-    # at most N/10 vectors: the spectra files are the same bytes with or
-    # without the projectors that read the vectors
+@pytest.mark.parametrize("ranks", ["1,2,6", "1,2,20"])
+def test_spectra_do_not_depend_on_vectors_read(tmp_path, ranks):
+    # the spectra files are the same bytes with or without the projectors
+    # that read the vectors, for few vectors and for many
     bundles = {}
     for analyses in ("spectrum,density", "spectrum,density,projectors"):
         out = tmp_path / analyses.replace(",", "-")
         cfg = tmp_path / "run.cfg"
-        cfg.write_text(SPECTRA_CFG.format(analyses=analyses, out=out))
+        cfg.write_text(SPECTRA_CFG.format(analyses=analyses, ranks=ranks, out=out))
         run_analysis(validate_config(str(cfg)))
         bundles[analyses] = {
             name: (out / name).read_bytes()
@@ -221,43 +231,38 @@ def test_trace_identity_on_wishart_series():
 
 
 def test_vectors_stored_on_request():
-    # 30 assets: 2 and 3 vectors come from MRRR, 4 and 30 from a full eigh
-    series = random_covariance_series(n=30, length=40, n_dates=4, seed=5)
-    with_vectors = spectrum_series(series, n_vectors=30)
+    series = random_covariance_series(n=5, length=10, n_dates=4, seed=5)
+    with_vectors = spectrum_series(series, n_vectors=5)
     assert with_vectors.vectors is not None
-    assert with_vectors.vectors.shape == (4, 30, 30)
-    full_leading = spectrum_series(series, n_vectors=4)
-    assert np.array_equal(full_leading.vectors, with_vectors.vectors[:, :, :4])
-    assert np.array_equal(full_leading.values, with_vectors.values)
+    assert with_vectors.vectors.shape == (4, 5, 5)
     without = spectrum_series(series)
     assert without.vectors is None
-    for k in (2, 3):
+    for k in (2, 5):
         leading = spectrum_series(series, n_vectors=k)
-        assert leading.vectors.shape == (4, 30, k)
+        assert leading.vectors.shape == (4, 5, k)
+        # the values of the values-only solve, whatever number of vectors;
+        # the vectors are a separate MRRR solve per k, checked by projector
         assert np.array_equal(leading.values, without.values)
         for t, mat in enumerate(series.matrices):
             assert_leading_vectors(mat, leading.values[t], leading.vectors[t])
-    for bad in (-1, 31):
+    for bad in (-1, 6):
         with pytest.raises(ParameterError, match="n_vectors"):
             spectrum_series(series, n_vectors=bad)
 
 
 def test_kept_vectors_are_eigendecompose_columns():
-    # signs are flipped on the kept columns only; each column's flip is its own.
-    # Above N/10 vectors they are eigendecompose's columns; at most N/10 come
-    # from MRRR, with the values of the values-only solve.
+    # signs are flipped on the kept columns only; each column's flip is its
+    # own. Every eigenvalue here is well separated, so each kept column is
+    # eigendecompose's to 1e-13, sign included.
     series = random_covariance_series(n=12, length=30, n_dates=5, seed=9)
     systems = [eigendecompose(m) for m in series.matrices]
     without = spectrum_series(series)
     for k in (1, 3, 12):
         kept = spectrum_series(series, n_vectors=k)
+        assert np.array_equal(kept.values, without.values)
         for t, system in enumerate(systems):
-            if 10 * k <= 12:
-                assert np.array_equal(kept.values[t], without.values[t])
-                assert_leading_vectors(series.matrices[t], kept.values[t], kept.vectors[t])
-            else:
-                assert np.array_equal(kept.vectors[t], system.vectors[:, :k])
-                assert np.array_equal(kept.values[t], system.values)
+            assert np.abs(kept.values[t] - system.values).max() <= 1e-13 * system.values[0]
+            assert np.abs(kept.vectors[t] - system.vectors[:, :k]).max() < 1e-13
 
 
 def test_values_only_spectra_match_eigendecompose():

@@ -55,13 +55,3 @@ def basis_series(columns, n):
         order = [lead] + [j for j in range(n) if j != lead]
         vectors[t] = np.eye(n)[:, order]
     return SpectrumSeries(make_business_dates(t_len), values, vectors)
-
-
-class TableSink:
-    """Stands in for the bundle writer; keeps the rows of each table."""
-
-    def __init__(self):
-        self.tables = {}
-
-    def write_table(self, stem, header, rows):
-        self.tables[stem] = rows
