@@ -53,7 +53,8 @@ from .spectral import (
     window_vectors,
 )
 from .subspace import (
-    factor_lagged_correlation,
+    LaggedSums,
+    checked_lags,
     fluctuation_index,
     mean_projector,
     projector_spectrum,
@@ -63,10 +64,16 @@ logger = logging.getLogger(__name__)
 
 MANIFEST_NAME = "manifest.json"
 
-# The main stage runs over blocks of dates holding at most this many bytes of
-# N x N matrices, so no (T,N,N) stack is built: besides one block it holds only
-# the (T,N) values and the (T,N,k) vectors, however many dates are evaluated.
-BLOCK_BYTES = 16 * 2**20
+# Both stages run over blocks of dates holding at most this many bytes: of
+# N x N matrices in the main stage, of N x L return windows in the lagged one.
+# So no (T,N,N) matrix stack and no (T,N,L) window stack is built: a run holds
+# one block of either stage plus the (T,N) values, the (T,N,k) vectors and
+# N x N running sums per lagged series, however many dates are evaluated.
+# Smaller blocks lower the peak further, but then malloc hands each block's
+# pages back to the kernel and faults them in again: at 2 MiB a longmem-full
+# run took four times the page faults of 8 MiB and about 5% longer (2-vCPU
+# x86-64 host, glibc).
+BLOCK_BYTES = 8 * 2**20
 
 
 @dataclass(frozen=True)
@@ -317,25 +324,51 @@ def _projector_files(writer, spectra, config, want_spectrum, want_fluctuation) -
         )
 
 
-def _lagged_file(writer, returns, config, eval_dates) -> None:
+def _lagged_dates(returns, config, eval_dates) -> tuple[str, ...]:
+    """The lagged stage's dates, with the lags checked against their count."""
     compact = build_kernel("rectangular", config.lagged_length)
-    dates, windows = weighted_windows(returns, compact, eval_dates)
-    # Everything read from the raw windows comes first; then they are scaled
-    # to unit rows in place, so no second window stack is held.
+    idx = resolve_eval_indices(returns, compact, eval_dates)
+    checked_lags(config.lags, len(idx))
+    return tuple(returns.dates[j] for j in idx)
+
+
+def _lagged_file(writer, returns, config, dates) -> None:
+    """The lagged correlation of every lagged series, from running sums fed
+    one block of dates at a time. A block's windows are gathered, read for the
+    covariance sums and the projector vectors, then scaled to unit rows in
+    place for the correlation sums, and dropped."""
+    compact = build_kernel("rectangular", config.lagged_length)
     # A window of L dates spans at most L directions: ranks above L get no
     # lagged projector series.
     ranks = [k for k in config.projector_ranks if k <= config.lagged_length]
-    vectors = window_vectors(windows, max(ranks)) if ranks else None
-    rhos = {"covariance": factor_lagged_correlation(windows, config.lags)}
-    unit_rows(windows, dates, returns.asset_ids)
-    rhos["correlation"] = factor_lagged_correlation(windows, config.lags)
-    del windows
-    for k in ranks:
-        rhos[f"projector_k{k}"] = factor_lagged_correlation(vectors[:, :, :k], config.lags)
+    names = ["covariance", "correlation", *(f"projector_k{k}" for k in ranks)]
+    sums = {name: LaggedSums(config.lags, len(dates)) for name in names}
+    n, length = returns.n_assets, compact.length
+    # bounds both the windows and the L x L grams of the sums
+    step = max(1, BLOCK_BYTES // (8 * length * max(n, length)))
+    for lo in range(0, len(dates), step):
+        block, windows = weighted_windows(returns, compact, dates[lo : lo + step])
+        vectors = window_vectors(windows, max(ranks)) if ranks else None
+        sums["covariance"].add(windows)
+        unit_rows(windows, block, returns.asset_ids)
+        sums["correlation"].add(windows)
+        for k in ranks:
+            sums[f"projector_k{k}"].add(vectors[:, :, :k])
+        del windows, vectors  # freed before the next block is gathered
+
+    def stack(name):
+        """The (T, N, m) factors of one series, built only for a near-static one."""
+        windows = weighted_windows(returns, compact, dates)[1]
+        if name == "covariance":
+            return windows
+        if name == "correlation":
+            return unit_rows(windows, dates, returns.asset_ids)
+        return window_vectors(windows, int(name.removeprefix("projector_k")))
+
     rows = [
-        [label, lag, float(rho)]
-        for label, rho_of_lag in rhos.items()
-        for lag, rho in zip(config.lags, rho_of_lag)
+        [name, lag, float(rho)]
+        for name in names
+        for lag, rho in zip(config.lags, sums[name].rho(lambda: stack(name)))
     ]
     writer.write_table("lagged_correlation", ["series", "lag", "rho"], rows)
 
@@ -410,10 +443,14 @@ def run_analysis(config: RunConfig) -> ReportBundle:
         eval_dates = _stage("moments", lambda: _eval_range(config, returns))
         idx = _stage("moments", lambda: resolve_eval_indices(returns, kernel, eval_dates))
         dates = tuple(returns.dates[j] for j in idx)
+        analyses = set(config.analyses)
+        if "lagged" in analyses:
+            lagged_dates = _stage(
+                "subspace", lambda: _lagged_dates(returns, config, eval_dates)
+            )
 
         spectra, corr_spectra = _main_stage(writer, returns, kernel, dates, config)
 
-        analyses = set(config.analyses)
         if "spectrum" in analyses:
             _stage("spectral", lambda: _spectrum_files(writer, spectra))
         if "density" in analyses:
@@ -437,7 +474,7 @@ def run_analysis(config: RunConfig) -> ReportBundle:
                 ),
             )
         if "lagged" in analyses:
-            _stage("subspace", lambda: _lagged_file(writer, returns, config, eval_dates))
+            _stage("subspace", lambda: _lagged_file(writer, returns, config, lagged_dates))
     except Exception as exc:
         manifest_path = writer.write_manifest(config, complete=False, error=str(exc))
         logger.error("run failed, wrote incomplete manifest %s", manifest_path)

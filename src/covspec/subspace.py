@@ -144,7 +144,7 @@ def fluctuation_index(mp: MeanProjector) -> FluctuationIndex:
     return FluctuationIndex(gamma, gamma_max, ratio)
 
 
-def _checked_lags(lags, t_len: int) -> list[int]:
+def checked_lags(lags, t_len: int) -> list[int]:
     lags = [int(l) for l in lags]
     if any(l < 0 for l in lags):
         raise ParameterError("lags must be non-negative")
@@ -167,7 +167,7 @@ def matrix_lagged_correlation(series, lags) -> np.ndarray:
     if matrices.ndim != 3 or matrices.shape[1] != matrices.shape[2]:
         raise ParameterError(f"expected a (T,N,N) stack, got {matrices.shape}")
     t_len = matrices.shape[0]
-    lags = _checked_lags(lags, t_len)
+    lags = checked_lags(lags, t_len)
     centered = matrices - matrices.mean(axis=0)
     products = np.einsum("tij,tij->t", centered, centered)
     denom = products.mean()
@@ -191,39 +191,104 @@ def _overlaps(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("tij,tij->t", gram, gram)
 
 
+def _with_mean(factors: np.ndarray, mean: np.ndarray) -> np.ndarray:
+    """tr(X_t M) = tr(F_t' M F_t) per date."""
+    return np.einsum("tik,tik->t", mean @ factors, factors)
+
+
+class LaggedSums:
+    """Running sums that give ``factor_lagged_correlation`` of X_t = F_t F_t'
+    over T dates whose (T, N, m) factors are fed in blocks, in date order.
+
+    Kept: S = sum_t X_t, tr(X_t^2) per date, sum_t tr(X_t X_{t+tau}) per lag,
+    and the first and last max(lags) factors. With M = S / T the with-mean
+    terms follow from sum_t tr(X_t M) = T tr(M^2) minus the head and tail
+    dates a lag leaves out, so no block is held after it is fed.
+    """
+
+    def __init__(self, lags, t_len: int):
+        self.lags = checked_lags(lags, t_len)
+        self.t_len = t_len
+        self.reach = max(self.lags, default=0)
+        self.seen = 0
+        self.total = None
+        self.own: list[np.ndarray] = []
+        self.cross = np.zeros(len(self.lags))
+        self.head = self.tail = None
+
+    def add(self, factors) -> None:
+        """Feed the (b, N, m) factors of the next b dates; none is kept as a view."""
+        f = np.asarray(factors, dtype=float)
+        if f.ndim != 3:
+            raise ParameterError(f"expected a (T,N,m) factor stack, got {f.shape}")
+        if self.seen + len(f) > self.t_len:
+            raise ParameterError(f"more than {self.t_len} dates fed")
+        if self.total is None:
+            self.head = self.tail = f[:0].copy()
+            self.total = np.zeros((f.shape[1], f.shape[1]))
+        y = _side_by_side(f)
+        self.total += y @ y.T  # exactly symmetric: numpy takes Y Y' to syrk
+        del y
+        self.own.append(_overlaps(f, f))
+        carried = len(self.tail)
+        for i, lag in enumerate(self.lags):
+            if lag == 0:
+                continue
+            if lag < len(f):
+                self.cross[i] += _overlaps(f[:-lag], f[lag:]).sum()
+            # pairs whose earlier date lies in an earlier block
+            lo, hi = max(0, lag - carried), min(lag, len(f))
+            if lo < hi:
+                earlier = self.tail[carried + lo - lag : carried + hi - lag]
+                self.cross[i] += _overlaps(earlier, f[lo:hi]).sum()
+        if self.reach:
+            if self.seen < self.reach:
+                self.head = np.concatenate((self.head, f[: self.reach - self.seen]))
+            stay = max(0, min(len(self.tail), self.reach - len(f)))
+            self.tail = np.concatenate((self.tail[len(self.tail) - stay :], f[-self.reach :]))
+        self.seen += len(f)
+
+    def rho(self, stack) -> np.ndarray:
+        """rho(tau) per lag, once all T dates are fed. A constant or
+        near-static series (GRAM_MIN_GAMMA) goes to ``matrix_lagged_correlation``
+        of the F_t F_t' stack, built from the (T, N, m) factors ``stack()``
+        returns, which refuses a constant one."""
+        if self.seen != self.t_len:
+            raise ContractViolationError(f"{self.seen} of {self.t_len} dates fed")
+        t_len = self.t_len
+        mean = self.total / t_len
+        mean_sq = float(np.sum(mean * mean))
+        own = float(np.mean(np.concatenate(self.own)))
+        denom = own - mean_sq
+        if denom <= GRAM_MIN_GAMMA * own:
+            return matrix_lagged_correlation(_outer_stack(stack()), self.lags)
+        head = _with_mean(self.head, mean)
+        tail = _with_mean(self.tail, mean)
+        out = np.empty(len(self.lags))
+        for i, lag in enumerate(self.lags):
+            if lag == 0:
+                out[i] = 1.0
+                continue
+            # sum over t < T - tau of tr((X_t - M)(X_{t+tau} - M))
+            cross = (
+                self.cross[i]
+                + head[:lag].sum()
+                + tail[len(tail) - lag :].sum()
+                - (t_len + lag) * mean_sq
+            )
+            out[i] = cross / (t_len - lag) / denom
+        return out
+
+
 def factor_lagged_correlation(factors, lags) -> np.ndarray:
     """``matrix_lagged_correlation`` of X_t = F_t F_t' from the (T, N, m) factors F
     alone, by tr(X_t X_s) = ||F_t' F_s||_F^2 and tr(X_t M) = tr(F_t' M F_t) for M
-    the mean of X. A constant or near-static series (GRAM_MIN_GAMMA) goes to
-    ``matrix_lagged_correlation`` of its stack, which refuses a constant one."""
+    the mean of X, through ``LaggedSums``. A constant or near-static series
+    (GRAM_MIN_GAMMA) goes to ``matrix_lagged_correlation`` of its stack, which
+    refuses a constant one."""
     f = np.asarray(factors, dtype=float)
     if f.ndim != 3:
         raise ParameterError(f"expected a (T,N,m) factor stack, got {f.shape}")
-    t_len, n, m = f.shape
-    lags = _checked_lags(lags, t_len)
-
-    y = _side_by_side(f)
-    mean = (y @ y.T) / t_len  # exactly symmetric: numpy takes Y Y' to syrk
-    mean_sq = float(np.sum(mean * mean))
-    # tr(X_t M) per date, from the N x (T m) product M Y.
-    with_mean = np.einsum(
-        "itk,itk->t", (mean @ y).reshape(n, t_len, m), y.reshape(n, t_len, m)
-    )
-    own = _overlaps(f, f)
-    denom = float(np.mean(own - 2.0 * with_mean + mean_sq))
-    if denom <= GRAM_MIN_GAMMA * float(np.mean(own)):
-        return matrix_lagged_correlation(_outer_stack(f), lags)
-
-    out = np.empty(len(lags))
-    for i, lag in enumerate(lags):
-        if lag == 0:
-            out[i] = 1.0
-            continue
-        cross = (
-            _overlaps(f[:-lag], f[lag:]).sum()
-            - with_mean[:-lag].sum()
-            - with_mean[lag:].sum()
-            + (t_len - lag) * mean_sq
-        )
-        out[i] = cross / (t_len - lag) / denom
-    return out
+    sums = LaggedSums(lags, len(f))
+    sums.add(f)
+    return sums.rho(lambda: f)

@@ -1,6 +1,7 @@
-"""The main stage runs over blocks of dates (``runner.BLOCK_BYTES``): every
-output byte is the same whatever the block size, and a fault in a later
-block fails the run with the same error as a run in one block."""
+"""Both stages run over blocks of dates (``runner.BLOCK_BYTES``): every
+output byte of the main stage is the same whatever the block size, the lagged
+rho moves by rounding only, and a fault in a later block fails the run with
+the same error as a run in one block."""
 
 import json
 import os
@@ -15,14 +16,19 @@ from covspec import (
     load_panel,
     make_business_dates,
     map_prices,
+    generate_returns,
     rolling_covariance,
     run_analysis,
     runner,
     spectrum_series,
+    matrix_lagged_correlation,
     to_correlation,
     validate_config,
+    window_vectors,
 )
+from covspec import subspace
 from covspec.errors import AnalysisError, DegenerateAssetError
+from covspec.moments import unit_rows, weighted_windows
 
 N_ASSETS = 12
 MATRIX_BYTES = 8 * N_ASSETS**2
@@ -186,3 +192,76 @@ def test_mp_compare_alone_solves_only_the_spectra_it_reads(tmp_path, monkeypatch
     alone = bundles["covariance", "mp-compare"]
     for reference in (("covariance", "mp-compare,spectrum"), ("correlation", "mp-compare")):
         assert alone["mp_compare.json"] == bundles[reference]["mp_compare.json"], reference
+
+
+LAGGED_CFG = BLOCKED_CFG.replace("output.dump_matrices = true", "").replace(
+    "spectrum,density,mp-compare,ansatz,projectors,fluctuation", "lagged"
+) + "lagged.length = 8\nlagged.lags = 0,1,2,5,10,25\n"
+WINDOW_BYTES = 8 * N_ASSETS * 8
+# 40 return dates, an 8-date window: 33 lagged dates
+LAGGED_BLOCKINGS = {1: 33, 4: 9, 30: 2, None: 1}
+
+
+def lagged_rows(tmp_path, monkeypatch, name, per_block, text=LAGGED_CFG):
+    """The (series, lag, rho) rows of a lagged run in blocks of ``per_block``
+    dates, and the number of blocks gathered."""
+    gathered = []
+
+    def counted(returns, kernel, eval_dates):
+        gathered.append(len(eval_dates))
+        return weighted_windows(returns, kernel, eval_dates)
+
+    out = tmp_path / name
+    cfg = tmp_path / f"{name}.cfg"
+    cfg.write_text(text + f"output.dir = {out}\n")
+    with monkeypatch.context() as patch:
+        if per_block is not None:
+            patch.setattr(runner, "BLOCK_BYTES", per_block * WINDOW_BYTES)
+        patch.setattr(runner, "weighted_windows", counted)
+        assert run_analysis(validate_config(str(cfg))).complete
+    lines = (out / "lagged_correlation.csv").read_text().splitlines()[1:]
+    rows = [line.split(",") for line in lines]
+    return [(label, int(lag), float(rho)) for label, lag, rho in rows], gathered
+
+
+def test_lagged_rho_agrees_for_every_block_size(tmp_path, monkeypatch):
+    """Blocks shorter and longer than the lags: pairs across a block edge
+    come from the factors carried over."""
+    results = {}
+    for per_block, n_blocks in LAGGED_BLOCKINGS.items():
+        rows, gathered = lagged_rows(tmp_path, monkeypatch, f"lagged-{per_block}", per_block)
+        assert len(gathered) == n_blocks and sum(gathered) == 33
+        results[per_block] = rows
+    reference = results.pop(None)
+    assert {label for label, _, _ in reference} == {
+        "covariance", "correlation", "projector_k1", "projector_k3"
+    }
+    for per_block, rows in results.items():
+        assert [row[:2] for row in rows] == [row[:2] for row in reference]
+        err = max(abs(a[2] - b[2]) for a, b in zip(rows, reference))
+        assert err <= 1e-12, per_block
+
+
+def test_near_static_lagged_series_rebuild_their_stack(tmp_path, monkeypatch):
+    """With the guard above every ratio, each series takes the stacked route
+    on the whole factor stack, rebuilt after its blocks were dropped."""
+    monkeypatch.setattr(subspace, "GRAM_MIN_GAMMA", 1.0)
+    rows, gathered = lagged_rows(tmp_path, monkeypatch, "static", 4)
+    # 9 blocks, then one whole stack per series
+    assert gathered == [4] * 8 + [1] + [33] * 4
+    config = validate_config(str(tmp_path / "static.cfg"))
+    returns = generate_returns(config.ensemble)
+    compact = build_kernel("rectangular", config.lagged_length)
+    dates, windows = weighted_windows(returns, compact)
+    factors = {"covariance": windows.copy()}
+    factors["correlation"] = unit_rows(windows.copy(), dates, returns.asset_ids)
+    for k in (1, 3):
+        factors[f"projector_k{k}"] = window_vectors(windows, k)
+    want = [
+        (label, lag, float(rho))
+        for label, f in factors.items()
+        for lag, rho in zip(
+            config.lags, matrix_lagged_correlation(subspace._outer_stack(f), config.lags)
+        )
+    ]
+    assert rows == want

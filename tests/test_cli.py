@@ -216,6 +216,20 @@ def test_rank_exceeding_panel_size_fails_before_compute(tmp_path):
         run_analysis(validate_config(cfg))
 
 
+def test_lags_too_large_fail_before_any_analysis(tmp_path):
+    # 300 returns and a 21-date lagged window give 280 lagged dates
+    text = ENSEMBLE_CFG.replace("analyses = spectrum,density", "analyses = spectrum,density,lagged")
+    out = tmp_path / "out"
+    cfg = write_cfg(tmp_path, text + f"lagged.lags = 0,1,279\noutput.dir = {out}\n")
+    with pytest.raises(AnalysisError) as err:
+        run_analysis(validate_config(cfg))
+    assert str(err.value) == "subspace: lag 279 too large for a series of length 280"
+    manifest = json.loads(read_bytes(out, "manifest.json"))
+    assert manifest["complete"] is False
+    assert manifest["files"] == []
+    assert os.listdir(out) == ["manifest.json"]
+
+
 def test_module_errors_carry_stage_name(tmp_path):
     # evaluation range before any feasible date
     text = ENSEMBLE_CFG + "eval.end = 1999-01-05\n"

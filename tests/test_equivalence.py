@@ -5,8 +5,9 @@ series the stacked F_t F_t' of its factors with eigh vectors of the lagged
 covariance.
 
 Each config runs twice, once as shipped and once with the reference
-functions patched into the runner, and every number of every output must
-agree to 1e-12 relative to the largest magnitude in its column.
+functions patched into the runner. The lagged rows are computed here from
+the whole window stack, apart from the runner. Every number of every output
+must agree to 1e-12 relative to the largest magnitude in its column.
 """
 
 import csv
@@ -19,7 +20,9 @@ import pytest
 from covspec import (
     MeanProjector,
     SpectrumSeries,
+    build_kernel,
     eigendecompose,
+    generate_returns,
     matrix_lagged_correlation,
     projector_series,
     run_analysis,
@@ -28,6 +31,7 @@ from covspec import (
     validate_config,
     window_vectors,
 )
+from covspec.moments import weighted_windows
 
 RTOL = 1e-12
 
@@ -81,8 +85,25 @@ def reference_window_vectors(windows, k):
     return np.array([eigendecompose(m).vectors[:, :k] for m in outer_stack(windows)])
 
 
-def reference_factor_rho(factors, lags):
-    return matrix_lagged_correlation(outer_stack(factors), lags)
+def reference_lagged_columns(config):
+    """The columns of lagged_correlation.csv from the whole (T,N,L) window
+    stack: stacked F_t F_t' of each series, eigh vectors for the projectors."""
+    compact = build_kernel("rectangular", config.lagged_length)
+    windows = weighted_windows(generate_returns(config.ensemble), compact)[1]
+    factors = {
+        "covariance": windows,
+        "correlation": windows / np.linalg.norm(windows, axis=2, keepdims=True),
+    }
+    ranks = [k for k in config.projector_ranks if k <= config.lagged_length]
+    vectors = reference_window_vectors(windows, max(ranks))
+    factors.update({f"projector_k{k}": vectors[:, :, :k] for k in ranks})
+    rows = [
+        (name, lag, rho)
+        for name, f in factors.items()
+        for lag, rho in zip(config.lags, matrix_lagged_correlation(outer_stack(f), config.lags))
+    ]
+    series, lags, rhos = zip(*rows)
+    return {"series": list(series), "lag": np.array(lags, dtype=float), "rho": np.array(rhos)}
 
 
 def read_columns(path):
@@ -105,10 +126,14 @@ def read_columns(path):
     return columns
 
 
-def run(tmp_path, name, case):
+def case_config(tmp_path, name, case):
     cfg = tmp_path / f"{name}.cfg"
     cfg.write_text(ALL_ANALYSES.format(**case) + f"output.dir = {tmp_path / name}\n")
-    return run_analysis(validate_config(str(cfg)))
+    return validate_config(str(cfg))
+
+
+def run(tmp_path, name, case):
+    return run_analysis(case_config(tmp_path, name, case))
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -120,30 +145,34 @@ def test_outputs_match_reference_solvers(tmp_path, monkeypatch, case):
         return window_vectors(windows, k)
 
     def counted_spectrum_series(series, n_vectors=0):
-        kept_vectors.append(n_vectors)
+        kept_vectors.append((series.flavor, n_vectors))
         return spectrum_series(series, n_vectors)
 
     with monkeypatch.context() as patch:
         patch.setattr(runner, "window_vectors", counted_window_vectors)
         patch.setattr(runner, "spectrum_series", counted_spectrum_series)
         shipped = run(tmp_path, "shipped", CASES[case])
-    # main spectra keep max(k) vectors and the M-P correlation spectra none;
-    # the lagged stage takes max(k) vectors from its windows
+    # per block of dates: the main (covariance) spectra keep max(k) vectors
+    # and the M-P correlation spectra none; the lagged stage takes max(k)
+    # vectors from its windows
     k_max = max(int(k) for k in CASES[case]["ranks"].split(","))
-    assert svd_ranks == [k_max]
-    assert kept_vectors == [k_max, 0]
+    assert svd_ranks and set(svd_ranks) == {k_max}
+    main_calls = kept_vectors[0::2]
+    assert main_calls and main_calls == [("covariance", k_max)] * len(main_calls)
+    assert kept_vectors[1::2] == [("correlation", 0)] * len(main_calls)
     with monkeypatch.context() as patch:
         patch.setattr(runner, "spectrum_series", reference_spectra)
         patch.setattr(runner, "mean_projector", reference_mean_projector)
-        patch.setattr(runner, "window_vectors", reference_window_vectors)
-        patch.setattr(runner, "factor_lagged_correlation", reference_factor_rho)
         reference = run(tmp_path, "reference", CASES[case])
 
     assert shipped.files == reference.files
     assert len(shipped.files) == 9
     for name in shipped.files:
         got = read_columns(os.path.join(shipped.output_dir, name))
-        want = read_columns(os.path.join(reference.output_dir, name))
+        if name == "lagged_correlation.csv":
+            want = reference_lagged_columns(case_config(tmp_path, "lagged", CASES[case]))
+        else:
+            want = read_columns(os.path.join(reference.output_dir, name))
         assert got.keys() == want.keys(), name
         for key, expected in want.items():
             actual = got[key]

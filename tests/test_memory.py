@@ -7,9 +7,9 @@ statistics read only the (T,N,k) leading vectors and never hold a (T,N,N)
 stack. The runner's main stage calls those loops on one block of dates at a
 time (``runner.BLOCK_BYTES``), so a whole run holds one block of matrices
 plus the (T,N) values and (T,N,k) vectors, well below one (T,N,N) stack. The
-lagged stage reads only (T,N,L) return windows and the factors derived from
-them, and scales the windows to unit rows in place: it holds the window
-stack plus the two window-sized temporaries of ``factor_lagged_correlation``.
+lagged stage gathers its (T,N,L) return windows one block of dates at a
+time too, feeds them to running sums and drops them, so its peak does not
+grow with the number of dates and stays below one window stack.
 """
 
 import tracemalloc
@@ -112,24 +112,30 @@ class TableSink:
         self.tables[stem] = rows
 
 
-def test_lagged_stage_peaks_below_one_stack():
-    n, n_dates, length = 120, 300, 21
+def lagged_stage_peak(n_dates, n=120, length=21):
     spec = EnsembleSpec("one-factor", n, length + n_dates - 1, beta=0.5, seed=4)
     returns = generate_returns(spec)
     config = SimpleNamespace(
         lagged_length=length, lags=(0, 1, 5, 21), projector_ranks=(1, 2, 5)
     )
+    dates = runner._lagged_dates(returns, config, None)
     sink = TableSink()
-    peak, _ = peak_added_bytes(lambda: runner._lagged_file(sink, returns, config, None))
+    peak, _ = peak_added_bytes(lambda: runner._lagged_file(sink, returns, config, dates))
     rows = sink.tables["lagged_correlation"]
     assert [label for label, lag, _ in rows if lag == 0] == [
         "covariance", "correlation", "projector_k1", "projector_k2", "projector_k5"
     ]
-    assert peak < 8 * n_dates * n**2
-    # the raw windows' reads come first, then they are scaled to unit rows in
-    # place: no second window stack is held next to factor_lagged_correlation's
-    # two window-sized temporaries
-    assert peak < 3.5 * 8 * n_dates * n * length
+    return peak, 8 * n_dates * n * length
+
+
+def test_lagged_stage_peaks_below_one_stack(monkeypatch):
+    monkeypatch.setattr(runner, "BLOCK_BYTES", 40 * 8 * 120 * 21)  # 40 dates
+    short, short_stack = lagged_stage_peak(300)
+    long, long_stack = lagged_stage_peak(1200)
+    # one block of windows and the running sums, whatever the number of dates
+    assert max(short, long) < 1.25 * min(short, long)
+    assert short < short_stack
+    assert long < long_stack
 
 
 def test_main_stage_holds_no_matrix_stack(tmp_path, monkeypatch):

@@ -23,7 +23,7 @@ from covspec import (
     spectrum_series,
 )
 from covspec import subspace
-from covspec.subspace import GRAM_MIN_GAMMA, LAGGED_KERNEL_LENGTH
+from covspec.subspace import GRAM_MIN_GAMMA, LAGGED_KERNEL_LENGTH, LaggedSums
 from covspec.errors import (
     ContractViolationError,
     DegenerateSeriesError,
@@ -433,3 +433,40 @@ def test_gram_rho_rejects_static_subspace_and_bad_lags():
         factor_lagged_correlation(vectors, [9])
     with pytest.raises(ParameterError):
         factor_lagged_correlation(vectors, [-1])
+
+
+def fed_in_blocks(factors, lags, step):
+    sums = LaggedSums(lags, len(factors))
+    for lo in range(0, len(factors), step):
+        sums.add(factors[lo : lo + step])
+    return sums.rho(lambda: factors)
+
+
+@pytest.mark.parametrize("step", [1, 3, 7, 40, 200])
+def test_sums_fed_in_blocks_match_stacked_rho(step):
+    """Blocks shorter and longer than the lags: the pairs across a block edge
+    come from the carried factors."""
+    factors = drifting_factors(1e-1)
+    lags = [0, 1, 3, 10, 40]
+    stacked = matrix_lagged_correlation(outer_stack(factors), lags)
+    rho = fed_in_blocks(factors, lags, step)
+    assert rho[0] == 1.0
+    assert np.abs(rho - stacked).max() <= 1e-12
+
+
+def test_near_static_sums_take_the_stacked_route():
+    factors = drifting_factors(1e-3)
+    lags = [0, 1, 3, 10, 40]
+    stacked = matrix_lagged_correlation(outer_stack(factors), lags)
+    assert np.array_equal(fed_in_blocks(factors, lags, 7), stacked)
+
+
+def test_sums_need_every_date():
+    factors = drifting_factors(1e-1)
+    sums = LaggedSums([0, 1], len(factors))
+    sums.add(factors[:-1])
+    with pytest.raises(ContractViolationError, match="199 of 200 dates"):
+        sums.rho(lambda: factors)
+    sums.add(factors[-1:])
+    with pytest.raises(ParameterError, match="more than 200 dates"):
+        sums.add(factors[:1])
