@@ -281,12 +281,15 @@ def _mp_compare_file(writer, corr_spectra, kernel, n_assets, config) -> None:
 
 def _ansatz_files(writer, spectra) -> None:
     mean = log_mean_spectrum(spectra)
-    fit = fit_ansatz(mean)
+    # Each date's floor keeps a prefix of its ranks, so every date resolves
+    # the first r (r = L when N > L).
+    resolved = int(np.count_nonzero(mean.counts == len(spectra)))
+    fit = fit_ansatz(mean.values[:resolved])
     writer.write_json(
         "ansatz.json",
         {
             "a": fit.a,
-            "b": fit.b,
+            "b": _json_cell(fit.b),
             "eps_mid": fit.eps_mid,
             "rms_residual": fit.rms_residual,
             "fit_range": list(fit.fit_range),

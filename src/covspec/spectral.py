@@ -10,7 +10,8 @@ three-parameter parametric fit of the log spectrum
     ln eps(alpha) = ln eps_mid + a*x / (1 - (2x/b)**4),   x = 1/2 - alpha/N,
 
 and the density-of-states curve it implies, whose leading term is
-1/(a*eps).
+1/(a*eps). ln eps_mid and a enter the fit linearly, so it searches
+c = (2/b)**4 alone (variable projection, Golub & Pereyra 1973).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import lapack
-from scipy.optimize import brentq, least_squares, minimize_scalar
+from scipy.optimize import brentq, minimize_scalar
 
 from .errors import (
     ContractViolationError,
@@ -421,11 +422,17 @@ def default_fit_range(n_ranks: int) -> tuple[int, int]:
 
 
 def fit_ansatz(mean_spectrum, fit_range: tuple[int, int] | None = None) -> AnsatzFit:
-    """Least-squares fit of (a, b, ln eps_mid) to a per-rank mean spectrum.
+    """Least-squares fit of (a, b, ln eps_mid) to a per-rank mean spectrum,
+    by variable projection over c = (2/b)**4 in [0, c_max].
 
-    Non-positive or NaN ranks inside the range are dropped. Raises FitError
-    when the solver fails or when the fitted curvature b does not exceed
-    max|2x| over the range (the shape is singular there).
+    For each c, ln eps_mid and a are the linear least squares of ln eps on
+    x / (1 - c*x**4), with residuals r, and g(c) = a * sum(r * x**5 /
+    (1 - c*x**4)**2) is the exact gradient of that residual. c = 0 (b = inf)
+    unless g(0) is negative beyond rounding; then c is the root of g on
+    [0, c_max], kept only if its residual is no larger than at c = 0.
+    c_max lies just below 1/max x**4, where the shape is singular
+    (b = max|2x|). Non-positive or NaN ranks inside the range are dropped.
+    Raises FitError when g is still negative at c_max or a is not positive.
     """
     values = np.asarray(getattr(mean_spectrum, "values", mean_spectrum), dtype=float)
     n = values.size
@@ -446,57 +453,39 @@ def fit_ansatz(mean_spectrum, fit_range: tuple[int, int] | None = None) -> Ansat
         )
     x = 0.5 - ranks[good] / n
     y = np.log(vals[good])
-    max2x = float(np.max(np.abs(2.0 * x)))
+    x4 = x**4
+    c_max = (1.0 - 1e-8) / float(x4.max())
 
-    def residuals(p):
-        a, b, ln_mid = p
-        u = (2.0 * x / b) ** 4
-        return ln_mid + a * x / (1.0 - u) - y
+    def projection(c):
+        """a, ln eps_mid, the residuals and g(c) of the linear fit at c."""
+        denom = 1.0 - c * x4
+        z = x / denom
+        zc, yc = z - z.mean(), y - y.mean()
+        a = float(zc @ yc / (zc @ zc))
+        r = a * zc - yc
+        return a, float(y.mean() - a * z.mean()), r, a * float(r @ (x * x4 / denom**2))
 
-    def jacobian(p):
-        a, b, _ = p
-        u = (2.0 * x / b) ** 4
-        denom = 1.0 - u
-        jac = np.empty((x.size, 3))
-        jac[:, 0] = x / denom
-        jac[:, 1] = -4.0 * a * x * u / (b * denom**2)
-        jac[:, 2] = 1.0
-        return jac
-
-    # Slope of ln eps vs rank at the center is -a/N.
-    central = np.argsort(np.abs(x))[: max(4, x.size // 5)]
-    slope = np.polyfit(ranks[good][central], y[central], 1)[0]
-    a0 = max(-slope * n, 0.1)
-    b0 = max(1.2, max2x * 1.25)
-    ln_mid0 = float(np.interp(0.0, x[::-1], y[::-1]))
-
-    b_min = max2x * (1.0 + 1e-9)
-    result = least_squares(
-        residuals,
-        np.array([a0, b0, ln_mid0]),
-        jac=jacobian,
-        method="trf",
-        bounds=([1e-12, b_min, -np.inf], [np.inf, np.inf, np.inf]),
-        xtol=1e-10,
-        ftol=1e-14,
-        gtol=1e-14,
-    )
-    rms = float(np.sqrt(np.mean(result.fun**2)))
-    if result.status <= 0:
+    c = 0.0
+    a, ln_mid, r, g = projection(c)
+    # An ulp of max|ln eps| on every rank moves g(0) by up to |a| eps max|y|
+    # sum|x^5|: a g(0) within a few of those leaves b unidentified.
+    eps = np.finfo(float).eps
+    if g < -8.0 * eps * abs(a) * float(np.abs(y).max() * np.sum(np.abs(x) ** 5)):
+        c = c_max
+        if projection(c_max)[3] >= 0.0:
+            root = brentq(lambda t: projection(t)[3], 0.0, c_max, xtol=4.0 * eps * c_max)
+            c = root if np.sum(projection(root)[2] ** 2) <= r @ r else 0.0
+        a, ln_mid, r, _ = projection(c)
+    b = 2.0 / c**0.25 if c > 0.0 else math.inf
+    rms = float(np.sqrt(np.mean(r**2)))
+    if c == c_max or not a > 0.0:
         raise FitError(
-            f"spectrum fit did not converge: {result.message}",
-            best_params=result.x,
+            f"spectrum fit has no decaying minimum short of the singular "
+            f"curvature b = max|2x|: a={a:.6g}, b={b:.6g}",
+            best_params=(a, b, ln_mid),
             residual=rms,
         )
-    a, b, ln_mid = result.x
-    if b <= max2x * (1.0 + 1e-8):
-        raise FitError(
-            f"fitted curvature b={b:.6g} does not exceed max|2x|={max2x:.6g} "
-            "over the fit range",
-            best_params=result.x,
-            residual=rms,
-        )
-    return AnsatzFit(float(a), float(b), float(np.exp(ln_mid)), rms, (lo, hi), n)
+    return AnsatzFit(a, b, math.exp(ln_mid), rms, (lo, hi), n)
 
 
 def density_of_states_curve(fit: AnsatzFit, eps_grid) -> DensityCurve:

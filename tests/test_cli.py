@@ -175,6 +175,27 @@ output.format = json
     assert [row["ratio"] is None for row in fluct] == [False, True]
 
 
+def test_ansatz_fits_only_the_ranks_every_date_resolves(tmp_path):
+    # N=40 > L=30: each covariance has rank 30, so ranks above 30 are below
+    # the floor at every date and the fit runs on x = 1/2 - alpha/30
+    text = """
+ensemble.kind = one-factor
+ensemble.assets = 40
+ensemble.dates = 200
+ensemble.beta = 0.4
+ensemble.seed = 2
+kernel.scheme = rectangular
+kernel.length = 30
+analyses = ansatz
+"""
+    run_analysis(validate_config(write_cfg(tmp_path, text + f"output.dir = {tmp_path}\n")))
+    fit = json.loads(read_bytes(tmp_path, "ansatz.json"))
+    assert fit["n_ranks"] == 30
+    lo, hi = fit["fit_range"]
+    assert 1 <= lo < hi <= 30
+    assert fit["a"] > 0 and 1.0 < fit["b"] < 2.0
+
+
 def test_lagged_projectors_take_ranks_up_to_lagged_length(tmp_path):
     text = ENSEMBLE_CFG.replace("analyses = spectrum,density", "analyses = projectors,lagged") + (
         "projectors.ranks = 1,6\nlagged.lags = 0,1\nlagged.length = 5\n"

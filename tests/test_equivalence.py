@@ -180,7 +180,10 @@ def test_outputs_match_reference_solvers(tmp_path, monkeypatch, case):
                 assert actual == expected, (name, key)
                 continue
             assert actual.shape == expected.shape, (name, key)
-            scale = max(float(np.nanmax(np.abs(expected))), 1e-300)
             assert np.array_equal(np.isnan(actual), np.isnan(expected)), (name, key)
+            if np.isnan(expected).all():
+                # null on both sides, as ansatz.json's b without a quartic term
+                continue
+            scale = max(float(np.nanmax(np.abs(expected))), 1e-300)
             err = float(np.nanmax(np.abs(actual - expected)))
             assert err <= RTOL * scale, (name, key, err / scale)

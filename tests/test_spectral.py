@@ -29,7 +29,7 @@ from covspec import (
 )
 from covspec import run_analysis, spectral, to_correlation, validate_config
 from covspec.moments import weighted_windows
-from covspec.errors import ContractViolationError, NumericalError, ParameterError
+from covspec.errors import ContractViolationError, FitError, NumericalError, ParameterError
 from testutil import random_covariance_series, random_symmetric
 
 
@@ -563,6 +563,87 @@ def test_fit_skips_non_positive_ranks():
     eps[60] = np.nan
     fit = fit_ansatz(eps)
     assert fit.a == pytest.approx(8.0, rel=1e-6)
+
+
+def projected_rms(eps, fit, c):
+    """rms residual of the linear least squares of ln eps on [1, x/(1-c x^4)]
+    over the fit's ranks: the variable-projection objective at c."""
+    lo, hi = fit.fit_range
+    x = 0.5 - np.arange(lo, hi + 1) / fit.n_ranks
+    y = np.log(eps[lo - 1 : hi])
+    design = np.column_stack([np.ones_like(x), x / (1.0 - c * x**4)])
+    coef = np.linalg.lstsq(design, y, rcond=None)[0]
+    return float(np.sqrt(np.mean((design @ coef - y) ** 2)))
+
+
+def test_log_linear_spectrum_fits_no_quartic_term():
+    for n, a, eps_mid in [(20, 3.0, 3.0), (100, 8.0, 1e-4), (150, 14.0, 0.6), (333, 0.5, 0.6)]:
+        x = 0.5 - np.arange(1, n + 1) / n
+        fit = fit_ansatz(np.exp(math.log(eps_mid) + a * x))
+        assert fit.b == math.inf, (n, a, eps_mid)
+        assert fit.a == pytest.approx(a, rel=1e-12)
+        assert fit.eps_mid == pytest.approx(eps_mid, rel=1e-12)
+        grid = np.geomspace(*fit.eps_range(), 50)
+        curve = density_of_states_curve(fit, grid)
+        assert np.all(curve.in_range)
+        np.testing.assert_allclose(curve.density, 1.0 / (fit.a * grid), rtol=1e-12)
+
+
+def test_fitted_curvature_minimises_the_projected_residual():
+    rng = np.random.default_rng(17)
+    eps = synthesize_spectrum(8.0, 1.1, 1e-4, 100) * np.exp(0.05 * rng.standard_normal(100))
+    fit = fit_ansatz(eps)
+    c = (2.0 / fit.b) ** 4
+    assert 0.0 < c < 1.0 / 0.4**4
+    at_c = projected_rms(eps, fit, c)
+    assert at_c == pytest.approx(fit.rms_residual, rel=1e-12)
+    for other in (c * (1.0 - 1e-6), c * (1.0 + 1e-6), 0.0):
+        assert at_c <= projected_rms(eps, fit, other), other
+
+
+def test_root_with_a_larger_residual_than_no_curvature_is_not_kept(monkeypatch):
+    # a root of g that is a maximum of the residual (g can change sign more
+    # than once) loses to c = 0; here the root finder is made to land next
+    # to the singular end, where the residual is far above its value at 0
+    eps = synthesize_spectrum(8.0, 1.1, 1e-4, 100)
+    monkeypatch.setattr(spectral, "brentq", lambda f, lo, hi, **kw: hi * (1.0 - 1e-6))
+    fit = fit_ansatz(eps)
+    assert fit.b == math.inf
+    x = 0.5 - np.arange(11, 91) / 100
+    assert fit.a == pytest.approx(np.polyfit(x, np.log(eps[10:90]), 1)[0], rel=1e-12)
+
+
+def test_fit_is_insensitive_to_last_bit_noise():
+    # The mean spectrum of a seeded long-memory run, whose fit has b near 1.24.
+    # Relative noise of 1e-14 on it moves the variable-projection fit's a, b
+    # and eps_mid by at most 2e-14 over these draws; the three-parameter TRF
+    # solve it replaced moved b by 9e-10 and a by 3e-10. The 1e-12 bound
+    # leaves rounding room for the former and must not be loosened.
+    spec = EnsembleSpec("one-factor", 60, 159, beta=0.5, seed=3)
+    kernel = build_kernel("long-memory", 120, tau0_days=1560)
+    mean = log_mean_spectrum(spectrum_series(rolling_covariance(generate_returns(spec), kernel)))
+    base = fit_ansatz(mean)
+    assert 1.0 < base.b < 2.0
+    rng = np.random.default_rng(2024)
+    for _ in range(20):
+        noisy = fit_ansatz(mean.values * (1.0 + 1e-14 * rng.standard_normal(mean.n_ranks)))
+        assert noisy.a == pytest.approx(base.a, rel=1e-12, abs=0.0)
+        assert noisy.b == pytest.approx(base.b, rel=1e-12, abs=0.0)
+        assert noisy.eps_mid == pytest.approx(base.eps_mid, rel=1e-12, abs=0.0)
+
+
+def test_fit_errors_name_the_failed_shape():
+    # flat but for one low rank at the end of the range: the residual falls
+    # all the way to the singular curvature b = max|2x|
+    eps = np.ones(100)
+    eps[89] = math.exp(-1.0)
+    with pytest.raises(FitError, match="singular curvature") as failed:
+        fit_ansatz(eps)
+    assert failed.value.best_params[1] == pytest.approx(0.8, rel=1e-8)
+    # a rising spectrum has no positive decay scale a
+    with pytest.raises(FitError, match="singular curvature") as failed:
+        fit_ansatz(synthesize_spectrum(8.0, 1.1, 1e-4, 100)[::-1])
+    assert failed.value.best_params[0] < 0.0
 
 
 # ---------------------------------------------------------------- density of states
