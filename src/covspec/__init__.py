@@ -18,7 +18,6 @@ from .moments import (
     CORRELATION,
     COVARIANCE,
     CovarianceSeries,
-    dump_matrices,
     rolling_covariance,
     to_correlation,
 )
@@ -97,7 +96,6 @@ __all__ = [
     "default_density_bins",
     "default_fit_range",
     "density_of_states_curve",
-    "dump_matrices",
     "effective_length",
     "eigendecompose",
     "eigenvalues",

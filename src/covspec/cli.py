@@ -48,7 +48,7 @@ def _collect_overrides(args) -> dict[str, str]:
         if not sep or not key.strip():
             raise ConfigError([f"--set expects KEY=VALUE, got {item!r}"])
         overrides[key.strip()] = value.strip()
-    if args.out:
+    if args.out is not None:
         overrides["output.dir"] = args.out
     if args.seed is not None:
         overrides["ensemble.seed"] = str(args.seed)
@@ -85,7 +85,7 @@ def main(argv=None) -> int:
         for message in exc.errors:
             print(f"error: {message}", file=sys.stderr)
         return 1
-    except CovspecError as exc:
+    except (CovspecError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

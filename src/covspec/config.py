@@ -297,7 +297,8 @@ def config_from_mapping(
     ensemble = None
     if values["input.path"] and ensemble_keys:
         errors.append(
-            "ambiguous input: both input.path and ensemble.* are set; choose one"
+            f"ambiguous input: input.path and {', '.join(sorted(ensemble_keys))} "
+            "are set; choose one"
         )
     elif not values["input.path"] and not ensemble_keys:
         errors.append("no input: set input.path or ensemble.kind")
@@ -342,7 +343,7 @@ def validate_config(
 
     Raises ConfigError carrying every collected error, not just the first.
     """
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         mapping, parse_errors = parse_flat_text(fh.read())
     for key, value in (overrides or {}).items():
         mapping[key] = value

@@ -7,12 +7,12 @@ return vectors,
 
 with no mean subtraction. Every evaluation date gets its own direct product
 of its window, whatever the kernel, so no date carries rounding error over
-from another.
+from another. This module writes no files: the runner's bundle writer dumps
+the matrices.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -153,22 +153,3 @@ def to_correlation(series: CovarianceSeries) -> CovarianceSeries:
         np.fill_diagonal(corr, 1.0)
         out[t] = np.clip(corr, -1.0, 1.0)
     return CovarianceSeries(CORRELATION, series.dates, out, series.kernel, series.assets)
-
-
-def dump_matrices(series: CovarianceSeries, directory) -> list[str]:
-    """Write one dense lower-triangle CSV per date; returns the file names."""
-    os.makedirs(directory, exist_ok=True)
-    # "%.17g" % v and f"{v:.17g}" give the same text; one template per row
-    # length formats a whole row in one call.
-    templates = [",".join(["%.17g"] * (i + 1)) + "\n" for i in range(series.n_assets)]
-    names = []
-    for t, date in enumerate(series.dates):
-        name = f"{series.flavor}_{date}.csv"
-        rows = series.matrices[t].tolist()
-        with open(os.path.join(directory, name), "w") as fh:
-            fh.write("".join(
-                template % tuple(row[: i + 1])
-                for i, (template, row) in enumerate(zip(templates, rows))
-            ))
-        names.append(name)
-    return names

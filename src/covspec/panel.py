@@ -152,7 +152,7 @@ def load_panel(path, config: IngestConfig) -> PricePanel:
     ``config.missing_policy``; each fill is recorded as a provenance line
     ``<date>,<asset>,forward-fill``.
     """
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

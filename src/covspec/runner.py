@@ -4,12 +4,18 @@ Every enabled analysis writes plot-ready CSV/JSON files into the output
 directory; a manifest records each file with its content hash plus the
 resolved config. Outputs are byte-deterministic for a fixed config and
 seed. On failure the manifest is still written, marked incomplete.
+
+Every file covspec writes, the bundle's (tables, matrix dumps, provenance
+log, JSON, manifest) and the synth CSV, is UTF-8 text written here by
+``_write_text``, and every CSV row is formatted by the template
+``_template`` gives its shape.
 """
 
 from __future__ import annotations
 
 import datetime as _dt
 import hashlib
+import itertools
 import json
 import logging
 import math
@@ -30,7 +36,7 @@ from .errors import (
 from .kernels import build_kernel, effective_length
 from .moments import (
     CORRELATION,
-    dump_matrices,
+    CovarianceSeries,
     resolve_eval_indices,
     rolling_covariance,
     to_correlation,
@@ -64,6 +70,9 @@ logger = logging.getLogger(__name__)
 
 MANIFEST_NAME = "manifest.json"
 
+# json.dump's encoder for every JSON file, the manifest included
+_JSON = json.JSONEncoder(indent=2, sort_keys=True, allow_nan=False)
+
 # Both stages run over blocks of dates holding at most this many bytes: of
 # N x N matrices in the main stage, of N x L return windows in the lagged one.
 # So no (T,N,N) matrix stack and no (T,N,L) window stack is built: a run holds
@@ -86,10 +95,30 @@ class ReportBundle:
     complete: bool
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return f"{value:.17g}"
-    return str(value)
+def _template(types: tuple[type, ...]) -> str:
+    """The % template of a CSV row whose cells have these types: "%.17g" for
+    a float cell, which gives f"{v:.17g}"'s text (nan, inf and -0 included),
+    and "%s" for any other cell."""
+    return ",".join("%.17g" if issubclass(t, float) else "%s" for t in types) + "\n"
+
+
+def _csv_lines(header, rows):
+    """A CSV table as text lines: the header, then each row formatted by the
+    template of its shape."""
+    yield ",".join(header) + "\n"
+    templates: dict[tuple[type, ...], str] = {}
+    for row in rows:
+        row = tuple(row)
+        shape = tuple(map(type, row))
+        if shape not in templates:
+            templates[shape] = _template(shape)
+        yield templates[shape] % row
+
+
+def _write_text(path: str, lines) -> None:
+    """Write text lines as UTF-8, whatever the locale."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(lines)
 
 
 def _json_cell(value):
@@ -103,7 +132,7 @@ def _json_cell(value):
 
 
 class _BundleWriter:
-    """Accumulates output files and writes the manifest."""
+    """Writes every file of a bundle, registering each, and then the manifest."""
 
     def __init__(self, output_dir: str, out_format: str):
         self.output_dir = output_dir
@@ -111,61 +140,39 @@ class _BundleWriter:
         self.files: list[str] = []
         os.makedirs(output_dir, exist_ok=True)
 
-    def _register(self, name: str) -> None:
+    def _write(self, name: str, lines) -> str:
+        _write_text(os.path.join(self.output_dir, name), lines)
         self.files.append(name)
+        return name
 
     def write_table(self, stem: str, header: list[str], rows) -> str:
         """Write a tabular output as CSV, or as a JSON row list when the
         run format is json."""
         if self.out_format == "json":
-            name = f"{stem}.json"
             payload = [{key: _json_cell(v) for key, v in zip(header, row)} for row in rows]
-            self.write_json(name, payload)
-            return name
-        lines = (",".join(_fmt(v) for v in row) + "\n" for row in rows)
-        return self._write_csv(stem, header, lines)
-
-    def write_series(self, stem: str, header: list[str], labels, values: np.ndarray) -> str:
-        """Write a table whose rows are a label and a row of the float matrix
-        ``values``. As CSV one "%.17g" template formats each row: the text
-        ``_fmt`` gives (nan and -0 included) in about half the time."""
-        if self.out_format == "json":
-            return self.write_table(
-                stem, header, ([label, *row] for label, row in zip(labels, values))
-            )
-        template = "%s" + ",%.17g" * values.shape[1] + "\n"
-        lines = (template % (label, *row) for label, row in zip(labels, values.tolist()))
-        return self._write_csv(stem, header, lines)
-
-    def _write_csv(self, stem: str, header: list[str], lines) -> str:
-        name = f"{stem}.csv"
-        path = os.path.join(self.output_dir, name)
-        with open(path, "w") as fh:
-            fh.write(",".join(header) + "\n")
-            fh.writelines(lines)
-        self._register(name)
-        return name
+            return self.write_json(f"{stem}.json", payload)
+        return self._write(f"{stem}.csv", _csv_lines(header, rows))
 
     def write_json(self, name: str, payload) -> str:
-        path = os.path.join(self.output_dir, name)
-        with open(path, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
-            fh.write("\n")
-        self._register(name)
-        return name
+        """Write strict JSON, streamed chunk by chunk as json.dump does."""
+        return self._write(name, itertools.chain(_JSON.iterencode(payload), ("\n",)))
 
     def write_lines(self, name: str, lines) -> str:
-        path = os.path.join(self.output_dir, name)
-        with open(path, "w") as fh:
-            for line in lines:
-                fh.write(line + "\n")
-        self._register(name)
-        return name
+        return self._write(name, (line + "\n" for line in lines))
 
-    def register_external(self, names) -> None:
-        self.files.extend(names)
+    def write_matrices(self, series: CovarianceSeries) -> None:
+        """Write each date's matrix as ``matrices/<flavor>_<date>.csv``: its
+        lower triangle, one row per asset, no header, CSV in either format."""
+        os.makedirs(os.path.join(self.output_dir, "matrices"), exist_ok=True)
+        # every cell is a float: one template per row length, no type test
+        templates = [_template((float,) * (i + 1)) for i in range(series.n_assets)]
+        for date, matrix in zip(series.dates, series.matrices):
+            rows = zip(templates, matrix.tolist())
+            text = "".join(t % tuple(row[: i + 1]) for i, (t, row) in enumerate(rows))
+            self._write(os.path.join("matrices", f"{series.flavor}_{date}.csv"), (text,))
 
     def write_manifest(self, config: RunConfig, complete: bool, error: str | None = None) -> str:
+        """Write the manifest of every file written so far; returns its path."""
         entries = []
         for name in sorted(self.files):
             path = os.path.join(self.output_dir, name)
@@ -181,11 +188,7 @@ class _BundleWriter:
         manifest = {"complete": complete, "config": config.flat(), "files": entries}
         if error is not None:
             manifest["error"] = error
-        path = os.path.join(self.output_dir, MANIFEST_NAME)
-        with open(path, "w") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True, allow_nan=False)
-            fh.write("\n")
-        return path
+        return os.path.join(self.output_dir, self.write_json(MANIFEST_NAME, manifest))
 
 
 def _stage(name: str, fn):
@@ -223,7 +226,11 @@ def _eval_range(config: RunConfig, returns: ReturnPanel):
 def _spectrum_files(writer, spectra: SpectrumSeries) -> None:
     n = spectra.n_assets
     header = ["date"] + [f"eps_{i}" for i in range(1, n + 1)]
-    writer.write_series("spectrum", header, spectra.dates, spectra.values)
+    writer.write_table(
+        "spectrum",
+        header,
+        ([date, *row] for date, row in zip(spectra.dates, spectra.values.tolist())),
+    )
     mean = log_mean_spectrum(spectra)
     writer.write_table(
         "mean_spectrum",
@@ -407,8 +414,7 @@ def _main_stage(writer, returns, kernel, dates, config):
         if config.flavor == CORRELATION:
             base = _stage("moments", lambda: to_correlation(cov))
         if config.dump_matrices:
-            names = dump_matrices(base, os.path.join(config.output_dir, "matrices"))
-            writer.register_external(os.path.join("matrices", name) for name in names)
+            writer.write_matrices(base)
         if need_spectra:
             part = _stage("spectral", lambda: spectrum_series(base, n_vectors=n_vectors))
             values[rows] = part.values
@@ -482,10 +488,9 @@ def run_analysis(config: RunConfig) -> ReportBundle:
         manifest_path = writer.write_manifest(config, complete=False, error=str(exc))
         logger.error("run failed, wrote incomplete manifest %s", manifest_path)
         raise
+    files = tuple(sorted(writer.files))
     manifest_path = writer.write_manifest(config, complete=True)
-    return ReportBundle(
-        config.output_dir, tuple(sorted(writer.files)), manifest_path, True
-    )
+    return ReportBundle(config.output_dir, files, manifest_path, True)
 
 
 def _previous_weekday(iso_date: str) -> str:
@@ -513,18 +518,13 @@ def run_synth(config: RunConfig) -> str:
     else:
         path = os.path.join(config.output_dir, f"{config.synth_output}.csv")
 
-    ids = panel.asset_ids
-    with open(path, "w") as fh:
-        fh.write("date," + ",".join(ids) + "\n")
-        if config.synth_output == "returns":
-            for t, date in enumerate(panel.dates):
-                fh.write(date + "," + ",".join(f"{v:.17g}" for v in panel.returns[:, t]) + "\n")
-        else:
-            x = np.concatenate(
-                [np.zeros((panel.n_assets, 1)), np.cumsum(panel.returns, axis=1)], axis=1
-            )
-            prices = np.exp(x)
-            dates = (_previous_weekday(panel.dates[0]), *panel.dates)
-            for t, date in enumerate(dates):
-                fh.write(date + "," + ",".join(f"{v:.17g}" for v in prices[:, t]) + "\n")
+    if config.synth_output == "returns":
+        dates, values = panel.dates, panel.returns
+    else:
+        x = np.concatenate(
+            [np.zeros((panel.n_assets, 1)), np.cumsum(panel.returns, axis=1)], axis=1
+        )
+        dates, values = (_previous_weekday(panel.dates[0]), *panel.dates), np.exp(x)
+    rows = ([date, *row] for date, row in zip(dates, values.T.tolist()))
+    _write_text(path, _csv_lines(["date", *panel.asset_ids], rows))
     return path

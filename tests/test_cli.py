@@ -1,5 +1,8 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +20,7 @@ from covspec import (
 )
 from covspec.cli import main
 from covspec.errors import AnalysisError
-from covspec.runner import _BundleWriter, _fmt
+from covspec.runner import _BundleWriter
 
 ENSEMBLE_CFG = """
 ensemble.kind = gaussian-iid
@@ -32,7 +35,7 @@ analyses = spectrum,density
 
 def write_cfg(tmp_path, text, name="run.cfg"):
     path = tmp_path / name
-    path.write_text(text)
+    path.write_text(text, encoding="utf-8")
     return str(path)
 
 
@@ -69,20 +72,30 @@ def test_spectrum_csv_shape(tmp_path):
     assert len(lines) == 1 + (300 - 100 + 1)
 
 
+def cell_text(row) -> str:
+    """One CSV line formatted cell by cell: f"{v:.17g}" for a float, str otherwise."""
+    return ",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row) + "\n"
+
+
 def test_series_rows_are_the_cell_formatted_text(tmp_path):
     labels = ("2000-01-03", "2000-01-04")
     values = np.array([[np.nan, -0.0, 5e-324, 1e300], [1.0 / 3.0, -2.5, np.inf, 0.0]])
     header = ["date", "a", "b", "c", "d"]
     rows = [[d, *row] for d, row in zip(labels, values)]
-    _BundleWriter(str(tmp_path), "csv").write_series("spectrum", header, labels, values)
-    expected = "".join(",".join(_fmt(v) for v in row) + "\n" for row in [header, *rows])
+    _BundleWriter(str(tmp_path), "csv").write_table("spectrum", header, rows)
+    expected = "".join(cell_text(row) for row in [header, *rows])
     assert (tmp_path / "spectrum.csv").read_text() == expected
-    # the json path is the table writer's
-    _BundleWriter(str(tmp_path / "series"), "json").write_series("spectrum", header, labels, values)
-    _BundleWriter(str(tmp_path / "table"), "json").write_table("spectrum", header, rows)
-    assert (tmp_path / "series" / "spectrum.json").read_bytes() == (
-        tmp_path / "table" / "spectrum.json"
-    ).read_bytes()
+    assert expected.splitlines()[1] == (
+        "2000-01-03,nan,-0,4.9406564584124654e-324,1.0000000000000001e+300"
+    )
+
+
+def test_table_rows_of_mixed_cell_types_are_the_cell_formatted_text(tmp_path):
+    rows = [[1, np.float64(0.1), "lag", np.int64(7), True], [2, 1e-5, "x", -3, False]]
+    _BundleWriter(str(tmp_path), "csv").write_table("t", ["a", "b", "c", "d", "e"], rows)
+    expected = "a,b,c,d,e\n" + "".join(cell_text(row) for row in rows)
+    assert (tmp_path / "t.csv").read_text() == expected
+    assert expected.splitlines()[1] == "1,0.10000000000000001,lag,7,True"
 
 
 def test_determinism_across_runs_and_threads(tmp_path):
@@ -325,6 +338,68 @@ synth.output = returns
     assert first == pytest.approx(generated.returns[:, 0], rel=1e-15)
 
 
+@pytest.mark.parametrize("output", ["prices", "returns"])
+def test_synth_files_are_the_per_value_formatted_panel(tmp_path, output):
+    spec = EnsembleSpec("one-factor", 5, 30, beta=0.4, seed=8)
+    cfg = write_cfg(
+        tmp_path,
+        "ensemble.kind = one-factor\nensemble.assets = 5\nensemble.dates = 30\n"
+        f"ensemble.beta = 0.4\nensemble.seed = 8\nsynth.output = {output}\n",
+    )
+    assert main(["synth", cfg, "--out", str(tmp_path / "out")]) == 0
+    panel = generate_returns(spec)
+    if output == "returns":
+        dates, values = panel.dates, panel.returns
+    else:
+        zero = np.zeros((panel.n_assets, 1))
+        dates = ("1999-01-01", *panel.dates)  # the weekday before 1999-01-04
+        values = np.exp(np.concatenate([zero, np.cumsum(panel.returns, axis=1)], axis=1))
+    expected = "date," + ",".join(panel.asset_ids) + "\n" + "".join(
+        date + "," + ",".join(f"{v:.17g}" for v in values[:, t]) + "\n"
+        for t, date in enumerate(dates)
+    )
+    text = (tmp_path / "out" / f"{output}.csv").read_bytes().decode("utf-8")
+    assert text == expected
+    if output == "prices":
+        assert text.splitlines()[1] == "1999-01-01," + ",".join(["1"] * 5)
+
+
+def test_bundle_bytes_do_not_depend_on_the_locale(tmp_path):
+    # the locale's encoding matters only for non-ASCII text, such as this id
+    header = "date,aaa,d\u00e9j\u00e0,ccc\n"
+    dates = make_business_dates(61)
+    rng = np.random.default_rng(21)
+    prices = np.exp(np.cumsum(0.01 * rng.standard_normal((3, 61)), axis=1))
+    rows = [[f"{v:.17g}" for v in prices[:, t]] for t in range(61)]
+    rows[30][1] = ""  # one forward-filled cell: a provenance line naming the id
+    text = header + "".join(
+        d + "," + ",".join(row) + "\n" for d, row in zip(dates, rows)
+    )
+    (tmp_path / "p.csv").write_bytes(text.encode("utf-8"))
+    cfg = write_cfg(
+        tmp_path,
+        "# d\u00e9j\u00e0 is forward-filled once\n"
+        f"input.path = {tmp_path / 'p.csv'}\nassets.missing_policy = forward-fill\n"
+        "kernel.scheme = rectangular\nkernel.length = 20\n"
+        "analyses = spectrum,density,lagged\nlagged.lags = 0,1\n",
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    default = {**os.environ, "PYTHONPATH": src}
+    ascii_c = {**default, "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+    bundles = []
+    for name, env in (("default", default), ("c-locale", ascii_c)):
+        out = tmp_path / name
+        result = subprocess.run(
+            [sys.executable, "-m", "covspec.cli", "analyze", cfg, "--out", str(out)],
+            env=env, capture_output=True, text=True,
+        )
+        assert result.returncode == 0, result.stderr
+        bundles.append({p.name: p.read_bytes() for p in out.iterdir()})
+    assert bundles[0] == bundles[1]
+    provenance = bundles[0]["provenance.log"].decode("utf-8")
+    assert provenance == f"{dates[30]},d\u00e9j\u00e0,forward-fill\n"
+
+
 def test_analyze_from_csv_input(tmp_path):
     synth_cfg = write_cfg(
         tmp_path,
@@ -375,13 +450,66 @@ def test_flat_asset_fails_lagged_stage_naming_asset_and_date(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "command, key", [("analyze", "output.dir"), ("synth", "synth.path")]
+    "command, key, flags",
+    [
+        pytest.param("analyze", "output.dir", ["--set", "output.dir="], id="analyze-output.dir"),
+        pytest.param("synth", "synth.path", ["--set", "synth.path="], id="synth-synth.path"),
+        pytest.param("analyze", "output.dir", ["--out", ""], id="analyze-out-flag"),
+    ],
 )
-def test_blank_output_path_is_a_config_error(tmp_path, monkeypatch, capsys, command, key):
+def test_blank_output_path_is_a_config_error(tmp_path, monkeypatch, capsys, command, key, flags):
     monkeypatch.chdir(tmp_path)
     cfg = write_cfg(tmp_path, ENSEMBLE_CFG)
-    assert main([command, cfg, "--set", f"{key}="]) == 1
+    assert main([command, cfg, *flags]) == 1
     assert capsys.readouterr().err == f"error: {key}: must not be blank\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "synth", "analyze"])
+def test_missing_config_file_is_an_error_line(tmp_path, capsys, command):
+    missing = tmp_path / "missing.cfg"
+    assert main([command, str(missing)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: [Errno 2] No such file or directory: {str(missing)!r}\n"
+    )
+
+
+def test_missing_input_csv_is_an_error_line_with_incomplete_manifest(tmp_path, capsys):
+    missing = tmp_path / "absent.csv"
+    cfg = write_cfg(
+        tmp_path,
+        f"input.path = {missing}\nkernel.scheme = rectangular\nkernel.length = 5\n"
+        f"analyses = spectrum\noutput.dir = {tmp_path / 'out'}\n",
+    )
+    assert main(["analyze", cfg]) == 1
+    assert capsys.readouterr().err == (
+        f"error: [Errno 2] No such file or directory: {str(missing)!r}\n"
+    )
+    manifest = json.loads(read_bytes(tmp_path / "out", "manifest.json"))
+    assert manifest["complete"] is False
+    assert manifest["files"] == []
+
+
+@pytest.mark.parametrize("command", ["synth", "analyze"])
+def test_out_naming_an_existing_file_is_an_error_line(tmp_path, capsys, command):
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n")
+    cfg = write_cfg(tmp_path, ENSEMBLE_CFG)
+    assert main([command, cfg, "--out", str(taken)]) == 1
+    assert capsys.readouterr().err == f"error: [Errno 17] File exists: {str(taken)!r}\n"
+    assert taken.read_text() == "not a directory\n"
+
+
+def test_ambiguous_input_names_the_ensemble_keys_set(tmp_path, capsys):
+    cfg = write_cfg(
+        tmp_path,
+        f"input.path = {tmp_path / 'p.csv'}\nkernel.scheme = rectangular\n"
+        "kernel.length = 5\nanalyses = spectrum\n",
+    )
+    assert main(["analyze", cfg, "--seed", "3"]) == 1
+    assert capsys.readouterr().err == (
+        "error: ambiguous input: input.path and ensemble.seed are set; choose one\n"
+    )
 
 
 def test_env_var_log_level(tmp_path, monkeypatch, capsys):

@@ -6,7 +6,6 @@ from covspec import (
     ReturnPanel,
     WeightKernel,
     build_kernel,
-    dump_matrices,
     make_business_dates,
     rolling_covariance,
     to_correlation,
@@ -18,6 +17,7 @@ from covspec.errors import (
     ParameterError,
 )
 from covspec.moments import unit_rows, weighted_windows
+from covspec.runner import _BundleWriter
 from testutil import random_covariance_series
 
 
@@ -281,10 +281,17 @@ def test_covariance_is_symmetric_psd():
         assert eigs[0] >= -1e-10 * max(eigs[-1], 1e-300)
 
 
+def dump_matrices(series, directory):
+    """The bundle writer's matrix dump; returns the names it registered."""
+    writer = _BundleWriter(str(directory), "csv")
+    writer.write_matrices(series)
+    return writer.files
+
+
 def test_dump_matrices_lower_triangle(tmp_path):
     series = random_covariance_series(n=3, length=10, n_dates=2, seed=14)
     names = dump_matrices(series, tmp_path)
-    assert len(names) == 2
+    assert names == [f"matrices/covariance_{date}.csv" for date in series.dates]
     lines = (tmp_path / names[0]).read_text().strip().splitlines()
     assert len(lines) == 3
     parsed = [np.array([float(v) for v in line.split(",")]) for line in lines]
@@ -297,7 +304,8 @@ def test_dump_matrices_bytes_match_per_value_formatting(tmp_path):
     rng = np.random.default_rng(15)
     stack = rng.standard_normal((2, 6, 6)) * 10.0 ** rng.integers(-300, 300, (2, 6, 6))
     stack = (stack + np.transpose(stack, (0, 2, 1))) / 2.0
-    for i, j, v in ((0, 0, -0.0), (1, 0, 5e-324), (1, 1, 1e300), (2, 0, 1.0)):
+    for i, j, v in ((0, 0, -0.0), (1, 0, 5e-324), (1, 1, 1e300), (2, 0, 1.0),
+                    (3, 1, np.nan), (3, 2, np.inf)):
         stack[0, i, j] = stack[0, j, i] = v
     series = random_covariance_series(n=6, length=10, n_dates=2, seed=16)
     series = type(series)(series.flavor, series.dates, stack, series.kernel, series.assets)
@@ -311,3 +319,4 @@ def test_dump_matrices_bytes_match_per_value_formatting(tmp_path):
     assert first[0] == "-0"
     assert first[1] == "4.9406564584124654e-324,1.0000000000000001e+300"
     assert first[2].split(",")[0] == "1"
+    assert first[3].split(",")[1:3] == ["nan", "inf"]
