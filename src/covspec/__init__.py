@@ -22,7 +22,6 @@ from .moments import (
     to_correlation,
 )
 from .panel import (
-    AssetSpec,
     IngestConfig,
     PricePanel,
     ReturnPanel,
@@ -57,10 +56,8 @@ from .spectral import (
 from .subspace import (
     FluctuationIndex,
     MeanProjector,
-    Projector,
     factor_lagged_correlation,
     fluctuation_index,
-    leading_projector,
     matrix_lagged_correlation,
     mean_projector,
     projector_series,
@@ -71,7 +68,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AnsatzFit",
-    "AssetSpec",
     "CORRELATION",
     "COVARIANCE",
     "CovarianceSeries",
@@ -85,7 +81,6 @@ __all__ = [
     "MeanProjector",
     "MeanSpectrum",
     "PricePanel",
-    "Projector",
     "ReportBundle",
     "ReturnPanel",
     "RunConfig",
@@ -104,7 +99,6 @@ __all__ = [
     "fit_mp_q",
     "fluctuation_index",
     "generate_returns",
-    "leading_projector",
     "load_panel",
     "log_mean_spectrum",
     "make_business_dates",

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .panel import LOG_PRICE, AssetSpec, ReturnPanel, make_business_dates
+from .panel import ReturnPanel, make_business_dates
 
 GAUSSIAN_IID = "gaussian-iid"
 STUDENT_IID = "student-iid"
@@ -64,8 +64,8 @@ def generate_returns(spec: EnsembleSpec) -> ReturnPanel:
         returns = spec.beta * factor + np.sqrt(1.0 - spec.beta**2) * noise
 
     width = max(3, len(str(n - 1)))
-    assets = tuple(AssetSpec(f"a{i:0{width}d}", LOG_PRICE) for i in range(n))
-    return ReturnPanel(assets, make_business_dates(t), returns)
+    asset_ids = tuple(f"a{i:0{width}d}" for i in range(n))
+    return ReturnPanel(asset_ids, make_business_dates(t), returns)
 
 
 def top_eigenvalue_oracle(spec: EnsembleSpec) -> float:

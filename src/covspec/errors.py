@@ -66,7 +66,3 @@ class AnalysisError(CovspecError):
 
 class KernelClippingWarning(UserWarning):
     """Raw long-memory weights hit zero inside the window and were clipped."""
-
-
-class DegenerateSubspaceWarning(UserWarning):
-    """Eigenvalue gap at the projector cut is below the degeneracy tolerance."""

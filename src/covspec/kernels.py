@@ -31,20 +31,16 @@ DEFAULT_TAU0_DAYS = 1560.0
 
 @dataclass(frozen=True)
 class WeightKernel:
-    """Normalized weight sequence with its construction parameters."""
+    """Normalized weight sequence of one scheme."""
 
     scheme: str
     weights: np.ndarray
-    params: dict
 
     def __post_init__(self):
         object.__setattr__(self, "weights", np.asarray(self.weights, dtype=float))
 
     @property
     def length(self) -> int:
-        return self.weights.size
-
-    def __len__(self) -> int:
         return self.weights.size
 
 
@@ -66,7 +62,6 @@ def build_kernel(
     if not isinstance(length, (int, np.integer)) or length < 1:
         raise ParameterError(f"kernel length must be a positive integer, got {length!r}")
 
-    params: dict = {"length": int(length)}
     if scheme == RECTANGULAR:
         raw = np.full(length, 1.0 / length)
     elif scheme == EXPONENTIAL:
@@ -74,13 +69,11 @@ def build_kernel(
             raise ParameterError("exponential kernel requires mu")
         if not 0.0 < mu < 1.0:
             raise ParameterError(f"mu must be in (0,1), got {mu!r}")
-        params["mu"] = float(mu)
         raw = float(mu) ** np.arange(length)
     else:
         tau0 = DEFAULT_TAU0_DAYS if tau0_days is None else float(tau0_days)
         if not tau0 > 1.0:
             raise ParameterError(f"tau0_days must exceed 1 day, got {tau0!r}")
-        params["tau0_days"] = tau0
         raw = 1.0 - np.log(np.arange(1, length + 1)) / np.log(tau0)
         if np.any(raw <= 0.0):
             warnings.warn(
@@ -91,7 +84,7 @@ def build_kernel(
             )
             raw = np.clip(raw, 0.0, None)
     weights = raw / raw.sum()
-    return WeightKernel(scheme, weights, params)
+    return WeightKernel(scheme, weights)
 
 
 def effective_length(kernel: WeightKernel) -> float:

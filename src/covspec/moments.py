@@ -34,7 +34,6 @@ class CovarianceSeries:
     flavor: str
     dates: tuple[str, ...]
     matrices: np.ndarray
-    kernel: WeightKernel
     assets: tuple[str, ...]
 
     def __post_init__(self):
@@ -102,7 +101,7 @@ def rolling_covariance(
         cov = (window * weights_rev) @ window.T
         matrices[t] = (cov + cov.T) / 2.0
     dates = tuple(returns.dates[j] for j in idx)
-    return CovarianceSeries(COVARIANCE, dates, matrices, kernel, returns.asset_ids)
+    return CovarianceSeries(COVARIANCE, dates, matrices, returns.asset_ids)
 
 
 def weighted_windows(returns: ReturnPanel, kernel: WeightKernel, eval_dates=None):
@@ -152,4 +151,4 @@ def to_correlation(series: CovarianceSeries) -> CovarianceSeries:
         corr = cov * np.outer(inv_s[t], inv_s[t])
         np.fill_diagonal(corr, 1.0)
         out[t] = np.clip(corr, -1.0, 1.0)
-    return CovarianceSeries(CORRELATION, series.dates, out, series.kernel, series.assets)
+    return CovarianceSeries(CORRELATION, series.dates, out, series.assets)

@@ -12,11 +12,11 @@ from __future__ import annotations
 import csv
 import datetime as _dt
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractViolationError, InsufficientDataError, PanelError, ParseError
+from .errors import InsufficientDataError, PanelError, ParseError
 
 logger = logging.getLogger(__name__)
 
@@ -30,23 +30,9 @@ _MISSING_TOKENS = {"", "na", "nan", "null"}
 
 
 @dataclass(frozen=True)
-class AssetSpec:
-    """One asset column: identifier, price-mapping class, and rate scale."""
-
-    id: str
-    asset_class: str = LOG_PRICE
-    rate_scale: float = 0.04
-
-    def __post_init__(self):
-        if self.asset_class not in ASSET_CLASSES:
-            raise PanelError(f"unknown asset class {self.asset_class!r} for {self.id!r}")
-        if self.asset_class == INTEREST_RATE and self.rate_scale <= 0:
-            raise PanelError(f"rate scale must be > 0 for {self.id!r}")
-
-
-@dataclass(frozen=True)
 class IngestConfig:
-    """How to interpret a raw CSV: class assignment and missing-value policy."""
+    """How to interpret a raw CSV: class assignment, rate scale R0 and
+    missing-value policy."""
 
     default_class: str = LOG_PRICE
     rate_ids: tuple[str, ...] = ()
@@ -56,35 +42,32 @@ class IngestConfig:
     def __post_init__(self):
         if self.default_class not in ASSET_CLASSES:
             raise PanelError(f"unknown default asset class {self.default_class!r}")
+        if not self.rate_scale > 0:
+            raise PanelError(f"rate scale must be > 0, got {self.rate_scale!r}")
         if self.missing_policy not in MISSING_POLICIES:
             raise PanelError(f"unknown missing-value policy {self.missing_policy!r}")
-
-    def asset_spec(self, asset_id: str) -> AssetSpec:
-        cls = INTEREST_RATE if asset_id in self.rate_ids else self.default_class
-        return AssetSpec(asset_id, cls, self.rate_scale)
 
 
 @dataclass(frozen=True)
 class PricePanel:
-    """N assets by T dates of raw prices/rates (or mapped prices once mapped)."""
+    """N assets by T dates of raw prices or rates."""
 
-    assets: tuple[AssetSpec, ...]
+    asset_ids: tuple[str, ...]
     dates: tuple[str, ...]
     values: np.ndarray
-    mapped: bool = False
     provenance: tuple[str, ...] = ()
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "values", values)
         n, t = values.shape
-        if n != len(self.assets):
-            raise PanelError(f"{len(self.assets)} assets but {n} value rows")
+        if n != len(self.asset_ids):
+            raise PanelError(f"{len(self.asset_ids)} assets but {n} value rows")
         if t != len(self.dates):
             raise PanelError(f"{len(self.dates)} dates but {t} value columns")
         if t < 2:
             raise InsufficientDataError(f"panel needs at least 2 dates, got {t}")
-        ids = [a.id for a in self.assets]
+        ids = self.asset_ids
         if len(set(ids)) != len(ids):
             dup = sorted({i for i in ids if ids.count(i) > 1})
             raise PanelError(f"duplicate asset ids: {dup}")
@@ -96,22 +79,18 @@ class PricePanel:
 
     @property
     def n_assets(self) -> int:
-        return len(self.assets)
+        return len(self.asset_ids)
 
     @property
     def n_dates(self) -> int:
         return len(self.dates)
-
-    @property
-    def asset_ids(self) -> tuple[str, ...]:
-        return tuple(a.id for a in self.assets)
 
 
 @dataclass(frozen=True)
 class ReturnPanel:
     """N assets by T-1 dates of one-step differences of the mapped price."""
 
-    assets: tuple[AssetSpec, ...]
+    asset_ids: tuple[str, ...]
     dates: tuple[str, ...]
     returns: np.ndarray
 
@@ -119,22 +98,18 @@ class ReturnPanel:
         returns = np.asarray(self.returns, dtype=float)
         object.__setattr__(self, "returns", returns)
         n, t = returns.shape
-        if n != len(self.assets):
-            raise PanelError(f"{len(self.assets)} assets but {n} return rows")
+        if n != len(self.asset_ids):
+            raise PanelError(f"{len(self.asset_ids)} assets but {n} return rows")
         if t != len(self.dates):
             raise PanelError(f"{len(self.dates)} dates but {t} return columns")
 
     @property
     def n_assets(self) -> int:
-        return len(self.assets)
+        return len(self.asset_ids)
 
     @property
     def n_dates(self) -> int:
         return len(self.dates)
-
-    @property
-    def asset_ids(self) -> tuple[str, ...]:
-        return tuple(a.id for a in self.assets)
 
 
 def is_iso_date(token: str) -> bool:
@@ -225,51 +200,44 @@ def load_panel(path, config: IngestConfig) -> PricePanel:
             last[a] = cell
             values[a, t] = cell
 
-    assets = tuple(config.asset_spec(i) for i in asset_ids)
     dates = tuple(r[0] for r in rows)
-    return PricePanel(assets, dates, values, mapped=False, provenance=tuple(provenance))
+    return PricePanel(tuple(asset_ids), dates, values, tuple(provenance))
 
 
-def map_prices(panel: PricePanel) -> PricePanel:
-    """Apply the per-class price mapping: ln(p), or ln(1 + R/R0) for rates.
-
-    May be applied once; a second application raises.
-    """
-    if panel.mapped:
-        raise ContractViolationError("panel is already mapped")
+def map_prices(panel: PricePanel, ingest: IngestConfig) -> np.ndarray:
+    """The (N, T) mapped prices: ln(p), or ln(1 + R/R0) for the rate series,
+    each asset's class and R0 taken from ``ingest``."""
     mapped = np.empty_like(panel.values)
-    for a, spec in enumerate(panel.assets):
+    for a, asset in enumerate(panel.asset_ids):
         row = panel.values[a]
-        if spec.asset_class == LOG_PRICE:
+        cls = INTEREST_RATE if asset in ingest.rate_ids else ingest.default_class
+        if cls == LOG_PRICE:
             bad = np.nonzero(row <= 0)[0]
             if bad.size:
                 t = int(bad[0])
                 raise PanelError(
-                    f"non-positive price {row[t]!r} for asset {spec.id!r} "
+                    f"non-positive price {row[t]!r} for asset {asset!r} "
                     f"at date {panel.dates[t]!r}"
                 )
             mapped[a] = np.log(row)
         else:
-            shifted = 1.0 + row / spec.rate_scale
+            shifted = 1.0 + row / ingest.rate_scale
             bad = np.nonzero(shifted <= 0)[0]
             if bad.size:
                 t = int(bad[0])
                 raise PanelError(
-                    f"rate {row[t]!r} at or below -{spec.rate_scale} for asset "
-                    f"{spec.id!r} at date {panel.dates[t]!r}"
+                    f"rate {row[t]!r} at or below -{ingest.rate_scale} for asset "
+                    f"{asset!r} at date {panel.dates[t]!r}"
                 )
             mapped[a] = np.log(shifted)
-    return replace(panel, values=mapped, mapped=True)
+    return mapped
 
 
-def compute_returns(panel: PricePanel) -> ReturnPanel:
-    """First differences of the mapped price, dated by the later timestamp."""
-    if not panel.mapped:
-        raise ContractViolationError("panel must be mapped before taking returns")
-    if panel.n_dates < 2:
-        raise InsufficientDataError("need at least 2 dates to compute returns")
-    returns = np.diff(panel.values, axis=1)
-    return ReturnPanel(panel.assets, panel.dates[1:], returns)
+def compute_returns(panel: PricePanel, ingest: IngestConfig) -> ReturnPanel:
+    """First differences of the prices ``map_prices`` maps, dated by the later
+    timestamp."""
+    returns = np.diff(map_prices(panel, ingest), axis=1)
+    return ReturnPanel(panel.asset_ids, panel.dates[1:], returns)
 
 
 def make_business_dates(count: int, start: str = "1999-01-04") -> tuple[str, ...]:

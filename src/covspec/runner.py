@@ -43,7 +43,7 @@ from .moments import (
     unit_rows,
     weighted_windows,
 )
-from .panel import ReturnPanel, compute_returns, load_panel, map_prices
+from .panel import ReturnPanel, compute_returns, load_panel
 from .spectral import (
     DensityBins,
     SpectrumSeries,
@@ -203,9 +203,13 @@ def _stage(name: str, fn):
 def _resolve_returns(config: RunConfig, writer: _BundleWriter) -> ReturnPanel:
     if config.ensemble is not None:
         return generate_returns(config.ensemble)
-    panel = load_panel(config.input_path, config.ingest)
+    try:
+        panel = load_panel(config.input_path, config.ingest)
+    except OSError as exc:
+        # still an OSError, so the "input" stage does not prefix its name
+        raise type(exc)(f"input.path: {exc}") from exc
     writer.write_lines("provenance.log", panel.provenance)
-    return compute_returns(map_prices(panel))
+    return compute_returns(panel, config.ingest)
 
 
 def _eval_range(config: RunConfig, returns: ReturnPanel):
@@ -287,11 +291,7 @@ def _mp_compare_file(writer, corr_spectra, kernel, n_assets, config) -> None:
 
 
 def _ansatz_files(writer, spectra) -> None:
-    mean = log_mean_spectrum(spectra)
-    # Each date's floor keeps a prefix of its ranks, so every date resolves
-    # the first r (r = L when N > L).
-    resolved = int(np.count_nonzero(mean.counts == len(spectra)))
-    fit = fit_ansatz(mean.values[:resolved])
+    fit = fit_ansatz(log_mean_spectrum(spectra))
     writer.write_json(
         "ansatz.json",
         {
@@ -509,14 +509,8 @@ def run_synth(config: RunConfig) -> str:
     if config.ensemble is None:
         raise ConfigError(["synth requires ensemble.* keys"])
     panel = generate_returns(config.ensemble)
-    os.makedirs(config.output_dir, exist_ok=True)
-    if config.synth_path is not None:
-        path = config.synth_path
-        parent = os.path.dirname(path)
-        if parent:
-            os.makedirs(parent, exist_ok=True)
-    else:
-        path = os.path.join(config.output_dir, f"{config.synth_output}.csv")
+    path = config.synth_path or os.path.join(config.output_dir, f"{config.synth_output}.csv")
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
 
     if config.synth_output == "returns":
         dates, values = panel.dates, panel.returns

@@ -44,10 +44,6 @@ class EigenSystem:
     values: np.ndarray
     vectors: np.ndarray
 
-    @property
-    def size(self) -> int:
-        return self.values.size
-
 
 @dataclass(frozen=True)
 class SpectrumSeries:
@@ -75,13 +71,15 @@ class SpectrumSeries:
 
 @dataclass(frozen=True)
 class MeanSpectrum:
-    """Per-rank geometric mean eigenvalues with inclusion counts.
+    """Per-rank geometric mean eigenvalues with inclusion counts out of
+    ``n_dates`` averaged dates.
 
     Ranks excluded at every date carry NaN, never zero.
     """
 
     values: np.ndarray
     counts: np.ndarray
+    n_dates: int
 
     @property
     def n_ranks(self) -> int:
@@ -339,7 +337,7 @@ def log_mean_spectrum(series: SpectrumSeries, floor: float | None = None) -> Mea
     logs = np.where(mask, np.log(np.where(mask, vals, 1.0)), 0.0)
     with np.errstate(invalid="ignore"):
         means = np.where(counts > 0, np.exp(logs.sum(axis=0) / np.maximum(counts, 1)), np.nan)
-    return MeanSpectrum(means, counts)
+    return MeanSpectrum(means, counts, len(series))
 
 
 def spectral_density(series: SpectrumSeries, bins: DensityBins) -> DensityHistogram:
@@ -433,8 +431,17 @@ def fit_ansatz(mean_spectrum, fit_range: tuple[int, int] | None = None) -> Ansat
     c_max lies just below 1/max x**4, where the shape is singular
     (b = max|2x|). Non-positive or NaN ranks inside the range are dropped.
     Raises FitError when g is still negative at c_max or a is not positive.
+
+    A ``MeanSpectrum`` is fitted on the ranks counted at every date: each
+    date's floor keeps a prefix of its ranks, so every date resolves the first
+    r (r = L when N > L), and those are the N of the shape. A plain array is
+    fitted whole.
     """
-    values = np.asarray(getattr(mean_spectrum, "values", mean_spectrum), dtype=float)
+    if isinstance(mean_spectrum, MeanSpectrum):
+        resolved = int(np.count_nonzero(mean_spectrum.counts == mean_spectrum.n_dates))
+        values = mean_spectrum.values[:resolved]
+    else:
+        values = np.asarray(mean_spectrum, dtype=float)
     n = values.size
     if n < 8:
         raise ParameterError(f"need at least 8 ranks to fit, got {n}")

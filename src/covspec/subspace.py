@@ -9,34 +9,19 @@ projector) comes from the (T, N, m) factors F, without per-date matrices.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    ContractViolationError,
-    DegenerateSeriesError,
-    DegenerateSubspaceWarning,
-    ParameterError,
-)
-from .spectral import EigenSystem, eigenvalues
+from .errors import ContractViolationError, DegenerateSeriesError, ParameterError
+from .spectral import eigenvalues
 
-DEGENERACY_RTOL = 1e-10
 # The trace identities of factor_lagged_correlation move rho by about 3e-16 / g,
 # g the ratio of centred to total variance (gamma, for projectors; measured from
 # 0.9 down to 3e-5); below this g, where that passes 3e-13, the stack is used.
 GRAM_MIN_GAMMA = 1e-3
 LAGGED_KERNEL_LENGTH = 21
-
-
-@dataclass(frozen=True)
-class Projector:
-    """Orthogonal projector onto a leading eigen-subspace of rank k."""
-
-    k: int
-    matrix: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -52,27 +37,6 @@ class FluctuationIndex(NamedTuple):
     gamma: float
     gamma_max: float
     ratio: float
-
-
-def leading_projector(eig: EigenSystem, k: int) -> Projector:
-    """Projector onto the span of the top-k eigenvectors.
-
-    Warns when the spectrum is nearly degenerate at the cut, where the
-    subspace is ill-defined.
-    """
-    n = eig.size
-    if not 1 <= k <= n:
-        raise ParameterError(f"rank k={k} outside [1, {n}]")
-    if k < n and eig.values[k - 1] - eig.values[k] < DEGENERACY_RTOL * abs(eig.values[0]):
-        warnings.warn(
-            f"eigenvalue gap at rank {k} is below the degeneracy tolerance; "
-            "the leading subspace is ill-defined at the cut",
-            DegenerateSubspaceWarning,
-            stacklevel=2,
-        )
-    vk = eig.vectors[:, :k]
-    mat = vk @ vk.T
-    return Projector(k, (mat + mat.T) / 2.0)
 
 
 def _leading_vectors(series, k: int) -> np.ndarray:

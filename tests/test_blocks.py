@@ -15,7 +15,6 @@ from covspec import (
     compute_returns,
     load_panel,
     make_business_dates,
-    map_prices,
     generate_returns,
     rolling_covariance,
     run_analysis,
@@ -115,7 +114,7 @@ def write_flat_asset_panel(path):
 def test_variance_floor_fault_in_a_later_block(tmp_path, monkeypatch):
     csv_path = tmp_path / "p.csv"
     write_flat_asset_panel(csv_path)
-    returns = compute_returns(map_prices(load_panel(csv_path, IngestConfig())))
+    returns = compute_returns(load_panel(csv_path, IngestConfig()), IngestConfig())
     series = rolling_covariance(returns, build_kernel("rectangular", 10))
     with pytest.raises(DegenerateAssetError) as direct:
         to_correlation(series)

@@ -10,12 +10,16 @@ import pytest
 from covspec import (
     EnsembleSpec,
     IngestConfig,
+    build_kernel,
     compute_returns,
+    fit_ansatz,
     generate_returns,
     load_panel,
+    log_mean_spectrum,
     make_business_dates,
-    map_prices,
+    rolling_covariance,
     run_analysis,
+    spectrum_series,
     validate_config,
 )
 from covspec.cli import main
@@ -209,6 +213,34 @@ analyses = ansatz
     assert fit["a"] > 0 and 1.0 < fit["b"] < 2.0
 
 
+def test_fit_of_a_mean_spectrum_is_the_runs_ansatz(tmp_path):
+    # N=40 > L=30: ranks 31-40 are below the floor at every date, and
+    # fit_ansatz of the MeanSpectrum drops them as the ansatz analysis does
+    text = """
+ensemble.kind = one-factor
+ensemble.assets = 40
+ensemble.dates = 79
+ensemble.beta = 0.4
+ensemble.seed = 2
+kernel.scheme = long-memory
+kernel.length = 30
+kernel.tau0_days = 200
+analyses = ansatz
+"""
+    run_analysis(validate_config(write_cfg(tmp_path, text + f"output.dir = {tmp_path}\n")))
+    returns = generate_returns(EnsembleSpec("one-factor", 40, 79, beta=0.4, seed=2))
+    series = rolling_covariance(returns, build_kernel("long-memory", 30, tau0_days=200))
+    fit = fit_ansatz(log_mean_spectrum(spectrum_series(series)))
+    assert json.loads(read_bytes(tmp_path, "ansatz.json")) == {
+        "a": fit.a,
+        "b": fit.b,
+        "eps_mid": fit.eps_mid,
+        "rms_residual": fit.rms_residual,
+        "fit_range": list(fit.fit_range),
+        "n_ranks": 30,
+    }
+
+
 def test_lagged_projectors_take_ranks_up_to_lagged_length(tmp_path):
     text = ENSEMBLE_CFG.replace("analyses = spectrum,density", "analyses = projectors,lagged") + (
         "projectors.ranks = 1,6\nlagged.lags = 0,1\nlagged.length = 5\n"
@@ -314,7 +346,7 @@ ensemble.seed = 31
     assert csv_path.exists()
 
     panel = load_panel(csv_path, IngestConfig())
-    rebuilt = compute_returns(map_prices(panel))
+    rebuilt = compute_returns(panel, IngestConfig())
     generated = generate_returns(EnsembleSpec("one-factor", 6, 40, beta=0.5, seed=31))
     assert rebuilt.dates == generated.dates
     assert np.abs(rebuilt.returns - generated.returns).max() < 1e-12
@@ -482,12 +514,12 @@ def test_missing_input_csv_is_an_error_line_with_incomplete_manifest(tmp_path, c
         f"analyses = spectrum\noutput.dir = {tmp_path / 'out'}\n",
     )
     assert main(["analyze", cfg]) == 1
-    assert capsys.readouterr().err == (
-        f"error: [Errno 2] No such file or directory: {str(missing)!r}\n"
-    )
+    message = f"input.path: [Errno 2] No such file or directory: {str(missing)!r}"
+    assert capsys.readouterr().err == f"error: {message}\n"
     manifest = json.loads(read_bytes(tmp_path / "out", "manifest.json"))
     assert manifest["complete"] is False
     assert manifest["files"] == []
+    assert manifest["error"] == message
 
 
 @pytest.mark.parametrize("command", ["synth", "analyze"])
@@ -498,6 +530,25 @@ def test_out_naming_an_existing_file_is_an_error_line(tmp_path, capsys, command)
     assert main([command, cfg, "--out", str(taken)]) == 1
     assert capsys.readouterr().err == f"error: [Errno 17] File exists: {str(taken)!r}\n"
     assert taken.read_text() == "not a directory\n"
+
+
+def test_synth_creates_only_the_directory_it_writes_into(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    cfg = write_cfg(tmp_path, ENSEMBLE_CFG + "synth.path = sub/p.csv\n")
+    assert main(["synth", cfg]) == 0
+    assert sorted(os.listdir(tmp_path)) == ["run.cfg", "sub"]
+    assert os.listdir(tmp_path / "sub") == ["p.csv"]
+
+
+def test_synth_path_leaves_an_out_naming_an_existing_file_alone(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n")
+    target = tmp_path / "p.csv"
+    cfg = write_cfg(tmp_path, ENSEMBLE_CFG + f"synth.path = {target}\n")
+    assert main(["synth", cfg, "--out", str(taken)]) == 0
+    assert capsys.readouterr().out == f"{target}\n"
+    assert taken.read_text() == "not a directory\n"
+    assert target.exists()
 
 
 def test_ambiguous_input_names_the_ensemble_keys_set(tmp_path, capsys):

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from covspec import (
-    AssetSpec,
     ReturnPanel,
     WeightKernel,
     build_kernel,
@@ -24,8 +23,8 @@ from testutil import random_covariance_series
 def panel_from(returns):
     returns = np.asarray(returns, dtype=float)
     n, t = returns.shape
-    assets = tuple(AssetSpec(f"a{i}") for i in range(n))
-    return ReturnPanel(assets, make_business_dates(t), returns)
+    asset_ids = tuple(f"a{i}" for i in range(n))
+    return ReturnPanel(asset_ids, make_business_dates(t), returns)
 
 
 def test_constant_single_asset_any_kernel():
@@ -172,7 +171,7 @@ def test_correlation_of_diagonal_covariance_is_identity():
     mats = series.matrices.copy()
     mats[0] = np.diag([4.0, 9.0])
     diag_series = type(series)(
-        series.flavor, series.dates, mats, series.kernel, series.assets
+        series.flavor, series.dates, mats, series.assets
     )
     corr = to_correlation(diag_series)
     assert corr.matrices[0] == pytest.approx(np.eye(2), abs=1e-15)
@@ -183,7 +182,7 @@ def test_correlation_known_two_by_two():
     mats = series.matrices.copy()
     mats[0] = np.array([[4.0, 2.0], [2.0, 4.0]])
     fixed = type(series)(
-        series.flavor, series.dates, mats, series.kernel, series.assets
+        series.flavor, series.dates, mats, series.assets
     )
     corr = to_correlation(fixed)
     assert corr.matrices[0] == pytest.approx(
@@ -257,7 +256,7 @@ def test_windows_refuse_negative_weights_and_non_finite_returns():
     rng = np.random.default_rng(12)
     returns = rng.standard_normal((3, 30))
     panel = panel_from(returns)
-    signed = WeightKernel("custom", [0.6, 0.6, -0.2], {})
+    signed = WeightKernel("custom", [0.6, 0.6, -0.2])
     with pytest.raises(ParameterError, match="non-negative"):
         weighted_windows(panel, signed)
     returns[2, 17] = np.nan
@@ -308,7 +307,7 @@ def test_dump_matrices_bytes_match_per_value_formatting(tmp_path):
                     (3, 1, np.nan), (3, 2, np.inf)):
         stack[0, i, j] = stack[0, j, i] = v
     series = random_covariance_series(n=6, length=10, n_dates=2, seed=16)
-    series = type(series)(series.flavor, series.dates, stack, series.kernel, series.assets)
+    series = type(series)(series.flavor, series.dates, stack, series.assets)
     names = dump_matrices(series, tmp_path)
     for t, name in enumerate(names):
         expected = "".join(

@@ -4,19 +4,13 @@ import numpy as np
 import pytest
 
 from covspec import (
-    AssetSpec,
     IngestConfig,
     PricePanel,
     compute_returns,
     load_panel,
     map_prices,
 )
-from covspec.errors import (
-    ContractViolationError,
-    InsufficientDataError,
-    PanelError,
-    ParseError,
-)
+from covspec.errors import InsufficientDataError, PanelError, ParseError
 
 WELL_FORMED = """date,aaa,bbb,ccc
 2001-01-01,100,50,0.04
@@ -39,7 +33,6 @@ def test_load_well_formed(tmp_path):
     assert panel.n_dates == 5
     assert panel.asset_ids == ("aaa", "bbb", "ccc")
     assert panel.values[0, 0] == 100.0
-    assert not panel.mapped
 
 
 def test_load_sorts_rows(tmp_path):
@@ -107,64 +100,64 @@ def test_load_unknown_rate_id_rejected(tmp_path):
         load_panel(write(tmp_path, WELL_FORMED), IngestConfig(rate_ids=("zzz",)))
 
 
-def _panel(values, classes=None, rate_scale=0.04):
+PRICES = IngestConfig()
+RATES = IngestConfig(default_class="interest-rate")
+
+
+def _panel(values):
     values = np.asarray(values, dtype=float)
     n, t = values.shape
-    classes = classes or ["log-price"] * n
-    assets = tuple(
-        AssetSpec(f"a{i}", cls, rate_scale) for i, cls in enumerate(classes)
-    )
     dates = tuple(f"2001-01-{d + 1:02d}" for d in range(t))
-    return PricePanel(assets, dates, values)
+    return PricePanel(tuple(f"a{i}" for i in range(n)), dates, values)
 
 
 def test_map_log_price_ln_e_is_one():
-    panel = map_prices(_panel([[math.e, math.e**2]]))
-    assert panel.values[0] == pytest.approx([1.0, 2.0])
-    assert panel.mapped
+    mapped = map_prices(_panel([[math.e, math.e**2]]), PRICES)
+    assert mapped[0] == pytest.approx([1.0, 2.0])
 
 
 def test_map_rate_zero_is_zero_and_r0_is_ln2():
-    panel = map_prices(_panel([[0.0, 0.04]], classes=["interest-rate"]))
-    assert panel.values[0, 0] == 0.0
-    assert panel.values[0, 1] == pytest.approx(math.log(2.0), abs=1e-12)
+    mapped = map_prices(_panel([[0.0, 0.04]]), RATES)
+    assert mapped[0, 0] == 0.0
+    assert mapped[0, 1] == pytest.approx(math.log(2.0), abs=1e-12)
+
+
+def test_map_class_and_scale_come_from_the_ingest_config():
+    panel = _panel([[math.e, math.e], [0.0, 0.5]])
+    mapped = map_prices(panel, IngestConfig(rate_ids=("a1",), rate_scale=0.5))
+    assert mapped[0] == pytest.approx([1.0, 1.0])
+    assert mapped[1, 0] == 0.0
+    assert mapped[1, 1] == pytest.approx(math.log(2.0), abs=1e-12)
+
+
+def test_nonpositive_rate_scale_rejected():
+    with pytest.raises(PanelError, match="rate scale must be > 0"):
+        IngestConfig(rate_scale=0.0)
 
 
 def test_map_nonpositive_price_names_asset_and_date():
     with pytest.raises(PanelError, match="a0.*2001-01-02"):
-        map_prices(_panel([[1.0, -2.0]]))
+        map_prices(_panel([[1.0, -2.0]]), PRICES)
 
 
 def test_map_rate_below_floor_names_asset_and_date():
     with pytest.raises(PanelError, match="a0.*2001-01-01"):
-        map_prices(_panel([[-0.05, 0.01]], classes=["interest-rate"]))
-
-
-def test_map_twice_forbidden():
-    mapped = map_prices(_panel([[1.0, 2.0]]))
-    with pytest.raises(ContractViolationError, match="already mapped"):
-        map_prices(mapped)
-
-
-def test_returns_require_mapped_panel():
-    with pytest.raises(ContractViolationError, match="mapped"):
-        compute_returns(_panel([[1.0, 2.0]]))
+        map_prices(_panel([[-0.05, 0.01]]), RATES)
 
 
 def test_returns_constant_series_zero():
-    returns = compute_returns(map_prices(_panel([[5.0, 5.0, 5.0]])))
+    returns = compute_returns(_panel([[5.0, 5.0, 5.0]]), PRICES)
     assert np.all(returns.returns == 0.0)
 
 
 def test_returns_first_difference():
-    panel = map_prices(_panel([[1.0, math.e, math.e**3]]))
-    returns = compute_returns(panel)
+    returns = compute_returns(_panel([[1.0, math.e, math.e**3]]), PRICES)
     assert returns.returns[0] == pytest.approx([1.0, 2.0])
 
 
 def test_returns_dates_align_to_later_timestamp():
-    panel = map_prices(_panel([[1.0, 2.0, 3.0, 4.0, 5.0]]))
-    returns = compute_returns(panel)
+    panel = _panel([[1.0, 2.0, 3.0, 4.0, 5.0]])
+    returns = compute_returns(panel, PRICES)
     assert returns.n_dates == 4
     assert returns.dates == panel.dates[1:]
 
@@ -177,24 +170,23 @@ def test_single_date_panel_rejected():
 def test_round_trip_cumsum_reproduces_mapped_prices():
     rng = np.random.default_rng(3)
     raw = np.exp(rng.standard_normal((4, 30)).cumsum(axis=1) * 0.01)
-    mapped = map_prices(_panel(raw))
-    returns = compute_returns(mapped)
-    rebuilt = mapped.values[:, :1] + np.concatenate(
+    mapped = map_prices(_panel(raw), PRICES)
+    returns = compute_returns(_panel(raw), PRICES)
+    rebuilt = mapped[:, :1] + np.concatenate(
         [np.zeros((4, 1)), np.cumsum(returns.returns, axis=1)], axis=1
     )
-    assert np.max(np.abs(rebuilt - mapped.values)) < 1e-12
+    assert np.max(np.abs(rebuilt - mapped)) < 1e-12
 
 
 def test_permuting_columns_permutes_returns():
     rng = np.random.default_rng(4)
     raw = np.abs(rng.standard_normal((5, 12))) + 0.5
-    base = compute_returns(map_prices(_panel(raw)))
+    base = compute_returns(_panel(raw), PRICES)
     perm = [3, 0, 4, 1, 2]
-    permuted = compute_returns(map_prices(_panel(raw[perm])))
+    permuted = compute_returns(_panel(raw[perm]), PRICES)
     assert np.array_equal(permuted.returns, base.returns[perm])
 
 
 def test_duplicate_asset_ids_rejected():
-    assets = (AssetSpec("x"), AssetSpec("x"))
     with pytest.raises(PanelError, match="duplicate"):
-        PricePanel(assets, ("2001-01-01", "2001-01-02"), np.ones((2, 2)))
+        PricePanel(("x", "x"), ("2001-01-01", "2001-01-02"), np.ones((2, 2)))

@@ -211,7 +211,7 @@ def test_spectra_do_not_depend_on_vectors_read(tmp_path, ranks):
 def test_series_of_identities():
     stack = np.repeat(np.eye(4)[None], 3, axis=0)
     series = random_covariance_series(n=4, length=5, n_dates=3, seed=2)
-    fixed = type(series)(series.flavor, series.dates, stack, series.kernel, series.assets)
+    fixed = type(series)(series.flavor, series.dates, stack, series.assets)
     spectra = spectrum_series(fixed)
     assert spectra.values == pytest.approx(np.ones((3, 4)))
 
@@ -280,7 +280,7 @@ def test_series_error_names_offending_date():
     series = random_covariance_series(n=3, length=5, n_dates=3, seed=7)
     broken = series.matrices.copy()
     broken[1, 0, 1] += 1.0  # break symmetry at the second date
-    bad = type(series)(series.flavor, series.dates, broken, series.kernel, series.assets)
+    bad = type(series)(series.flavor, series.dates, broken, series.assets)
     for n_vectors in (0, 2):
         with pytest.raises(ContractViolationError, match=series.dates[1]):
             spectrum_series(bad, n_vectors=n_vectors)
@@ -299,7 +299,7 @@ def test_non_finite_series_names_offending_date(value):
     series = random_covariance_series(n=3, length=5, n_dates=3, seed=8)
     broken = series.matrices.copy()
     broken[2, 1, 1] = value
-    bad = type(series)(series.flavor, series.dates, broken, series.kernel, series.assets)
+    bad = type(series)(series.flavor, series.dates, broken, series.assets)
     for n_vectors in (0, 1):
         with pytest.raises(NumericalError, match=series.dates[2]):
             spectrum_series(bad, n_vectors=n_vectors)

@@ -14,7 +14,6 @@ from covspec import (
     factor_lagged_correlation,
     fluctuation_index,
     generate_returns,
-    leading_projector,
     matrix_lagged_correlation,
     mean_projector,
     projector_series,
@@ -27,51 +26,14 @@ from covspec.subspace import GRAM_MIN_GAMMA, LAGGED_KERNEL_LENGTH, LaggedSums
 from covspec.errors import (
     ContractViolationError,
     DegenerateSeriesError,
-    DegenerateSubspaceWarning,
     ParameterError,
 )
-from testutil import basis_series, random_covariance_series, random_symmetric
+from testutil import basis_series, random_covariance_series
 
 
 def random_spectra(n=6, n_dates=10, seed=0):
     series = random_covariance_series(n=n, length=2 * n, n_dates=n_dates, seed=seed)
     return spectrum_series(series, n_vectors=n)
-
-
-# ---------------------------------------------------------------- projector
-
-
-def test_full_rank_projector_is_identity():
-    eig = eigendecompose(random_symmetric(5, seed=1))
-    proj = leading_projector(eig, 5)
-    assert proj.matrix == pytest.approx(np.eye(5), abs=1e-12)
-
-
-def test_rank_one_projector_of_diagonal_matrix():
-    eig = eigendecompose(np.diag([3.0, 1.0]))
-    proj = leading_projector(eig, 1)
-    assert proj.matrix == pytest.approx(np.array([[1.0, 0.0], [0.0, 0.0]]), abs=1e-14)
-
-
-def test_projector_contract():
-    eig = eigendecompose(random_symmetric(7, seed=2))
-    proj = leading_projector(eig, 2)
-    assert np.abs(proj.matrix @ proj.matrix - proj.matrix).max() < 1e-10
-    assert abs(np.trace(proj.matrix) - 2.0) < 1e-10
-    assert np.array_equal(proj.matrix, proj.matrix.T)
-
-
-def test_rank_out_of_range():
-    eig = eigendecompose(random_symmetric(4, seed=3))
-    for k in (0, 5, -1):
-        with pytest.raises(ParameterError):
-            leading_projector(eig, k)
-
-
-def test_degenerate_cut_warns():
-    eig = eigendecompose(np.eye(4))
-    with pytest.warns(DegenerateSubspaceWarning):
-        leading_projector(eig, 2)
 
 
 # ---------------------------------------------------------------- mean projector
