@@ -44,6 +44,11 @@ class WeightKernel:
         return self.weights.size
 
 
+def _plain(value):
+    """A numpy scalar as the Python number it holds, for error messages."""
+    return value.item() if isinstance(value, np.generic) else value
+
+
 def build_kernel(
     scheme: str,
     length: int = DEFAULT_LENGTH,
@@ -60,7 +65,7 @@ def build_kernel(
     if scheme not in KERNEL_SCHEMES:
         raise ParameterError(f"unknown kernel scheme {scheme!r}")
     if not isinstance(length, (int, np.integer)) or length < 1:
-        raise ParameterError(f"kernel length must be a positive integer, got {length!r}")
+        raise ParameterError(f"kernel length must be a positive integer, got {_plain(length)!r}")
 
     if scheme == RECTANGULAR:
         raw = np.full(length, 1.0 / length)
@@ -68,7 +73,7 @@ def build_kernel(
         if mu is None:
             raise ParameterError("exponential kernel requires mu")
         if not 0.0 < mu < 1.0:
-            raise ParameterError(f"mu must be in (0,1), got {mu!r}")
+            raise ParameterError(f"mu must be in (0,1), got {_plain(mu)!r}")
         raw = float(mu) ** np.arange(length)
     else:
         tau0 = DEFAULT_TAU0_DAYS if tau0_days is None else float(tau0_days)

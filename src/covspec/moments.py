@@ -3,12 +3,13 @@
 The estimator at date t is the weighted cross product of the L most recent
 return vectors,
 
-    Sigma(t) = sum_{i=0}^{L-1} lambda(i) * r(t-i) r(t-i)',
+    Sigma(t) = sum_{i=0}^{L-1} lambda(i) * r(t-i) r(t-i)' = W(t) W(t)',
 
-with no mean subtraction. Every evaluation date gets its own direct product
-of its window, whatever the kernel, so no date carries rounding error over
-from another. This module writes no files: the runner's bundle writer dumps
-the matrices.
+with no mean subtraction, W(t) = r * sqrt(lambda) being the N x L weighted
+window. Every evaluation date gets its own product W W' of its window,
+whatever the kernel, so no date carries rounding error over from another;
+numpy forms W W' by syrk, so each matrix is exactly symmetric. This module
+writes no files: the runner's bundle writer dumps the matrices.
 """
 
 from __future__ import annotations
@@ -82,24 +83,30 @@ def resolve_eval_indices(returns: ReturnPanel, kernel: WeightKernel, eval_dates)
     return idx
 
 
+def _root_weights(kernel: WeightKernel) -> np.ndarray:
+    """sqrt(lambda) in window order, oldest return first."""
+    if np.any(kernel.weights < 0):
+        raise ParameterError("return windows need non-negative kernel weights")
+    return np.sqrt(kernel.weights[::-1])
+
+
 def rolling_covariance(
     returns: ReturnPanel, kernel: WeightKernel, eval_dates=None
 ) -> CovarianceSeries:
-    """Weighted covariance at each evaluation date.
+    """Weighted covariance W W' at each evaluation date.
 
     ``eval_dates`` is None for every feasible date, or an explicit sequence
     of dates.
     """
+    root = _root_weights(kernel)
     idx = resolve_eval_indices(returns, kernel, eval_dates)
     r = returns.returns
     n = returns.n_assets
     length = kernel.length
-    weights_rev = kernel.weights[::-1]
     matrices = np.empty((len(idx), n, n))
     for t, j in enumerate(idx):
-        window = r[:, j - length + 1 : j + 1]
-        cov = (window * weights_rev) @ window.T
-        matrices[t] = (cov + cov.T) / 2.0
+        w = r[:, j - length + 1 : j + 1] * root
+        np.matmul(w, w.T, out=matrices[t])
     dates = tuple(returns.dates[j] for j in idx)
     return CovarianceSeries(COVARIANCE, dates, matrices, returns.asset_ids)
 
@@ -107,12 +114,11 @@ def rolling_covariance(
 def weighted_windows(returns: ReturnPanel, kernel: WeightKernel, eval_dates=None):
     """The dates and the (T, N, L) stack of weighted return windows
     W = r * sqrt(lambda), whose products W W' are ``rolling_covariance``."""
-    if np.any(kernel.weights < 0):
-        raise ParameterError("return windows need non-negative kernel weights")
+    root = _root_weights(kernel)
     idx = np.array(resolve_eval_indices(returns, kernel, eval_dates))
     windows = np.lib.stride_tricks.sliding_window_view(returns.returns.T, kernel.length, axis=0)
     windows = windows[idx - kernel.length + 1]  # one gathered copy, scaled in place
-    windows *= np.sqrt(kernel.weights[::-1])
+    windows *= root
     finite = np.isfinite(windows).all(axis=(1, 2))
     if not finite.all():
         bad = returns.dates[idx[finite.argmin()]]
@@ -126,7 +132,7 @@ def _inverse_scales(variances: np.ndarray, dates, assets) -> np.ndarray:
     if low.size:
         t, a = low[0]
         raise DegenerateAssetError(
-            f"variance {variances[t, a]!r} of asset {assets[a]!r} at date "
+            f"variance {float(variances[t, a])} of asset {assets[a]!r} at date "
             f"{dates[t]!r} is at or below the floor {VARIANCE_FLOOR}"
         )
     return 1.0 / np.sqrt(variances)

@@ -216,7 +216,7 @@ def map_prices(panel: PricePanel, ingest: IngestConfig) -> np.ndarray:
             if bad.size:
                 t = int(bad[0])
                 raise PanelError(
-                    f"non-positive price {row[t]!r} for asset {asset!r} "
+                    f"non-positive price {float(row[t])} for asset {asset!r} "
                     f"at date {panel.dates[t]!r}"
                 )
             mapped[a] = np.log(row)
@@ -226,7 +226,7 @@ def map_prices(panel: PricePanel, ingest: IngestConfig) -> np.ndarray:
             if bad.size:
                 t = int(bad[0])
                 raise PanelError(
-                    f"rate {row[t]!r} at or below -{ingest.rate_scale} for asset "
+                    f"rate {float(row[t])} at or below -{ingest.rate_scale} for asset "
                     f"{asset!r} at date {panel.dates[t]!r}"
                 )
             mapped[a] = np.log(shifted)

@@ -449,10 +449,24 @@ def run_analysis(config: RunConfig) -> ReportBundle:
                 tau0_days=config.kernel_tau0_days,
             ),
         )
+        analyses = set(config.analyses)
+        # Every main matrix W W' has rank at most r: for r < k < N the top-k
+        # subspace holds null directions that rounding picks. The rank-N
+        # projector is the identity whatever the null space.
+        r = min(n, int(np.count_nonzero(kernel.weights > 0)))
+        undetermined = [k for k in config.projector_ranks if r < k < n]
+        if undetermined and analyses & {"projectors", "fluctuation"}:
+            raise ConfigError(
+                [
+                    f"projectors.ranks: rank {k} is not determined by the data: "
+                    f"every main matrix has rank at most {r} (N = {n}); "
+                    f"use ranks up to {r}, or {n}"
+                    for k in undetermined
+                ]
+            )
         eval_dates = _stage("moments", lambda: _eval_range(config, returns))
         idx = _stage("moments", lambda: resolve_eval_indices(returns, kernel, eval_dates))
         dates = tuple(returns.dates[j] for j in idx)
-        analyses = set(config.analyses)
         if "lagged" in analyses:
             lagged_dates = _stage(
                 "subspace", lambda: _lagged_dates(returns, config, eval_dates)

@@ -253,28 +253,27 @@ def eigendecompose(matrix) -> EigenSystem:
     Each eigenvector is flipped so its largest-magnitude component is
     positive. The input must be finite and symmetric within 1e-10 relative.
     """
-    return _leading_system(matrix, None)
+    values, vectors = _solve(np.linalg.eigh, _symmetric_part(matrix))
+    return EigenSystem(np.ascontiguousarray(values[::-1]), _fix_signs(vectors[:, ::-1]))
 
 
-def _leading_system(matrix, k: int | None) -> EigenSystem:
-    """``eigendecompose`` keeping only the top k vectors (all for None): the
-    sign flip is per column, so it runs on the kept columns alone. With k
-    given, the values are those of ``eigenvalues`` and the vectors come from
-    the tridiagonal route; where MRRR fails, from a full eigh, as LAPACK's
-    dsyevr falls back on another solver."""
-    sym = _symmetric_part(matrix)
-    if k is None:
-        values, vectors = _solve(np.linalg.eigh, sym)
-        return EigenSystem(np.ascontiguousarray(values[::-1]), _fix_signs(vectors[:, ::-1]))
-    values, vectors = _tridiagonal_system(sym, k)
+def _leading_system(matrix, k: int):
+    """The descending eigenvalues of ``matrix`` and its top k eigenvectors,
+    signed as by ``eigendecompose`` (None for k = 0), under its checks. Both
+    come from the tridiagonal route; where MRRR fails, the vectors come from
+    a full eigh, as LAPACK's dsyevr falls back on another solver. The sign
+    flip is per column, so it runs on the kept columns alone."""
+    values, vectors = _tridiagonal_system(_symmetric_part(matrix), k)
+    if not k:
+        return values, None
     if vectors is None:
         vectors = _solve(np.linalg.eigh, _symmetric_part(matrix))[1][:, ::-1][:, :k]
-    return EigenSystem(values, _fix_signs(vectors))
+    return values, _fix_signs(vectors)
 
 
 def eigenvalues(matrix) -> np.ndarray:
     """Descending eigenvalues alone, under the checks of ``eigendecompose``."""
-    return _tridiagonal_system(_symmetric_part(matrix), 0)[0]
+    return _leading_system(matrix, 0)[0]
 
 
 def spectrum_series(series: CovarianceSeries, n_vectors: int = 0) -> SpectrumSeries:
@@ -292,14 +291,11 @@ def spectrum_series(series: CovarianceSeries, n_vectors: int = 0) -> SpectrumSer
     vectors = np.empty((t_len, n, n_vectors)) if n_vectors else None
     for t in range(t_len):
         try:
-            if n_vectors:
-                system = _leading_system(series.matrices[t], n_vectors)
-                values[t] = system.values
-                vectors[t] = system.vectors
-            else:
-                values[t] = eigenvalues(series.matrices[t])
+            values[t], kept = _leading_system(series.matrices[t], n_vectors)
         except CovspecError as exc:
             raise type(exc)(f"at date {series.dates[t]!r}: {exc}") from exc
+        if n_vectors:
+            vectors[t] = kept
     return SpectrumSeries(series.dates, values, vectors)
 
 

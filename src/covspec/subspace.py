@@ -60,8 +60,8 @@ def _leading_vectors(series, k: int) -> np.ndarray:
 
 
 def _outer_stack(factors: np.ndarray) -> np.ndarray:
-    stack = factors @ np.transpose(factors, (0, 2, 1))
-    return (stack + np.transpose(stack, (0, 2, 1))) / 2.0
+    """F_t F_t' per date, exactly symmetric as numpy forms it (syrk)."""
+    return factors @ np.transpose(factors, (0, 2, 1))
 
 
 def _side_by_side(vk: np.ndarray) -> np.ndarray:
@@ -85,8 +85,7 @@ def mean_projector(series, k: int) -> MeanProjector:
     if t_len < 1:
         raise ParameterError("empty spectrum series")
     y = _side_by_side(vk)
-    mean = (y @ y.T) / t_len
-    return MeanProjector(k, (mean + mean.T) / 2.0, t_len)
+    return MeanProjector(k, (y @ y.T) / t_len, t_len)  # Y Y' by syrk: exactly symmetric
 
 
 def projector_spectrum(mp: MeanProjector) -> np.ndarray:

@@ -23,7 +23,7 @@ from covspec import (
     validate_config,
 )
 from covspec.cli import main
-from covspec.errors import AnalysisError
+from covspec.errors import AnalysisError, ConfigError, KernelClippingWarning
 from covspec.runner import _BundleWriter
 
 ENSEMBLE_CFG = """
@@ -280,6 +280,57 @@ def test_rank_exceeding_panel_size_fails_before_compute(tmp_path):
     cfg = write_cfg(tmp_path, text + f"output.dir = {out}\n")
     with pytest.raises(Exception, match="exceeds panel size"):
         run_analysis(validate_config(cfg))
+
+
+def test_rank_between_matrix_rank_and_panel_size_fails_before_compute(tmp_path):
+    # N=30 > L=20: every main matrix has rank 20, so the top-25 subspace
+    # would hold null directions picked by rounding; k = 30 stays allowed
+    text = """
+ensemble.kind = one-factor
+ensemble.assets = 30
+ensemble.dates = 200
+ensemble.beta = 0.4
+ensemble.seed = 5
+kernel.scheme = rectangular
+kernel.length = 20
+analyses = spectrum,fluctuation
+projectors.ranks = 1,2,25,30
+"""
+    out = tmp_path / "out"
+    with pytest.raises(ConfigError) as err:
+        run_analysis(validate_config(write_cfg(tmp_path, text + f"output.dir = {out}\n")))
+    message = (
+        "projectors.ranks: rank 25 is not determined by the data: every main "
+        "matrix has rank at most 20 (N = 30); use ranks up to 20, or 30"
+    )
+    assert str(err.value) == message
+    manifest = json.loads(read_bytes(out, "manifest.json"))
+    assert manifest["complete"] is False
+    assert manifest["error"] == message
+    assert manifest["files"] == []
+
+
+def test_matrix_rank_counts_only_positive_kernel_weights(tmp_path):
+    # tau0 = 20 days zeroes the long-memory weights from lag 19 on: 19 of the
+    # 30 are positive, so N=25 matrices have rank at most 19
+    text = """
+ensemble.kind = gaussian-iid
+ensemble.assets = 25
+ensemble.dates = 100
+ensemble.seed = 5
+kernel.scheme = long-memory
+kernel.length = 30
+kernel.tau0_days = 20
+analyses = projectors
+projectors.ranks = 19,20
+"""
+    cfg = validate_config(write_cfg(tmp_path, text + f"output.dir = {tmp_path / 'out'}\n"))
+    with pytest.warns(KernelClippingWarning), pytest.raises(ConfigError) as err:
+        run_analysis(cfg)
+    assert err.value.errors == [
+        "projectors.ranks: rank 20 is not determined by the data: every main "
+        "matrix has rank at most 19 (N = 25); use ranks up to 19, or 25"
+    ]
 
 
 def test_lags_too_large_fail_before_any_analysis(tmp_path):

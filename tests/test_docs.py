@@ -1,14 +1,17 @@
 """The README's key table, flags sentence and output-file table name exactly
-what the code accepts and writes."""
+what the code accepts and writes, and its library example runs."""
 
 import argparse
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 from covspec.cli import _build_parser, main
 from covspec.config import KEYS
 
-README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+ROOT = Path(__file__).resolve().parent.parent
+README = (ROOT / "README.md").read_text()
 
 
 def test_readme_key_table_names_every_config_key():
@@ -63,3 +66,15 @@ def test_readme_output_table_names_every_file_a_full_run_writes(tmp_path):
     )
     assert [f for f in written if not any(re.fullmatch(p, f) for p in patterns)] == []
     assert [p for p in patterns if not any(re.fullmatch(p, f) for f in written)] == []
+
+
+def test_readme_library_example_runs(tmp_path):
+    section = README.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    done = subprocess.run(
+        [sys.executable, "-c", f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r})\n{code}"],
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode == 0, done.stderr

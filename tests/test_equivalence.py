@@ -50,9 +50,9 @@ lagged.length = {lagged_length}
 """
 
 CASES = {
-    # window of 8 returns, at most 0.4 N
+    # lagged window of 8 returns, a third of N
     "thin-svd": dict(n=24, ranks="1,2,5", lagged_length=8),
-    # window above 0.4 N, where the thin SVD costs more than eigh of N x N
+    # lagged window just below N
     "window-above-crossover": dict(n=24, ranks="1,2,5", lagged_length=21),
     # window longer than N
     "window-above-n": dict(n=12, ranks="1,2,5", lagged_length=15),

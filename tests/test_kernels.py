@@ -70,6 +70,18 @@ def test_tau0_nan_or_at_most_one_day_rejected():
             build_kernel("long-memory", 10, tau0_days=tau0)
 
 
+def test_numpy_scalars_print_as_plain_numbers():
+    cases = [
+        ("rectangular", np.int64(0), {}, "kernel length must be a positive integer, got 0"),
+        ("exponential", 10, {"mu": np.float64(1.5)}, "mu must be in (0,1), got 1.5"),
+        ("long-memory", 10, {"tau0_days": np.float64(0.5)}, "tau0_days must exceed 1 day, got 0.5"),
+    ]
+    for scheme, length, kwargs, message in cases:
+        with pytest.raises(ParameterError) as err:
+            build_kernel(scheme, length, **kwargs)
+        assert str(err.value) == message
+
+
 def test_exponential_requires_mu():
     with pytest.raises(ParameterError, match="mu"):
         build_kernel("exponential", 10)
