@@ -36,13 +36,11 @@ from .spectral import (
     DensityBins,
     DensityCurve,
     DensityHistogram,
-    EigenSystem,
     MeanSpectrum,
     SpectrumSeries,
     default_density_bins,
     default_fit_range,
     density_of_states_curve,
-    eigendecompose,
     eigenvalues,
     fit_ansatz,
     fit_mp_q,
@@ -56,11 +54,9 @@ from .spectral import (
 from .subspace import (
     FluctuationIndex,
     MeanProjector,
-    factor_lagged_correlation,
     fluctuation_index,
     matrix_lagged_correlation,
     mean_projector,
-    projector_series,
     projector_spectrum,
 )
 
@@ -74,7 +70,6 @@ __all__ = [
     "DensityBins",
     "DensityCurve",
     "DensityHistogram",
-    "EigenSystem",
     "EnsembleSpec",
     "FluctuationIndex",
     "IngestConfig",
@@ -92,9 +87,7 @@ __all__ = [
     "default_fit_range",
     "density_of_states_curve",
     "effective_length",
-    "eigendecompose",
     "eigenvalues",
-    "factor_lagged_correlation",
     "fit_ansatz",
     "fit_mp_q",
     "fluctuation_index",
@@ -107,7 +100,6 @@ __all__ = [
     "mean_projector",
     "mp_density",
     "mp_support",
-    "projector_series",
     "projector_spectrum",
     "rolling_covariance",
     "run_analysis",

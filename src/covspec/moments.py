@@ -8,8 +8,11 @@ return vectors,
 with no mean subtraction, W(t) = r * sqrt(lambda) being the N x L weighted
 window. Every evaluation date gets its own product W W' of its window,
 whatever the kernel, so no date carries rounding error over from another;
-numpy forms W W' by syrk, so each matrix is exactly symmetric. This module
-writes no files: the runner's bundle writer dumps the matrices.
+numpy forms W W' by syrk, so each matrix is exactly symmetric.
+``covariance_at`` and ``correlation_of`` give one date's matrices, which the
+runner reads one date at a time; ``rolling_covariance`` and
+``to_correlation`` stack them. This module writes no files: the runner's
+bundle writer dumps the matrices.
 """
 
 from __future__ import annotations
@@ -90,6 +93,12 @@ def _root_weights(kernel: WeightKernel) -> np.ndarray:
     return np.sqrt(kernel.weights[::-1])
 
 
+def covariance_at(returns: ReturnPanel, kernel: WeightKernel, j: int) -> np.ndarray:
+    """W W' of the window of the kernel's L returns ending at panel index j."""
+    w = returns.returns[:, j - kernel.length + 1 : j + 1] * _root_weights(kernel)
+    return w @ w.T
+
+
 def rolling_covariance(
     returns: ReturnPanel, kernel: WeightKernel, eval_dates=None
 ) -> CovarianceSeries:
@@ -98,15 +107,11 @@ def rolling_covariance(
     ``eval_dates`` is None for every feasible date, or an explicit sequence
     of dates.
     """
-    root = _root_weights(kernel)
     idx = resolve_eval_indices(returns, kernel, eval_dates)
-    r = returns.returns
     n = returns.n_assets
-    length = kernel.length
     matrices = np.empty((len(idx), n, n))
     for t, j in enumerate(idx):
-        w = r[:, j - length + 1 : j + 1] * root
-        np.matmul(w, w.T, out=matrices[t])
+        matrices[t] = covariance_at(returns, kernel, j)
     dates = tuple(returns.dates[j] for j in idx)
     return CovarianceSeries(COVARIANCE, dates, matrices, returns.asset_ids)
 
@@ -146,15 +151,20 @@ def unit_rows(windows: np.ndarray, dates, assets) -> np.ndarray:
     return windows
 
 
+def correlation_of(cov: np.ndarray, date: str, assets) -> np.ndarray:
+    """The correlation of one date's covariance: cov * outer(s, s) with
+    s = 1/sqrt(diag), unit diagonal, clipped to [-1, 1]."""
+    inv_s = _inverse_scales(np.diagonal(cov)[None], (date,), assets)[0]
+    corr = cov * np.outer(inv_s, inv_s)
+    np.fill_diagonal(corr, 1.0)
+    return np.clip(corr, -1.0, 1.0, out=corr)
+
+
 def to_correlation(series: CovarianceSeries) -> CovarianceSeries:
     """Normalize each covariance matrix to unit diagonal."""
     if series.flavor != COVARIANCE:
         raise ParameterError(f"expected a covariance series, got {series.flavor!r}")
-    diagonals = np.diagonal(series.matrices, axis1=1, axis2=2)
-    inv_s = _inverse_scales(diagonals, series.dates, series.assets)
     out = np.empty_like(series.matrices)
-    for t, cov in enumerate(series.matrices):
-        corr = cov * np.outer(inv_s[t], inv_s[t])
-        np.fill_diagonal(corr, 1.0)
-        out[t] = np.clip(corr, -1.0, 1.0)
+    for t, (date, cov) in enumerate(zip(series.dates, series.matrices)):
+        out[t] = correlation_of(cov, date, series.assets)
     return CovarianceSeries(CORRELATION, series.dates, out, series.assets)

@@ -14,6 +14,7 @@ log, JSON, manifest) and the synth CSV, is UTF-8 text written here by
 from __future__ import annotations
 
 import datetime as _dt
+import functools
 import hashlib
 import itertools
 import json
@@ -36,10 +37,9 @@ from .errors import (
 from .kernels import build_kernel, effective_length
 from .moments import (
     CORRELATION,
-    CovarianceSeries,
+    correlation_of,
+    covariance_at,
     resolve_eval_indices,
-    rolling_covariance,
-    to_correlation,
     unit_rows,
     weighted_windows,
 )
@@ -51,11 +51,11 @@ from .spectral import (
     density_of_states_curve,
     fit_ansatz,
     fit_mp_q,
+    leading_system,
     log_mean_spectrum,
     mp_density,
     mp_support,
     spectral_density,
-    spectrum_series,
     window_vectors,
 )
 from .subspace import (
@@ -73,15 +73,13 @@ MANIFEST_NAME = "manifest.json"
 # json.dump's encoder for every JSON file, the manifest included
 _JSON = json.JSONEncoder(indent=2, sort_keys=True, allow_nan=False)
 
-# Both stages run over blocks of dates holding at most this many bytes: of
-# N x N matrices in the main stage, of N x L return windows in the lagged one.
-# So no (T,N,N) matrix stack and no (T,N,L) window stack is built: a run holds
-# one block of either stage plus the (T,N) values, the (T,N,k) vectors and
-# N x N running sums per lagged series, however many dates are evaluated.
-# Smaller blocks lower the peak further, but then malloc hands each block's
-# pages back to the kernel and faults them in again: at 2 MiB a longmem-full
-# run took four times the page faults of 8 MiB and about 5% longer (2-vCPU
-# x86-64 host, glibc).
+# The lagged stage runs over blocks of dates holding at most this many bytes
+# of N x L return windows, so no (T,N,L) window stack is built: it holds one
+# block plus N x N running sums per lagged series, however many dates are
+# evaluated. Smaller blocks lower the peak further, but then malloc hands each
+# block's pages back to the kernel and faults them in again: at 2 MiB a
+# longmem-full run took four times the page faults of 8 MiB and about 5%
+# longer (2-vCPU x86-64 host, glibc). The main stage runs one date at a time.
 BLOCK_BYTES = 8 * 2**20
 
 
@@ -113,6 +111,14 @@ def _csv_lines(header, rows):
         if shape not in templates:
             templates[shape] = _template(shape)
         yield templates[shape] % row
+
+
+@functools.cache
+def _lower_triangle(n: int):
+    """The % template of an N x N matrix's lower triangle, one CSV row per
+    matrix row, and the indices of its cells in template order: one format
+    call per matrix, every cell a float, no type test."""
+    return "".join(_template((float,) * (i + 1)) for i in range(n)), np.tril_indices(n)
 
 
 def _write_text(path: str, lines) -> None:
@@ -160,16 +166,13 @@ class _BundleWriter:
     def write_lines(self, name: str, lines) -> str:
         return self._write(name, (line + "\n" for line in lines))
 
-    def write_matrices(self, series: CovarianceSeries) -> None:
-        """Write each date's matrix as ``matrices/<flavor>_<date>.csv``: its
+    def write_matrix(self, flavor: str, date: str, matrix: np.ndarray) -> None:
+        """Write one date's matrix as ``matrices/<flavor>_<date>.csv``: its
         lower triangle, one row per asset, no header, CSV in either format."""
         os.makedirs(os.path.join(self.output_dir, "matrices"), exist_ok=True)
-        # every cell is a float: one template per row length, no type test
-        templates = [_template((float,) * (i + 1)) for i in range(series.n_assets)]
-        for date, matrix in zip(series.dates, series.matrices):
-            rows = zip(templates, matrix.tolist())
-            text = "".join(t % tuple(row[: i + 1]) for i, (t, row) in enumerate(rows))
-            self._write(os.path.join("matrices", f"{series.flavor}_{date}.csv"), (text,))
+        template, cells = _lower_triangle(len(matrix))
+        text = template % tuple(matrix[cells].tolist())
+        self._write(os.path.join("matrices", f"{flavor}_{date}.csv"), (text,))
 
     def write_manifest(self, config: RunConfig, complete: bool, error: str | None = None) -> str:
         """Write the manifest of every file written so far; returns its path."""
@@ -348,12 +351,13 @@ def _lagged_file(writer, returns, config, dates) -> None:
     covariance sums and the projector vectors, then scaled to unit rows in
     place for the correlation sums, and dropped."""
     compact = build_kernel("rectangular", config.lagged_length)
-    # A window of L dates spans at most L directions: ranks above L get no
-    # lagged projector series.
-    ranks = [k for k in config.projector_ranks if k <= config.lagged_length]
+    n, length = returns.n_assets, compact.length
+    # A window of L dates spans at most L directions, so ranks above L get no
+    # lagged projector series; nor does rank N, whose projector is the
+    # identity at every date, a constant series.
+    ranks = [k for k in config.projector_ranks if k <= length and k < n]
     names = ["covariance", "correlation", *(f"projector_k{k}" for k in ranks)]
     sums = {name: LaggedSums(config.lags, len(dates)) for name in names}
-    n, length = returns.n_assets, compact.length
     # bounds both the windows and the L x L grams of the sums
     step = max(1, BLOCK_BYTES // (8 * length * max(n, length)))
     for lo in range(0, len(dates), step):
@@ -383,11 +387,22 @@ def _lagged_file(writer, returns, config, dates) -> None:
     writer.write_table("lagged_correlation", ["series", "lag", "rho"], rows)
 
 
-def _main_stage(writer, returns, kernel, dates, config):
-    """The main matrices, block by block: dump them if asked, and solve the
-    spectra the analyses read. Returns the main spectra (with the top
-    max(projectors.ranks) vectors for projectors and fluctuation) and the
-    correlation spectra for mp-compare, or None for each not read."""
+def _solved(date, matrix, k):
+    """``leading_system`` of one of the run's own matrices, exactly symmetric
+    by construction and so not checked; a failure names the date."""
+    try:
+        return leading_system(matrix, k)
+    except CovspecError as exc:
+        raise type(exc)(f"at date {date!r}: {exc}") from exc
+
+
+def _main_stage(writer, returns, kernel, idx, config):
+    """The main matrices, one date at a time in date order: each date's
+    covariance W W' and, where read, its correlation are formed once, dumped
+    if asked, and solved for the spectra the analyses read. Returns the main
+    spectra (with the top max(projectors.ranks) vectors for projectors and
+    fluctuation) and the correlation spectra for mp-compare, or None for each
+    not read."""
     analyses = set(config.analyses)
     readers = {"spectrum", "density", "ansatz", "projectors", "fluctuation"}
     # mp-compare reads the main spectra in correlation flavor, its own otherwise.
@@ -401,30 +416,23 @@ def _main_stage(writer, returns, kernel, dates, config):
         max(config.projector_ranks) if analyses & {"projectors", "fluctuation"} else 0
     )
     n = returns.n_assets
-    step = max(1, BLOCK_BYTES // (8 * n * n))
-    t_len = len(dates)
-    values = np.empty((t_len, n)) if need_spectra else None
-    vectors = np.empty((t_len, n, n_vectors)) if n_vectors else None
-    corr_values = np.empty((t_len, n)) if corr_apart else None
-    for lo in range(0, t_len, step):
-        block = dates[lo : lo + step]
-        rows = slice(lo, lo + len(block))
-        cov = _stage("moments", lambda: rolling_covariance(returns, kernel, block))
-        base = cov
-        if config.flavor == CORRELATION:
-            base = _stage("moments", lambda: to_correlation(cov))
+    dates = tuple(returns.dates[j] for j in idx)
+    values = np.empty((len(dates), n)) if need_spectra else None
+    vectors = np.empty((len(dates), n, n_vectors)) if n_vectors else None
+    corr_values = np.empty((len(dates), n)) if corr_apart else None
+    for t, (date, j) in enumerate(zip(dates, idx)):
+        cov = _stage("moments", lambda: covariance_at(returns, kernel, j))
+        if config.flavor == CORRELATION or corr_apart:
+            corr = _stage("moments", lambda: correlation_of(cov, date, returns.asset_ids))
+        base = corr if config.flavor == CORRELATION else cov
         if config.dump_matrices:
-            writer.write_matrices(base)
+            writer.write_matrix(config.flavor, date, base)
         if need_spectra:
-            part = _stage("spectral", lambda: spectrum_series(base, n_vectors=n_vectors))
-            values[rows] = part.values
+            values[t], kept = _stage("spectral", lambda: _solved(date, base, n_vectors))
             if n_vectors:
-                vectors[rows] = part.vectors[:, :, :n_vectors]
+                vectors[t] = kept
         if corr_apart:
-            corr_values[rows] = _stage(
-                "spectral", lambda: spectrum_series(to_correlation(cov))
-            ).values
-        del cov, base  # freed before the next block is built
+            corr_values[t] = _stage("spectral", lambda: _solved(date, corr, 0))[0]
     spectra = SpectrumSeries(dates, values, vectors) if need_spectra else None
     return spectra, SpectrumSeries(dates, corr_values) if corr_apart else spectra
 
@@ -466,13 +474,12 @@ def run_analysis(config: RunConfig) -> ReportBundle:
             )
         eval_dates = _stage("moments", lambda: _eval_range(config, returns))
         idx = _stage("moments", lambda: resolve_eval_indices(returns, kernel, eval_dates))
-        dates = tuple(returns.dates[j] for j in idx)
         if "lagged" in analyses:
             lagged_dates = _stage(
                 "subspace", lambda: _lagged_dates(returns, config, eval_dates)
             )
 
-        spectra, corr_spectra = _main_stage(writer, returns, kernel, dates, config)
+        spectra, corr_spectra = _main_stage(writer, returns, kernel, idx, config)
 
         if "spectrum" in analyses:
             _stage("spectral", lambda: _spectrum_files(writer, spectra))

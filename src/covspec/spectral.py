@@ -38,14 +38,6 @@ MP_Q_BOUNDS = (1e-3, 1.0)
 
 
 @dataclass(frozen=True)
-class EigenSystem:
-    """Descending eigenvalues with orthonormal eigenvector columns."""
-
-    values: np.ndarray
-    vectors: np.ndarray
-
-
-@dataclass(frozen=True)
 class SpectrumSeries:
     """Per-date descending spectra, optionally with the eigenvector bases."""
 
@@ -208,13 +200,13 @@ def _tridiagonal_system(sym: np.ndarray, k: int):
     tridiagonal reduction: every value from dsterf (what ``eigvalsh`` runs),
     the k vectors from MRRR (dstemr) and back-transformed by the reduction's
     reflectors alone. The vectors are None for k = 0 and where dstemr or the
-    back-transform fails. ``sym`` must be exactly symmetric; it is
-    overwritten."""
+    back-transform fails. ``sym`` must be exactly symmetric; it is left
+    intact."""
     n = sym.shape[0]
-    # Exactly symmetric, so the transpose is the same matrix in Fortran order
-    # and dsytrd reduces it in place; the blocked workspace is dsyevd's.
+    # Exactly symmetric, so the transpose is the same matrix in Fortran order:
+    # dsytrd reduces a copy of it, and the blocked workspace is dsyevd's.
     lwork = int(lapack.dsytrd_lwork(n, lower=1)[0])
-    c, d, e, tau, info = lapack.dsytrd(sym.T, lower=1, lwork=lwork, overwrite_a=1)
+    c, d, e, tau, info = lapack.dsytrd(sym.T, lower=1, lwork=lwork)
     _check_info("dsytrd", info, n)
     # dstemr takes e of length N (so does dsterf's wrapper at N = 1), and
     # overwrites it; the last entry is not read.
@@ -247,33 +239,28 @@ def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     return vectors * signs
 
 
-def eigendecompose(matrix) -> EigenSystem:
-    """Descending eigendecomposition with a deterministic sign convention.
+def leading_system(sym: np.ndarray, k: int):
+    """The descending eigenvalues of ``sym`` and its top k eigenvectors, each
+    flipped so its largest-magnitude component is positive (None for k = 0).
+    Both come from the tridiagonal route; where MRRR fails, the vectors come
+    from a full eigh of ``sym``, as LAPACK's dsyevr falls back on another
+    solver. The sign flip is per column, so it runs on the kept columns alone.
 
-    Each eigenvector is flipped so its largest-magnitude component is
-    positive. The input must be finite and symmetric within 1e-10 relative.
-    """
-    values, vectors = _solve(np.linalg.eigh, _symmetric_part(matrix))
-    return EigenSystem(np.ascontiguousarray(values[::-1]), _fix_signs(vectors[:, ::-1]))
-
-
-def _leading_system(matrix, k: int):
-    """The descending eigenvalues of ``matrix`` and its top k eigenvectors,
-    signed as by ``eigendecompose`` (None for k = 0), under its checks. Both
-    come from the tridiagonal route; where MRRR fails, the vectors come from
-    a full eigh, as LAPACK's dsyevr falls back on another solver. The sign
-    flip is per column, so it runs on the kept columns alone."""
-    values, vectors = _tridiagonal_system(_symmetric_part(matrix), k)
+    ``sym`` must be finite and exactly symmetric, and is not checked: the
+    runner's own matrices are so by construction, and ``eigenvalues`` and
+    ``spectrum_series`` check a matrix from outside first."""
+    values, vectors = _tridiagonal_system(sym, k)
     if not k:
         return values, None
     if vectors is None:
-        vectors = _solve(np.linalg.eigh, _symmetric_part(matrix))[1][:, ::-1][:, :k]
+        vectors = _solve(np.linalg.eigh, sym)[1][:, ::-1][:, :k]
     return values, _fix_signs(vectors)
 
 
 def eigenvalues(matrix) -> np.ndarray:
-    """Descending eigenvalues alone, under the checks of ``eigendecompose``."""
-    return _leading_system(matrix, 0)[0]
+    """Descending eigenvalues alone of a square, finite matrix symmetric
+    within 1e-10 relative."""
+    return leading_system(_symmetric_part(matrix), 0)[0]
 
 
 def spectrum_series(series: CovarianceSeries, n_vectors: int = 0) -> SpectrumSeries:
@@ -282,7 +269,8 @@ def spectrum_series(series: CovarianceSeries, n_vectors: int = 0) -> SpectrumSer
 
     With ``n_vectors`` 0 only the eigenvalues are solved for; otherwise the
     leading columns are kept, giving a (T, N, n_vectors) vector stack, and
-    the values are those of the values-only solve.
+    the values are those of the values-only solve. Every matrix must be
+    finite and symmetric within 1e-10 relative.
     """
     t_len, n = len(series), series.n_assets
     if not 0 <= n_vectors <= n:
@@ -291,7 +279,7 @@ def spectrum_series(series: CovarianceSeries, n_vectors: int = 0) -> SpectrumSer
     vectors = np.empty((t_len, n, n_vectors)) if n_vectors else None
     for t in range(t_len):
         try:
-            values[t], kept = _leading_system(series.matrices[t], n_vectors)
+            values[t], kept = leading_system(_symmetric_part(series.matrices[t]), n_vectors)
         except CovspecError as exc:
             raise type(exc)(f"at date {series.dates[t]!r}: {exc}") from exc
         if n_vectors:
@@ -302,7 +290,7 @@ def spectrum_series(series: CovarianceSeries, n_vectors: int = 0) -> SpectrumSer
 def window_vectors(windows: np.ndarray, k: int) -> np.ndarray:
     """Top-k left singular vectors of each N x L window, shape (T, N, k): for
     the windows W of ``moments.weighted_windows``, the leading eigenvectors of
-    W W' without forming it. Signs follow ``eigendecompose``."""
+    W W' without forming it. Signs follow ``leading_system``."""
     t_len, n, length = windows.shape
     if not 1 <= k <= min(n, length):
         raise ParameterError(f"rank k={k} outside [1, {min(n, length)}]")

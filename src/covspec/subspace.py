@@ -17,7 +17,7 @@ import numpy as np
 from .errors import ContractViolationError, DegenerateSeriesError, ParameterError
 from .spectral import eigenvalues
 
-# The trace identities of factor_lagged_correlation move rho by about 3e-16 / g,
+# The trace identities of LaggedSums move rho by about 3e-16 / g,
 # g the ratio of centred to total variance (gamma, for projectors; measured from
 # 0.9 down to 3e-5); below this g, where that passes 3e-13, the stack is used.
 GRAM_MIN_GAMMA = 1e-3
@@ -67,11 +67,6 @@ def _outer_stack(factors: np.ndarray) -> np.ndarray:
 def _side_by_side(vk: np.ndarray) -> np.ndarray:
     """The (T, N, k) stack as one N x (T k) matrix [V_1 V_2 ... V_T]."""
     return np.transpose(vk, (1, 0, 2)).reshape(vk.shape[1], -1)
-
-
-def projector_series(series, k: int) -> np.ndarray:
-    """Stack of per-date rank-k projectors, shape (T, N, N)."""
-    return _outer_stack(_leading_vectors(series, k))
 
 
 def mean_projector(series, k: int) -> MeanProjector:
@@ -160,8 +155,9 @@ def _with_mean(factors: np.ndarray, mean: np.ndarray) -> np.ndarray:
 
 
 class LaggedSums:
-    """Running sums that give ``factor_lagged_correlation`` of X_t = F_t F_t'
-    over T dates whose (T, N, m) factors are fed in blocks, in date order.
+    """Running sums that give ``matrix_lagged_correlation`` of X_t = F_t F_t'
+    over T dates whose (T, N, m) factors are fed in blocks, in date order,
+    by tr(X_t X_s) = ||F_t' F_s||_F^2 and tr(X_t M) = tr(F_t' M F_t).
 
     Kept: S = sum_t X_t, tr(X_t^2) per date, sum_t tr(X_t X_{t+tau}) per lag,
     and the first and last max(lags) factors. With M = S / T the with-mean
@@ -242,16 +238,3 @@ class LaggedSums:
             out[i] = cross / (t_len - lag) / denom
         return out
 
-
-def factor_lagged_correlation(factors, lags) -> np.ndarray:
-    """``matrix_lagged_correlation`` of X_t = F_t F_t' from the (T, N, m) factors F
-    alone, by tr(X_t X_s) = ||F_t' F_s||_F^2 and tr(X_t M) = tr(F_t' M F_t) for M
-    the mean of X, through ``LaggedSums``. A constant or near-static series
-    (GRAM_MIN_GAMMA) goes to ``matrix_lagged_correlation`` of its stack, which
-    refuses a constant one."""
-    f = np.asarray(factors, dtype=float)
-    if f.ndim != 3:
-        raise ParameterError(f"expected a (T,N,m) factor stack, got {f.shape}")
-    sums = LaggedSums(lags, len(f))
-    sums.add(f)
-    return sums.rho(lambda: f)

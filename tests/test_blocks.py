@@ -1,7 +1,8 @@
-"""Both stages run over blocks of dates (``runner.BLOCK_BYTES``): every
-output byte of the main stage is the same whatever the block size, the lagged
-rho moves by rounding only, and a fault in a later block fails the run with
-the same error as a run in one block."""
+"""The main stage runs one date at a time, in date order, and the lagged
+stage over blocks of dates (``runner.BLOCK_BYTES``): every output byte of the
+main stage is the same whatever the block size, the lagged rho moves by
+rounding only, and a fault at a later date fails the run with the same error
+whatever the block size."""
 
 import json
 import os
@@ -19,7 +20,6 @@ from covspec import (
     rolling_covariance,
     run_analysis,
     runner,
-    spectrum_series,
     matrix_lagged_correlation,
     to_correlation,
     validate_config,
@@ -27,7 +27,8 @@ from covspec import (
 )
 from covspec import subspace
 from covspec.errors import AnalysisError, DegenerateAssetError
-from covspec.moments import unit_rows, weighted_windows
+from covspec.moments import covariance_at, unit_rows, weighted_windows
+from covspec.spectral import leading_system
 
 N_ASSETS = 12
 MATRIX_BYTES = 8 * N_ASSETS**2
@@ -46,12 +47,9 @@ projectors.ranks = 1,3
 output.dump_matrices = true
 """
 
-# dates per block -> the block lengths of the 11 dates
-BLOCKINGS = {
-    1: [1] * 11,
-    3: [3, 3, 3, 2],
-    None: [11],  # the default BLOCK_BYTES holds every date
-}
+# dates per block of the lagged stage (None: the default BLOCK_BYTES); the
+# main stage runs one date at a time whatever the block size
+BLOCKINGS = (1, 3, None)
 
 
 def bundle_bytes(directory):
@@ -67,12 +65,12 @@ def bundle_bytes(directory):
 @pytest.mark.parametrize("flavor, out_format", [("covariance", "csv"), ("correlation", "json")])
 def test_bundles_identical_for_every_block_size(tmp_path, monkeypatch, flavor, out_format):
     bundles = {}
-    for per_block, lengths in BLOCKINGS.items():
+    for per_block in BLOCKINGS:
         calls = []
 
-        def counted(returns, kernel, eval_dates, calls=calls):
-            calls.append(len(eval_dates))
-            return rolling_covariance(returns, kernel, eval_dates)
+        def counted(returns, kernel, j, calls=calls):
+            calls.append(returns.dates[j])
+            return covariance_at(returns, kernel, j)
 
         out = tmp_path / f"per-block-{per_block}"
         cfg = tmp_path / f"{per_block}.cfg"
@@ -83,10 +81,11 @@ def test_bundles_identical_for_every_block_size(tmp_path, monkeypatch, flavor, o
         with monkeypatch.context() as patch:
             if per_block is not None:
                 patch.setattr(runner, "BLOCK_BYTES", per_block * MATRIX_BYTES)
-            patch.setattr(runner, "rolling_covariance", counted)
+            patch.setattr(runner, "covariance_at", counted)
             bundle = run_analysis(validate_config(str(cfg)))
         assert bundle.complete
-        assert calls == lengths
+        # one covariance per evaluation date, formed once, in date order
+        assert calls == list(make_business_dates(40)[-11:])
         bundles[per_block] = bundle_bytes(out)
 
     reference = bundles.pop(None)
@@ -118,7 +117,7 @@ def test_variance_floor_fault_in_a_later_block(tmp_path, monkeypatch):
     series = rolling_covariance(returns, build_kernel("rectangular", 10))
     with pytest.raises(DegenerateAssetError) as direct:
         to_correlation(series)
-    # the first faulty date lies beyond the first three blocks of 3 dates
+    # the first faulty date is the tenth or later
     fault_at = [d for d in series.dates if d in str(direct.value)]
     assert len(fault_at) == 1 and series.dates.index(fault_at[0]) >= 9
 
@@ -153,7 +152,7 @@ def test_run_without_spectra_or_dump_builds_no_main_matrices(tmp_path, monkeypat
         .replace("spectrum,density,mp-compare,ansatz,projectors,fluctuation", "lagged")
         + f"lagged.lags = 0,1\noutput.dir = {tmp_path / 'out'}\n"
     )
-    monkeypatch.setattr(runner, "rolling_covariance", refused)
+    monkeypatch.setattr(runner, "covariance_at", refused)
     bundle = run_analysis(validate_config(str(cfg)))
     assert bundle.files == ("lagged_correlation.csv",)
 
@@ -161,7 +160,7 @@ def test_run_without_spectra_or_dump_builds_no_main_matrices(tmp_path, monkeypat
 def test_mp_compare_alone_solves_only_the_spectra_it_reads(tmp_path, monkeypatch):
     """mp-compare reads correlation spectra: in covariance flavor its own, so
     the covariance spectra are not solved; in correlation flavor the main
-    ones. Either way one spectrum_series call per block."""
+    ones. Either way one values-only solve of a correlation matrix per date."""
     bundles = {}
     for flavor, analyses in [
         ("covariance", "mp-compare"),
@@ -170,9 +169,10 @@ def test_mp_compare_alone_solves_only_the_spectra_it_reads(tmp_path, monkeypatch
     ]:
         solved = []
 
-        def counted(series, n_vectors=0, solved=solved):
-            solved.append(series.flavor)
-            return spectrum_series(series, n_vectors=n_vectors)
+        def counted(matrix, k, solved=solved):
+            unit_diagonal = np.array_equal(np.diagonal(matrix), np.ones(len(matrix)))
+            solved.append(("correlation" if unit_diagonal else "covariance", k))
+            return leading_system(matrix, k)
 
         out = tmp_path / f"{flavor}-{analyses}"
         cfg = tmp_path / "run.cfg"
@@ -182,12 +182,11 @@ def test_mp_compare_alone_solves_only_the_spectra_it_reads(tmp_path, monkeypatch
             + f"matrix.flavor = {flavor}\noutput.dir = {out}\n"
         )
         with monkeypatch.context() as patch:
-            patch.setattr(runner, "BLOCK_BYTES", 3 * MATRIX_BYTES)  # 4 blocks
-            patch.setattr(runner, "spectrum_series", counted)
+            patch.setattr(runner, "leading_system", counted)
             assert run_analysis(validate_config(str(cfg))).complete
         bundles[flavor, analyses] = bundle_bytes(out)
         if analyses == "mp-compare":
-            assert solved == ["correlation"] * 4, flavor
+            assert solved == [("correlation", 0)] * 11, flavor
     alone = bundles["covariance", "mp-compare"]
     for reference in (("covariance", "mp-compare,spectrum"), ("correlation", "mp-compare")):
         assert alone["mp_compare.json"] == bundles[reference]["mp_compare.json"], reference

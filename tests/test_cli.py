@@ -254,6 +254,31 @@ def test_lagged_projectors_take_ranks_up_to_lagged_length(tmp_path):
     assert series == {"covariance", "correlation", "projector_k1"}
 
 
+def test_rank_n_projector_gets_no_lagged_series(tmp_path):
+    # the rank-N projector is the identity at every date: a constant series
+    text = """
+ensemble.kind = gaussian-iid
+ensemble.assets = 6
+ensemble.dates = 80
+ensemble.seed = 7
+kernel.scheme = rectangular
+kernel.length = 20
+analyses = spectrum,projectors,lagged
+projectors.ranks = 1,6
+lagged.lags = 0,1,5
+lagged.length = 10
+"""
+    out = tmp_path / "out"
+    bundle = run_analysis(validate_config(write_cfg(tmp_path, text + f"output.dir = {out}\n")))
+    assert bundle.complete
+    spectrum = (out / "mean_projector_spectrum.csv").read_text().splitlines()[1:]
+    assert sum(line.startswith("6,") for line in spectrum) == 6
+    lagged = (out / "lagged_correlation.csv").read_text().splitlines()[1:]
+    assert {line.split(",")[0] for line in lagged} == {
+        "covariance", "correlation", "projector_k1"
+    }
+
+
 def test_failed_run_marks_manifest_incomplete(tmp_path):
     # rectangular L=21 at N=50 gives q = 50/21 > 1: the M-P comparison refuses
     text = """

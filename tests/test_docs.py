@@ -1,7 +1,9 @@
 """The README's key table, flags sentence and output-file table name exactly
-what the code accepts and writes, and its library example runs."""
+what the code accepts and writes, every code name it cites exists, and its
+library example runs."""
 
 import argparse
+import importlib
 import re
 import subprocess
 import sys
@@ -66,6 +68,20 @@ def test_readme_output_table_names_every_file_a_full_run_writes(tmp_path):
     )
     assert [f for f in written if not any(re.fullmatch(p, f) for p in patterns)] == []
     assert [p for p in patterns if not any(re.fullmatch(p, f) for f in written)] == []
+
+
+def test_readme_code_names_resolve():
+    cited = sorted(set(re.findall(r"`covspec\.([\w.]+)`", README)))
+    assert cited
+    missing = []
+    for dotted in cited:
+        obj = importlib.import_module("covspec")
+        for part in dotted.split("."):
+            if not hasattr(obj, part):
+                missing.append(dotted)
+                break
+            obj = getattr(obj, part)
+    assert missing == []
 
 
 def test_readme_library_example_runs(tmp_path):

@@ -1,13 +1,14 @@
 """End-to-end equivalence of the solvers each analysis uses with the
-reference ones: full eigendecompositions kept for every date, stacked
+reference ones: a full eigendecomposition for every date's matrix, stacked
 (T,N,N) projector series and their stacked mean, and for every lagged
 series the stacked F_t F_t' of its factors with eigh vectors of the lagged
 covariance.
 
 Each config runs twice, once as shipped and once with the reference
-functions patched into the runner. The lagged rows are computed here from
-the whole window stack, apart from the runner. Every number of every output
-must agree to 1e-12 relative to the largest magnitude in its column.
+functions patched into the runner in place of its per-date solve and its
+mean projector. The lagged rows are computed here from the whole window
+stack, apart from the runner. Every number of every output must agree to
+1e-12 relative to the largest magnitude in its column.
 """
 
 import csv
@@ -19,19 +20,17 @@ import pytest
 
 from covspec import (
     MeanProjector,
-    SpectrumSeries,
     build_kernel,
-    eigendecompose,
     generate_returns,
     matrix_lagged_correlation,
-    projector_series,
     run_analysis,
     runner,
-    spectrum_series,
     validate_config,
     window_vectors,
 )
 from covspec.moments import weighted_windows
+from covspec.spectral import leading_system
+from testutil import eigendecompose, projector_series
 
 RTOL = 1e-12
 
@@ -63,13 +62,9 @@ CASES = {
 }
 
 
-def reference_spectra(series, n_vectors=0):
-    systems = [eigendecompose(m) for m in series.matrices]
-    return SpectrumSeries(
-        series.dates,
-        np.array([s.values for s in systems]),
-        np.array([s.vectors for s in systems]),
-    )
+def reference_system(matrix, k):
+    system = eigendecompose(matrix)
+    return system.values, system.vectors[:, :k] if k else None
 
 
 def reference_mean_projector(series, k):
@@ -144,24 +139,25 @@ def test_outputs_match_reference_solvers(tmp_path, monkeypatch, case):
         svd_ranks.append(k)
         return window_vectors(windows, k)
 
-    def counted_spectrum_series(series, n_vectors=0):
-        kept_vectors.append((series.flavor, n_vectors))
-        return spectrum_series(series, n_vectors)
+    def counted_leading_system(matrix, k):
+        unit_diagonal = np.array_equal(np.diagonal(matrix), np.ones(len(matrix)))
+        kept_vectors.append(("correlation" if unit_diagonal else "covariance", k))
+        return leading_system(matrix, k)
 
     with monkeypatch.context() as patch:
         patch.setattr(runner, "window_vectors", counted_window_vectors)
-        patch.setattr(runner, "spectrum_series", counted_spectrum_series)
+        patch.setattr(runner, "leading_system", counted_leading_system)
         shipped = run(tmp_path, "shipped", CASES[case])
-    # per block of dates: the main (covariance) spectra keep max(k) vectors
-    # and the M-P correlation spectra none; the lagged stage takes max(k)
-    # vectors from its windows
+    # per date: the main (covariance) matrix keeps max(k) vectors and the
+    # M-P correlation matrix none; the lagged stage takes max(k) vectors
+    # from its windows
     k_max = max(int(k) for k in CASES[case]["ranks"].split(","))
     assert svd_ranks and set(svd_ranks) == {k_max}
-    main_calls = kept_vectors[0::2]
-    assert main_calls and main_calls == [("covariance", k_max)] * len(main_calls)
-    assert kept_vectors[1::2] == [("correlation", 0)] * len(main_calls)
+    n_dates = 420 - 120 + 1
+    assert kept_vectors[0::2] == [("covariance", k_max)] * n_dates
+    assert kept_vectors[1::2] == [("correlation", 0)] * n_dates
     with monkeypatch.context() as patch:
-        patch.setattr(runner, "spectrum_series", reference_spectra)
+        patch.setattr(runner, "leading_system", reference_system)
         patch.setattr(runner, "mean_projector", reference_mean_projector)
         reference = run(tmp_path, "reference", CASES[case])
 

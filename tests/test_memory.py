@@ -4,12 +4,13 @@ Each loop writes its results straight into a preallocated output stack, so
 a call holds one stack of results and a few per-date temporaries; a loop
 that collects per-date results and then stacks them holds two. Projector
 statistics read only the (T,N,k) leading vectors and never hold a (T,N,N)
-stack. The runner's main stage calls those loops on one block of dates at a
-time (``runner.BLOCK_BYTES``), so a whole run holds one block of matrices
-plus the (T,N) values and (T,N,k) vectors, well below one (T,N,N) stack. The
-lagged stage gathers its (T,N,L) return windows one block of dates at a
-time too, feeds them to running sums and drops them, so its peak does not
-grow with the number of dates and stays below one window stack.
+stack. The runner's main stage forms, dumps and solves one date's N x N
+matrices at a time, so a whole run holds one date's matrices plus the (T,N)
+values and (T,N,k) vectors, and its peak grows with the number of dates by
+those alone. The lagged stage gathers its (T,N,L) return windows one block
+of dates at a time (``runner.BLOCK_BYTES``), feeds them to running sums and
+drops them, so its peak does not grow with the number of dates and stays
+below one window stack.
 """
 
 import tracemalloc
@@ -20,7 +21,6 @@ import pytest
 from covspec import (
     EnsembleSpec,
     build_kernel,
-    factor_lagged_correlation,
     generate_returns,
     rolling_covariance,
     runner,
@@ -29,6 +29,7 @@ from covspec import (
 )
 from covspec.config import config_from_mapping
 from covspec.moments import weighted_windows
+from testutil import factor_lagged_correlation
 
 N_ASSETS = 60
 N_DATES = 300
@@ -138,9 +139,8 @@ def test_lagged_stage_peaks_below_one_stack(monkeypatch):
     assert long < long_stack
 
 
-def test_main_stage_holds_no_matrix_stack(tmp_path, monkeypatch):
-    n, n_dates, length = 80, 300, 100
-    config = config_from_mapping({
+def main_config(tmp_path, n_dates, n=80, length=100, **keys):
+    return config_from_mapping({
         "ensemble.kind": "one-factor",
         "ensemble.assets": str(n),
         "ensemble.dates": str(length + n_dates - 1),
@@ -148,11 +148,48 @@ def test_main_stage_holds_no_matrix_stack(tmp_path, monkeypatch):
         "ensemble.seed": "6",
         "kernel.scheme": "long-memory",
         "kernel.length": str(length),
-        "analyses": "spectrum,density,ansatz,projectors,fluctuation",
         "projectors.ranks": "1,2,5",
-        "output.dir": str(tmp_path / "out"),
+        "output.dir": str(tmp_path / f"out-{n_dates}"),
+        **keys,
     })
-    monkeypatch.setattr(runner, "BLOCK_BYTES", 10 * 8 * n**2)  # 30 blocks
+
+
+def test_main_stage_holds_no_matrix_stack(tmp_path):
+    n, n_dates = 80, 300
+    config = main_config(
+        tmp_path, n_dates, analyses="spectrum,density,ansatz,projectors,fluctuation"
+    )
     peak, bundle = peak_added_bytes(lambda: runner.run_analysis(config))
     assert bundle.complete
     assert peak < 0.25 * 8 * n_dates * n**2
+
+
+def main_stage_peak(tmp_path, monkeypatch, n_dates):
+    """The traced peak of the main stage in a run with a dump, projector
+    vectors and apart correlation spectra."""
+    config = main_config(
+        tmp_path,
+        n_dates,
+        analyses="spectrum,density,mp-compare,projectors",
+        **{"output.dump_matrices": "true"},
+    )
+    main_stage, peaks = runner._main_stage, []
+
+    def traced(*args):
+        peak, result = peak_added_bytes(lambda: main_stage(*args))
+        peaks.append(peak)
+        return result
+
+    with monkeypatch.context() as patch:
+        patch.setattr(runner, "_main_stage", traced)
+        assert runner.run_analysis(config).complete
+    return peaks[0]
+
+
+def test_main_stage_peak_grows_only_by_values_and_vectors(tmp_path, monkeypatch):
+    # per date: the main and the correlation values and 5 vectors of N = 80
+    kept_per_date = 8 * 80 * (1 + 1 + 5)
+    runner._lower_triangle(80)  # the dump's template, built once per N and cached
+    short = main_stage_peak(tmp_path, monkeypatch, 100)
+    long = main_stage_peak(tmp_path, monkeypatch, 400)
+    assert long - short < 1.1 * 300 * kept_per_date

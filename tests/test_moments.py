@@ -288,9 +288,11 @@ def test_covariance_is_symmetric_psd():
 
 
 def dump_matrices(series, directory):
-    """The bundle writer's matrix dump; returns the names it registered."""
+    """The bundle writer's dump of each date's matrix; returns the names it
+    registered."""
     writer = _BundleWriter(str(directory), "csv")
-    writer.write_matrices(series)
+    for date, matrix in zip(series.dates, series.matrices):
+        writer.write_matrix(series.flavor, date, matrix)
     return writer.files
 
 

@@ -14,7 +14,6 @@ from covspec import (
     build_kernel,
     default_fit_range,
     density_of_states_curve,
-    eigendecompose,
     eigenvalues,
     fit_ansatz,
     generate_returns,
@@ -30,7 +29,7 @@ from covspec import (
 from covspec import run_analysis, spectral, to_correlation, validate_config
 from covspec.moments import weighted_windows
 from covspec.errors import ContractViolationError, FitError, NumericalError, ParameterError
-from testutil import random_covariance_series, random_symmetric
+from testutil import eigendecompose, random_covariance_series, random_symmetric
 
 
 def spectra_from(values):
@@ -65,43 +64,50 @@ def assert_leading_vectors(matrix, values, vectors):
 
 
 def test_identity_spectrum_is_ones():
-    eig = eigendecompose(np.eye(5))
-    assert eig.values == pytest.approx(np.ones(5))
+    assert eigenvalues(np.eye(5)) == pytest.approx(np.ones(5))
 
 
 def test_diagonal_two_by_two():
-    eig = eigendecompose(np.diag([3.0, 1.0]))
-    assert eig.values == pytest.approx([3.0, 1.0])
-    assert np.abs(eig.vectors) == pytest.approx(np.eye(2))
+    values, vectors = spectral.leading_system(np.diag([3.0, 1.0]), 2)
+    assert values == pytest.approx([3.0, 1.0])
+    assert np.abs(vectors) == pytest.approx(np.eye(2))
 
 
 def test_reconstruction_and_orthonormality():
     mat = random_symmetric(8, seed=42)
-    eig = eigendecompose(mat)
-    rebuilt = (eig.vectors * eig.values) @ eig.vectors.T
+    values, vectors = spectral.leading_system(mat, 8)
+    rebuilt = (vectors * values) @ vectors.T
     rel = np.linalg.norm(rebuilt - mat) / np.linalg.norm(mat)
     assert rel < 1e-10
-    gram = eig.vectors.T @ eig.vectors
+    gram = vectors.T @ vectors
     assert np.abs(gram - np.eye(8)).max() < 1e-10
-    assert np.all(np.diff(eig.values) <= 0)
+    assert np.all(np.diff(values) <= 0)
 
 
 def test_sign_convention_is_deterministic():
     mat = random_symmetric(6, seed=1)
-    eig = eigendecompose(mat)
-    for col in eig.vectors.T:
+    for col in spectral.leading_system(mat, 6)[1].T:
         assert col[np.argmax(np.abs(col))] > 0
+
+
+def test_leading_system_leaves_its_matrix_intact():
+    # the eigh fallback reads the unreduced matrix, and the runner may read
+    # it again after the solve
+    mat = random_symmetric(9, seed=2)
+    kept = mat.copy()
+    spectral.leading_system(mat, 3)
+    assert np.array_equal(mat, kept)
 
 
 def test_non_symmetric_rejected():
     mat = np.arange(9.0).reshape(3, 3)
     with pytest.raises(ContractViolationError, match="symmetric"):
-        eigendecompose(mat)
+        eigenvalues(mat)
 
 
 def test_non_square_rejected():
     with pytest.raises(ContractViolationError):
-        eigendecompose(np.ones((2, 3)))
+        eigenvalues(np.ones((2, 3)))
 
 
 def rank_deficient(n, length, seed):
@@ -205,6 +211,26 @@ def test_spectra_do_not_depend_on_vectors_read(tmp_path, ranks):
     assert bundles["spectrum,density"] == bundles["spectrum,density,projectors"]
 
 
+def test_run_solves_its_own_matrices_unchecked(tmp_path, monkeypatch):
+    # every main matrix is W W' or its correlation, exactly symmetric by
+    # construction: the symmetry check is for matrices from outside
+    checked = []
+
+    def counted(matrix):
+        checked.append(matrix.shape)
+        return symmetric_part(matrix)
+
+    symmetric_part = spectral._symmetric_part
+    monkeypatch.setattr(spectral, "_symmetric_part", counted)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        SPECTRA_CFG.format(analyses="spectrum,density,mp-compare", ranks="1", out=tmp_path / "out")
+        + "mp.q = 0.5\n"
+    )
+    assert run_analysis(validate_config(str(cfg))).complete
+    assert checked == []
+
+
 # ---------------------------------------------------------------- series
 
 
@@ -289,7 +315,7 @@ def test_series_error_names_offending_date():
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 def test_non_finite_matrix_rejected(value):
     with pytest.raises(NumericalError, match="non-finite"):
-        eigendecompose(np.array([[value, 0.0], [0.0, 1.0]]))
+        eigenvalues(np.array([[value, 0.0], [0.0, 1.0]]))
     with pytest.raises(NumericalError, match="non-finite"):
         eigenvalues(np.array([[1.0, value], [value, 1.0]]))
 

@@ -10,13 +10,10 @@ from covspec import (
     MeanProjector,
     SpectrumSeries,
     build_kernel,
-    eigendecompose,
-    factor_lagged_correlation,
     fluctuation_index,
     generate_returns,
     matrix_lagged_correlation,
     mean_projector,
-    projector_series,
     projector_spectrum,
     rolling_covariance,
     spectrum_series,
@@ -28,7 +25,13 @@ from covspec.errors import (
     DegenerateSeriesError,
     ParameterError,
 )
-from testutil import basis_series, random_covariance_series
+from testutil import (
+    basis_series,
+    eigendecompose,
+    factor_lagged_correlation,
+    projector_series,
+    random_covariance_series,
+)
 
 
 def random_spectra(n=6, n_dates=10, seed=0):

@@ -1,4 +1,8 @@
-"""Shared helpers for the test suite."""
+"""Shared helpers for the test suite, and the reference routes the package's
+solvers are checked against: a full ``eigh`` per matrix, stacked (T,N,N)
+projector series, and the lagged correlation of a whole factor stack."""
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -12,6 +16,39 @@ from covspec import (
     spectrum_series,
     to_correlation,
 )
+from covspec.subspace import LaggedSums, _leading_vectors
+
+
+class EigenSystem(NamedTuple):
+    """Descending eigenvalues with orthonormal eigenvector columns."""
+
+    values: np.ndarray
+    vectors: np.ndarray
+
+
+def eigendecompose(matrix):
+    """The full ``eigh`` eigensystem of a symmetric matrix in descending
+    order, each vector flipped so its largest-magnitude component is positive,
+    as the package signs its vectors."""
+    values, vectors = np.linalg.eigh(matrix)
+    vectors = vectors[:, ::-1]
+    lead = np.argmax(np.abs(vectors), axis=0)
+    return EigenSystem(values[::-1], vectors * np.sign(vectors[lead, np.arange(len(lead))]))
+
+
+def projector_series(series, k):
+    """The (T, N, N) stack of per-date rank-k projectors V V' of a spectrum
+    series or of a (T, N, m) vector stack."""
+    vk = _leading_vectors(series, k)
+    return vk @ np.transpose(vk, (0, 2, 1))
+
+
+def factor_lagged_correlation(factors, lags):
+    """The lagged correlation of X_t = F_t F_t' from one ``LaggedSums`` fed
+    the whole (T, N, m) factor stack."""
+    sums = LaggedSums(lags, len(factors))
+    sums.add(factors)
+    return sums.rho(lambda: factors)
 
 
 def random_symmetric(n, seed=0, scale=1.0):
