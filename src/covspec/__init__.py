@@ -8,7 +8,9 @@ import os
 # threaded call it spin-waits about 0.1 s. On a 2-vCPU host the longmem-full
 # benchmark billed 11.8 s of CPU for 5.6 s of analysis on two threads, and
 # 6.1 s for 5.3 s on one (medians of 10 runs each). One thread also makes the
-# output bytes independent of the core count.
+# output bytes independent of the core count. The cores are used instead by
+# the runner's main stage, which forks one worker per usable CPU, and only
+# while this variable reads "1": with BLAS threads a fork is unsafe.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .config import RunConfig, validate_config

@@ -9,6 +9,13 @@ Every file covspec writes, the bundle's (tables, matrix dumps, provenance
 log, JSON, manifest) and the synth CSV, is UTF-8 text written here by
 ``_write_text``, and every CSV row is formatted by the template
 ``_template`` gives its shape.
+
+The main stage's dates are independent, so they run in contiguous chunks,
+one per usable CPU: chunk 0 in this process and the others in children
+forked from it (``_forked``), each writing its rows of result arrays held in
+anonymous shared memory. Every date runs the same code whatever the number
+of workers, so the bytes do not depend on it, and a failure leaves the
+error and the files a one-worker run leaves.
 """
 
 from __future__ import annotations
@@ -20,7 +27,11 @@ import itertools
 import json
 import logging
 import math
+import mmap
 import os
+import pickle
+import signal
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +43,7 @@ from .errors import (
     ConfigError,
     CovspecError,
     InsufficientDataError,
+    NumericalError,
     ParameterError,
 )
 from .kernels import build_kernel, effective_length
@@ -396,13 +408,96 @@ def _solved(date, matrix, k):
         raise type(exc)(f"at date {date!r}: {exc}") from exc
 
 
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _worker_count(n_dates: int) -> int:
+    """How many processes share the main stage's dates: one per usable CPU,
+    at most one per date. One where ``os.fork`` is missing, where OpenBLAS
+    may run threads of its own (``OPENBLAS_NUM_THREADS`` other than "1":
+    they use the cores already, and a forked child would inherit their locks
+    in whatever state they were), or where this process runs other threads,
+    for the same reason."""
+    if (
+        not hasattr(os, "fork")
+        or os.environ.get("OPENBLAS_NUM_THREADS") != "1"
+        or threading.active_count() > 1
+    ):
+        return 1
+    return min(_usable_cpus(), n_dates)
+
+
+def _shared_array(*shape: int) -> np.ndarray:
+    """A zeroed float array in anonymous shared memory: the rows a forked
+    worker writes are the rows its parent reads."""
+    count = math.prod(shape)
+    return np.frombuffer(mmap.mmap(-1, 8 * count), count=count).reshape(shape)
+
+
+def _child(write_fd: int, run, lo: int, hi: int):
+    """A forked worker's whole life: run its chunk, send the outcome pickled
+    through its pipe, and leave by ``os._exit``, with status 0 only once the
+    outcome is sent. It runs none of the parent's exit handlers and flushes
+    none of its buffers."""
+    status = 1
+    try:
+        with open(write_fd, "wb") as pipe:
+            pickle.dump(run(lo, hi), pipe)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _forked(n_items: int, run):
+    """``run(lo, hi)`` over contiguous chunks of range(n_items), one per
+    worker (``_worker_count``): chunk 0 in this process and each other chunk
+    in a forked child, all at once. Returns the (lo, hi, outcome) of every
+    chunk in order: what ``run`` returned, or None for a child that ended
+    without sending it. Every child is reaped before this returns or raises;
+    one still running when this process raises is killed first."""
+    workers = _worker_count(n_items)
+    bounds = [n_items * c // workers for c in range(workers + 1)]
+    chunks = list(zip(bounds, bounds[1:]))
+    children = []  # (pid, read end of its pipe) for chunks 1 on, in order
+    reaped = set()
+    try:
+        for lo, hi in chunks[1:]:
+            read_fd, write_fd = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _child(write_fd, run, lo, hi)
+            os.close(write_fd)
+            children.append((pid, open(read_fd, "rb")))
+        outcomes = [run(*chunks[0])]
+        for pid, pipe in children:
+            report = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            reaped.add(pid)
+            sent = os.waitstatus_to_exitcode(status) == 0
+            outcomes.append(pickle.loads(report) if sent else None)
+    finally:
+        for pid, pipe in children:
+            pipe.close()
+            if pid not in reaped:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+    return [(lo, hi, outcome) for (lo, hi), outcome in zip(chunks, outcomes)]
+
+
 def _main_stage(writer, returns, kernel, idx, config):
-    """The main matrices, one date at a time in date order: each date's
-    covariance W W' and, where read, its correlation are formed once, dumped
-    if asked, and solved for the spectra the analyses read. Returns the main
-    spectra (with the top max(projectors.ranks) vectors for projectors and
-    fluctuation) and the correlation spectra for mp-compare, or None for each
-    not read."""
+    """The main matrices, date by date: each date's covariance W W' and,
+    where read, its correlation are formed once, dumped if asked, and solved
+    for the spectra the analyses read. The dates are split into contiguous
+    chunks run at once by ``_forked``, each in date order, writing its rows of
+    the shared result arrays; a failure fails the run as a one-worker run
+    would, with the error of the earliest date and its bundle's files.
+    Returns the main spectra (with the top max(projectors.ranks) vectors for
+    projectors and fluctuation) and the correlation spectra for mp-compare,
+    or None for each not read."""
     analyses = set(config.analyses)
     readers = {"spectrum", "density", "ansatz", "projectors", "fluctuation"}
     # mp-compare reads the main spectra in correlation flavor, its own otherwise.
@@ -417,22 +512,58 @@ def _main_stage(writer, returns, kernel, idx, config):
     )
     n = returns.n_assets
     dates = tuple(returns.dates[j] for j in idx)
-    values = np.empty((len(dates), n)) if need_spectra else None
-    vectors = np.empty((len(dates), n, n_vectors)) if n_vectors else None
-    corr_values = np.empty((len(dates), n)) if corr_apart else None
-    for t, (date, j) in enumerate(zip(dates, idx)):
-        cov = _stage("moments", lambda: covariance_at(returns, kernel, j))
-        if config.flavor == CORRELATION or corr_apart:
-            corr = _stage("moments", lambda: correlation_of(cov, date, returns.asset_ids))
-        base = corr if config.flavor == CORRELATION else cov
-        if config.dump_matrices:
-            writer.write_matrix(config.flavor, date, base)
-        if need_spectra:
-            values[t], kept = _stage("spectral", lambda: _solved(date, base, n_vectors))
-            if n_vectors:
-                vectors[t] = kept
-        if corr_apart:
-            corr_values[t] = _stage("spectral", lambda: _solved(date, corr, 0))[0]
+    values = _shared_array(len(dates), n) if need_spectra else None
+    vectors = _shared_array(len(dates), n, n_vectors) if n_vectors else None
+    corr_values = _shared_array(len(dates), n) if corr_apart else None
+
+    def solve(lo, hi):
+        """Dates lo to hi - 1 in date order. Returns the error that stopped
+        them, or None, and the names of the dumps written, taken off the
+        writer's list for the parent to register."""
+        first = len(writer.files)
+        error = None
+        try:
+            for t in range(lo, hi):
+                date, j = dates[t], idx[t]
+                cov = _stage("moments", lambda: covariance_at(returns, kernel, j))
+                if config.flavor == CORRELATION or corr_apart:
+                    corr = _stage(
+                        "moments", lambda: correlation_of(cov, date, returns.asset_ids)
+                    )
+                base = corr if config.flavor == CORRELATION else cov
+                if config.dump_matrices:
+                    writer.write_matrix(config.flavor, date, base)
+                if need_spectra:
+                    values[t], kept = _stage(
+                        "spectral", lambda: _solved(date, base, n_vectors)
+                    )
+                    if n_vectors:
+                        vectors[t] = kept
+                if corr_apart:
+                    corr_values[t] = _stage("spectral", lambda: _solved(date, corr, 0))[0]
+        except Exception as exc:
+            error = exc
+        names = writer.files[first:]
+        del writer.files[first:]
+        return error, names
+
+    error = None
+    for lo, hi, outcome in _forked(len(dates), solve):
+        if outcome is None:
+            outcome = NumericalError(
+                f"main stage: the worker for dates {dates[lo]!r} to "
+                f"{dates[hi - 1]!r} ended without reporting"
+            ), []
+        exc, names = outcome
+        if error is None:
+            writer.files.extend(names)
+            error = exc
+        else:
+            # after the earliest failure: a one-worker run writes none of these
+            for name in names:
+                os.remove(os.path.join(writer.output_dir, name))
+    if error is not None:
+        raise error
     spectra = SpectrumSeries(dates, values, vectors) if need_spectra else None
     return spectra, SpectrumSeries(dates, corr_values) if corr_apart else spectra
 

@@ -2,10 +2,11 @@
 stage over blocks of dates (``runner.BLOCK_BYTES``): every output byte of the
 main stage is the same whatever the block size, the lagged rho moves by
 rounding only, and a fault at a later date fails the run with the same error
-whatever the block size."""
+whatever the block size. Tests that count calls through a function patched
+into the runner pin the main stage to one worker (``one_worker``), whose
+dates all run in this process."""
 
 import json
-import os
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from covspec import subspace
 from covspec.errors import AnalysisError, DegenerateAssetError
 from covspec.moments import covariance_at, unit_rows, weighted_windows
 from covspec.spectral import leading_system
+from testutil import bundle_bytes
 
 N_ASSETS = 12
 MATRIX_BYTES = 8 * N_ASSETS**2
@@ -52,18 +54,10 @@ output.dump_matrices = true
 BLOCKINGS = (1, 3, None)
 
 
-def bundle_bytes(directory):
-    out = {}
-    for root, _, names in os.walk(directory):
-        for name in names:
-            path = os.path.join(root, name)
-            with open(path, "rb") as fh:
-                out[os.path.relpath(path, directory)] = fh.read()
-    return out
-
-
 @pytest.mark.parametrize("flavor, out_format", [("covariance", "csv"), ("correlation", "json")])
-def test_bundles_identical_for_every_block_size(tmp_path, monkeypatch, flavor, out_format):
+def test_bundles_identical_for_every_block_size(
+    tmp_path, monkeypatch, one_worker, flavor, out_format
+):
     bundles = {}
     for per_block in BLOCKINGS:
         calls = []
@@ -142,7 +136,7 @@ def test_variance_floor_fault_in_a_later_block(tmp_path, monkeypatch):
     assert errors[3] == errors[None] == f"moments: {direct.value}"
 
 
-def test_run_without_spectra_or_dump_builds_no_main_matrices(tmp_path, monkeypatch):
+def test_run_without_spectra_or_dump_builds_no_main_matrices(tmp_path, monkeypatch, one_worker):
     def refused(*args):
         raise AssertionError("main matrices built for no reader")
 
@@ -157,7 +151,7 @@ def test_run_without_spectra_or_dump_builds_no_main_matrices(tmp_path, monkeypat
     assert bundle.files == ("lagged_correlation.csv",)
 
 
-def test_mp_compare_alone_solves_only_the_spectra_it_reads(tmp_path, monkeypatch):
+def test_mp_compare_alone_solves_only_the_spectra_it_reads(tmp_path, monkeypatch, one_worker):
     """mp-compare reads correlation spectra: in covariance flavor its own, so
     the covariance spectra are not solved; in correlation flavor the main
     ones. Either way one values-only solve of a correlation matrix per date."""

@@ -6,7 +6,8 @@ covariance.
 
 Each config runs twice, once as shipped and once with the reference
 functions patched into the runner in place of its per-date solve and its
-mean projector. The lagged rows are computed here from the whole window
+mean projector, on one worker (``one_worker``), so the shipped run's
+solves are all counted in this process. The lagged rows are computed here from the whole window
 stack, apart from the runner. Every number of every output must agree to
 1e-12 relative to the largest magnitude in its column.
 """
@@ -132,7 +133,7 @@ def run(tmp_path, name, case):
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_outputs_match_reference_solvers(tmp_path, monkeypatch, case):
+def test_outputs_match_reference_solvers(tmp_path, monkeypatch, one_worker, case):
     svd_ranks, kept_vectors = [], []
 
     def counted_window_vectors(windows, k):

@@ -1,0 +1,264 @@
+"""The main stage's dates are split into contiguous chunks, one per usable
+CPU: chunk 0 runs in this process and each other chunk in a forked child,
+writing its rows of shared result arrays. The bundle bytes do not depend on
+the number of workers, a failure gives the error and the files of a
+one-worker run, and no child outlives the run. The worker count is set here
+through ``runner._usable_cpus``."""
+
+import json
+import os
+import signal
+import subprocess
+import sys
+import threading
+import time
+from pathlib import Path
+
+import pytest
+
+from covspec import make_business_dates, run_analysis, runner, validate_config
+from covspec.errors import AnalysisError, DegenerateAssetError, NumericalError
+from covspec.moments import correlation_of, covariance_at
+from testutil import bundle_bytes
+
+# 40 return dates, a 30-date kernel: 11 evaluation dates
+BASE_CFG = """
+ensemble.kind = one-factor
+ensemble.assets = 12
+ensemble.dates = 40
+ensemble.beta = 0.5
+ensemble.seed = 5
+kernel.scheme = long-memory
+kernel.length = 30
+projectors.ranks = 1,3
+"""
+DATES = make_business_dates(40)[-11:]
+
+CONFIGS = {
+    "covariance-csv-dump": "matrix.flavor = covariance\noutput.format = csv\n"
+    "output.dump_matrices = true\n"
+    "analyses = spectrum,density,mp-compare,ansatz,projectors,fluctuation\n",
+    "correlation-json": "matrix.flavor = correlation\noutput.format = json\n"
+    "analyses = spectrum,mp-compare,projectors,fluctuation,lagged\n"
+    "lagged.length = 8\nlagged.lags = 0,1,5\n",
+}
+
+# 1, 2 and 3 workers, and more CPUs than dates: one worker per date
+CPU_COUNTS = (1, 2, 3, 50)
+
+forking = pytest.mark.skipif(
+    not hasattr(os, "fork") or os.environ.get("OPENBLAS_NUM_THREADS") != "1",
+    reason="the main stage runs on one worker in this environment",
+)
+
+
+def run_config(tmp_path, name, settings=CONFIGS["covariance-csv-dump"]):
+    """A validated run config writing into ``tmp_path / name``."""
+    cfg = tmp_path / f"{name}.cfg"
+    cfg.write_text(BASE_CFG + settings + f"output.dir = {tmp_path / name}\n")
+    return validate_config(str(cfg))
+
+
+def run(tmp_path, monkeypatch, name, cpus, settings):
+    """A run with ``cpus`` usable CPUs; returns its output directory."""
+    with monkeypatch.context() as patch:
+        patch.setattr(runner, "_usable_cpus", lambda: cpus)
+        assert run_analysis(run_config(tmp_path, name, settings)).complete
+    return tmp_path / name
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@forking
+@pytest.mark.parametrize("config", sorted(CONFIGS))
+def test_bundles_identical_for_every_worker_count(tmp_path, monkeypatch, config):
+    log = tmp_path / "dates.log"
+
+    def logged(returns, kernel, j):
+        # one short O_APPEND write per date, from whichever process runs it
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()} {returns.dates[j]}\n")
+        return covariance_at(returns, kernel, j)
+
+    monkeypatch.setattr(runner, "covariance_at", logged)
+    bundles = {}
+    for cpus in CPU_COUNTS:
+        log.write_text("")
+        bundles[cpus] = bundle_bytes(run(tmp_path, monkeypatch, f"cpus-{cpus}", cpus,
+                                         CONFIGS[config]))
+        assert_no_child_left()
+        by_pid = {}
+        for line in log.read_text().splitlines():
+            pid, date = line.split()
+            by_pid.setdefault(int(pid), []).append(date)
+        # one process per chunk, this one first; each runs its chunk's
+        # contiguous dates in date order, every date once
+        assert len(by_pid) == min(cpus, len(DATES)), cpus
+        assert os.getpid() in by_pid and by_pid[os.getpid()][0] == DATES[0]
+        chunks = sorted(by_pid.values())
+        assert [d for chunk in chunks for d in chunk] == list(DATES), cpus
+
+    reference = bundles.pop(1)
+    if config == "covariance-csv-dump":
+        assert sum(name.startswith("matrices") for name in reference) == len(DATES)
+    for cpus, got in bundles.items():
+        assert got.keys() == reference.keys(), cpus
+        for name, data in reference.items():
+            assert got[name] == data, (cpus, name)
+
+
+def failing_run(tmp_path, monkeypatch, name, cpus):
+    """A covariance run with dump and mp-compare on ``cpus`` CPUs that fails;
+    returns the error's type and message and the bundle's files."""
+    monkeypatch.setattr(runner, "_usable_cpus", lambda: cpus)
+    with pytest.raises(AnalysisError) as err:
+        run_analysis(run_config(tmp_path, name))
+    assert_no_child_left()
+    manifest = json.loads((tmp_path / name / "manifest.json").read_text())
+    assert manifest["complete"] is False and manifest["error"] == str(err.value)
+    return type(err.value), str(err.value), bundle_bytes(tmp_path / name)
+
+
+# (where the fault is injected, the index of its date): the correlation is
+# formed before the date's dump is written, the solve after it
+FAULTS = [("correlation_of", 0), ("correlation_of", 4), ("correlation_of", 7),
+          ("_solved", 5), ("_solved", 10)]
+
+
+@forking
+@pytest.mark.parametrize("where, fail_at", FAULTS)
+def test_failure_matches_one_worker(tmp_path, monkeypatch, where, fail_at):
+    """A fault at one date, in the first, a middle or the last chunk: the
+    same error and the same files as one worker, the dumps that later chunks
+    wrote deleted."""
+    target = DATES[fail_at]
+    solved = runner._solved
+
+    def faulty_correlation(cov, date, assets):
+        if date == target:
+            raise DegenerateAssetError(f"at date {date!r}: asset 'x' variance below the floor")
+        return correlation_of(cov, date, assets)
+
+    def faulty_solve(date, matrix, k):
+        if date == target:
+            raise NumericalError(f"at date {date!r}: injected")
+        return solved(date, matrix, k)
+
+    monkeypatch.setattr(
+        runner, where, faulty_correlation if where == "correlation_of" else faulty_solve
+    )
+    results = {cpus: failing_run(tmp_path, monkeypatch, f"cpus-{cpus}", cpus)
+               for cpus in CPU_COUNTS}
+    reference = results.pop(1)
+    stage = "moments" if where == "correlation_of" else "spectral"
+    assert reference[1].startswith(f"{stage}: at date {target!r}")
+    dumps = sorted(name for name in reference[2] if name.startswith("matrices"))
+    assert len(dumps) == fail_at + (where == "_solved")
+    for cpus, (kind, message, files) in results.items():
+        assert (kind, message) == reference[:2], cpus
+        assert files.keys() == reference[2].keys(), cpus
+        assert files == reference[2], cpus
+
+
+@forking
+def test_killed_worker_fails_the_run(tmp_path, monkeypatch):
+    """A child that dies without reporting (here by SIGKILL in its second
+    chunk date) fails the run with a NumericalError naming its dates, and the
+    manifest, marked incomplete, lists what the chunks before it wrote."""
+    parent = os.getpid()
+
+    def killed(returns, kernel, j):
+        if os.getpid() != parent and returns.dates[j] == DATES[6]:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return covariance_at(returns, kernel, j)
+
+    monkeypatch.setattr(runner, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(runner, "covariance_at", killed)
+    with pytest.raises(NumericalError) as err:
+        run_analysis(run_config(tmp_path, "killed"))
+    assert_no_child_left()
+    # chunk 1 of 2 holds dates 5 to 10
+    assert str(err.value) == (
+        f"main stage: the worker for dates {DATES[5]!r} to {DATES[10]!r} "
+        "ended without reporting"
+    )
+    manifest = json.loads((tmp_path / "killed" / "manifest.json").read_text())
+    assert manifest["complete"] is False and manifest["error"] == str(err.value)
+    assert [f["name"] for f in manifest["files"]] == [
+        f"matrices/covariance_{date}.csv" for date in DATES[:5]
+    ]
+
+
+@forking
+def test_interrupt_kills_and_reaps_the_workers(tmp_path, monkeypatch):
+    """An interrupt in this process while the children still run kills them
+    at once, rather than waiting for their chunks."""
+    parent = os.getpid()
+
+    def stalled(returns, kernel, j):
+        if os.getpid() != parent:
+            time.sleep(60)
+        elif returns.dates[j] == DATES[2]:
+            raise KeyboardInterrupt
+        return covariance_at(returns, kernel, j)
+
+    monkeypatch.setattr(runner, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(runner, "covariance_at", stalled)
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        run_analysis(run_config(tmp_path, "interrupted"))
+    assert time.monotonic() - start < 30
+    assert_no_child_left()
+
+
+def test_worker_count(monkeypatch):
+    """One worker per usable CPU, at most one per date; one wherever a fork
+    is unsafe."""
+    monkeypatch.setattr(runner, "_usable_cpus", lambda: 4)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    assert runner._worker_count(10) == 4
+    assert runner._worker_count(3) == 3
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    assert runner._worker_count(10) == 1
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS")
+    assert runner._worker_count(10) == 1
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait, args=(30,))
+    thread.start()
+    try:
+        assert runner._worker_count(10) == 1
+    finally:
+        release.set()
+        thread.join(timeout=30)
+    assert not thread.is_alive()
+    assert runner._worker_count(10) == 4
+    monkeypatch.delattr(os, "fork")
+    assert runner._worker_count(10) == 1
+
+
+def test_import_loads_no_process_pool():
+    """A fresh ``import covspec`` loads no multiprocessing or
+    concurrent.futures module beyond what numpy and SciPy load themselves
+    (numpy.testing, which SciPy imports, loads concurrent.futures)."""
+    probe = """
+import sys
+import numpy, scipy.linalg.lapack, scipy.optimize
+before = set(sys.modules)
+import covspec
+print(*sorted(set(sys.modules) - before))
+print("multiprocessing" in sys.modules)
+"""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    added, multiprocessing = proc.stdout.splitlines()
+    assert "covspec.runner" in added.split()
+    assert [m for m in added.split() if m.startswith(("multiprocessing", "concurrent"))] == []
+    assert multiprocessing == "False"

@@ -2,6 +2,7 @@
 solvers are checked against: a full ``eigh`` per matrix, stacked (T,N,N)
 projector series, and the lagged correlation of a whole factor stack."""
 
+import os
 from typing import NamedTuple
 
 import numpy as np
@@ -92,3 +93,14 @@ def basis_series(columns, n):
         order = [lead] + [j for j in range(n) if j != lead]
         vectors[t] = np.eye(n)[:, order]
     return SpectrumSeries(make_business_dates(t_len), values, vectors)
+
+
+def bundle_bytes(directory):
+    """Every file under ``directory``, by its path relative to it, with its bytes."""
+    out = {}
+    for root, _, names in os.walk(directory):
+        for name in names:
+            path = os.path.join(root, name)
+            with open(path, "rb") as fh:
+                out[os.path.relpath(path, directory)] = fh.read()
+    return out
