@@ -189,7 +189,10 @@ def main_stage_peak(tmp_path, monkeypatch, n_dates):
 def test_main_stage_peak_grows_only_by_values_and_vectors(tmp_path, monkeypatch):
     # per date: the main and the correlation values and 5 vectors of N = 80
     kept_per_date = 8 * 80 * (1 + 1 + 5)
-    runner._lower_triangle(80)  # the dump's template, built once per N and cached
+    # built once and cached: the dump's cells and separators for N = 80, and
+    # the CSV float kernel's table of powers of ten
+    runner._lower_triangle(80)
+    runner._powers_of_ten()
     short = main_stage_peak(tmp_path, monkeypatch, 100)
     long = main_stage_peak(tmp_path, monkeypatch, 400)
     assert long - short < 1.1 * 300 * kept_per_date

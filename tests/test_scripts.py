@@ -1,4 +1,4 @@
-"""Smoke test: each experiment script runs to completion on small arguments."""
+"""Smoke test: each script runs to completion on small arguments."""
 
 import os
 import subprocess
@@ -7,28 +7,40 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
+# the experiment scripts, each also given --csv
 SCRIPT_ARGS = {
     "mp_convergence.py": ["--assets", "10", "--teff", "40", "--samples", "3", "--bins", "10"],
     "spectrum_decay.py": ["--assets", "20", "--length", "30", "--tau0", "200",
                           "--eval-dates", "5"],
 }
+SOAK_ARGS = ["--values", "10000", "--seed", "3"]
 
 
-def test_scripts_run(tmp_path):
-    scripts = sorted((ROOT / "scripts").glob("*.py"))
-    assert [p.name for p in scripts] == sorted(SCRIPT_ARGS), "give new scripts arguments"
+def run_script(name, args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
-    for script in scripts:
-        csv = tmp_path / f"{script.stem}.csv"
-        proc = subprocess.run(
-            [sys.executable, str(script), *SCRIPT_ARGS[script.name], "--csv", str(csv)],
-            env=env,
-            capture_output=True,
-            text=True,
-            timeout=120,
-        )
-        assert proc.returncode == 0, f"{script.name}: {proc.stderr}"
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *args],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+
+
+def test_scripts_run(tmp_path):
+    scripts = sorted(p.name for p in (ROOT / "scripts").glob("*.py"))
+    assert scripts == sorted([*SCRIPT_ARGS, "format_soak.py"]), "give new scripts arguments"
+    for name, args in SCRIPT_ARGS.items():
+        csv = tmp_path / f"{Path(name).stem}.csv"
+        proc = run_script(name, [*args, "--csv", str(csv)])
+        assert proc.returncode == 0, f"{name}: {proc.stderr}"
         assert csv.read_text().count("\n") > 1
+
+
+def test_format_soak_finds_no_mismatch():
+    proc = run_script("format_soak.py", SOAK_ARGS)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout == "seed 3: 10000 values, kernel equals %.17g\n"

@@ -214,6 +214,69 @@ def test_interrupt_kills_and_reaps_the_workers(tmp_path, monkeypatch):
     assert_no_child_left()
 
 
+ORPHAN_RUN = """
+import os, sys, time
+from covspec import run_analysis, runner, validate_config
+from covspec.moments import covariance_at
+
+parent = os.getpid()
+
+def slowed(returns, kernel, j):
+    if os.getpid() != parent:
+        with open(sys.argv[2], "w") as fh:
+            fh.write(str(os.getpid()))
+    time.sleep(1.5)
+    return covariance_at(returns, kernel, j)
+
+runner.covariance_at = slowed
+runner._usable_cpus = lambda: 2
+run_analysis(validate_config(sys.argv[1]))
+"""
+
+
+def running(pid):
+    """Whether ``pid`` runs: it exists and, where /proc shows it, is no zombie
+    left for its new parent to reap."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return not Path("/proc").is_dir()
+
+
+@forking
+def test_workers_end_with_a_killed_run(tmp_path):
+    """A run killed by SIGKILL, which no handler sees, leaves no worker
+    running: a worker checks its parent before each date and leaves at once
+    when the parent is gone. Here its chunk of 6 dates would take 9 s more."""
+    cfg = tmp_path / "orphan.cfg"
+    cfg.write_text(BASE_CFG + CONFIGS["covariance-csv-dump"]
+                   + f"output.dir = {tmp_path / 'orphan'}\n")
+    pid_file = tmp_path / "worker.pid"
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.Popen([sys.executable, "-c", ORPHAN_RUN, str(cfg), str(pid_file)],
+                            env=env)
+    try:
+        deadline = time.monotonic() + 60
+        while not (pid_file.exists() and pid_file.read_text().isdigit()):
+            assert proc.poll() is None and time.monotonic() < deadline
+            time.sleep(0.05)
+        worker = int(pid_file.read_text())
+    finally:
+        proc.kill()
+        proc.wait(timeout=30)
+    deadline = time.monotonic() + 5
+    while running(worker) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert not running(worker)
+
+
 def test_worker_count(monkeypatch):
     """One worker per usable CPU, at most one per date; one wherever a fork
     is unsafe."""

@@ -1,6 +1,7 @@
-"""Shared helpers for the test suite, and the reference routes the package's
-solvers are checked against: a full ``eigh`` per matrix, stacked (T,N,N)
-projector series, and the lagged correlation of a whole factor stack."""
+"""Shared helpers for the test suite, and the reference routes the package is
+checked against: a full ``eigh`` per matrix, stacked (T,N,N) projector
+series, the lagged correlation of a whole factor stack, and the per-row %
+template the CSV writer's text must equal."""
 
 import os
 from typing import NamedTuple
@@ -104,3 +105,15 @@ def bundle_bytes(directory):
             with open(path, "rb") as fh:
                 out[os.path.relpath(path, directory)] = fh.read()
     return out
+
+
+def template_csv_lines(header, rows):
+    """A CSV table as the per-row % template writes it: "%.17g" for a float
+    cell (one whose type subclasses float) and "%s" for any other."""
+    yield ",".join(header) + "\n"
+    for row in rows:
+        row = tuple(row)
+        template = ",".join(
+            "%.17g" if isinstance(cell, float) else "%s" for cell in row
+        )
+        yield template % row + "\n"
