@@ -21,10 +21,8 @@ from covspec import (
     make_business_dates,
     mp_density,
     mp_support,
-    rolling_covariance,
+    rolling_spectra,
     spectral_density,
-    spectrum_series,
-    to_correlation,
 )
 
 import numpy as np
@@ -35,8 +33,7 @@ def pooled_spectra(n_assets, t_eff, samples, seed):
     rows = []
     for s in range(samples):
         spec = EnsembleSpec("gaussian-iid", n_assets, t_eff, seed=seed + s)
-        corr = to_correlation(rolling_covariance(generate_returns(spec), kernel))
-        rows.append(spectrum_series(corr).values[0])
+        rows.append(rolling_spectra(generate_returns(spec), kernel, "correlation").values[0])
     values = np.vstack(rows)
     return SpectrumSeries(make_business_dates(values.shape[0]), values)
 

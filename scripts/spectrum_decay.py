@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Spectrum decay of a long-memory weighted covariance on a one-factor panel.
 
-Builds the rolling covariance with logarithmically decaying weights, takes
-the log mean spectrum, fits a line over the central ranks and the full
-three-parameter spectrum shape, and reports both. Example:
+Solves the spectra of the rolling covariance with logarithmically decaying
+weights, takes the log mean spectrum, fits a line over the central ranks and
+the full three-parameter spectrum shape, and reports both. Example:
 
     python scripts/spectrum_decay.py --assets 260 --eval-dates 100 --beta 0.5
 """
@@ -18,8 +18,7 @@ from covspec import (
     fit_ansatz,
     generate_returns,
     log_mean_spectrum,
-    rolling_covariance,
-    spectrum_series,
+    rolling_spectra,
 )
 
 import numpy as np
@@ -47,9 +46,7 @@ def main():
     print(f"kernel T_eff = {effective_length(kernel):.2f}, "
           f"q = {args.assets / effective_length(kernel):.3f}")
 
-    series = rolling_covariance(generate_returns(spec), kernel)
-    spectra = spectrum_series(series)
-    mean = log_mean_spectrum(spectra)
+    mean = log_mean_spectrum(rolling_spectra(generate_returns(spec), kernel))
 
     n = args.assets
     lo, hi = n // 4, 3 * n // 4

@@ -10,19 +10,14 @@ import os
 # 6.1 s for 5.3 s on one (medians of 10 runs each). One thread also makes the
 # output bytes independent of the core count. The cores are used instead by
 # the runner's main stage, which forks one worker per usable CPU, and only
-# while this variable reads "1": with BLAS threads a fork is unsafe.
+# while this variable reads "1" and the process runs no other thread: with
+# BLAS threads a fork is unsafe, so numpy imported first costs the workers.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .config import RunConfig, validate_config
 from .ensembles import EnsembleSpec, generate_returns, top_eigenvalue_oracle
 from .kernels import WeightKernel, build_kernel, effective_length
-from .moments import (
-    CORRELATION,
-    COVARIANCE,
-    CovarianceSeries,
-    rolling_covariance,
-    to_correlation,
-)
+from .moments import CORRELATION, COVARIANCE
 from .panel import (
     IngestConfig,
     PricePanel,
@@ -30,9 +25,8 @@ from .panel import (
     compute_returns,
     load_panel,
     make_business_dates,
-    map_prices,
 )
-from .runner import ReportBundle, run_analysis, run_synth
+from .runner import ReportBundle, rolling_spectra, run_analysis, run_synth
 from .spectral import (
     AnsatzFit,
     DensityBins,
@@ -50,14 +44,11 @@ from .spectral import (
     mp_density,
     mp_support,
     spectral_density,
-    spectrum_series,
-    window_vectors,
 )
 from .subspace import (
     FluctuationIndex,
     MeanProjector,
     fluctuation_index,
-    matrix_lagged_correlation,
     mean_projector,
     projector_spectrum,
 )
@@ -68,7 +59,6 @@ __all__ = [
     "AnsatzFit",
     "CORRELATION",
     "COVARIANCE",
-    "CovarianceSeries",
     "DensityBins",
     "DensityCurve",
     "DensityHistogram",
@@ -97,19 +87,14 @@ __all__ = [
     "load_panel",
     "log_mean_spectrum",
     "make_business_dates",
-    "map_prices",
-    "matrix_lagged_correlation",
     "mean_projector",
     "mp_density",
     "mp_support",
     "projector_spectrum",
-    "rolling_covariance",
+    "rolling_spectra",
     "run_analysis",
     "run_synth",
     "spectral_density",
-    "spectrum_series",
-    "to_correlation",
     "top_eigenvalue_oracle",
     "validate_config",
-    "window_vectors",
 ]

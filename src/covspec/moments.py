@@ -1,4 +1,4 @@
-"""Rolling weighted covariance series and correlation normalization.
+"""Rolling weighted covariance matrices and correlation normalization.
 
 The estimator at date t is the weighted cross product of the L most recent
 return vectors,
@@ -10,14 +10,12 @@ window. Every evaluation date gets its own product W W' of its window,
 whatever the kernel, so no date carries rounding error over from another;
 numpy forms W W' by syrk, so each matrix is exactly symmetric.
 ``covariance_at`` and ``correlation_of`` give one date's matrices, which the
-runner reads one date at a time; ``rolling_covariance`` and
-``to_correlation`` stack them. This module writes no files: the runner's
-bundle writer dumps the matrices.
+runner's main stage reads one date at a time; ``weighted_windows`` stacks
+the windows W of a block of dates for the lagged stage. This module writes
+no files: the runner's bundle writer dumps the matrices.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,33 +27,6 @@ COVARIANCE = "covariance"
 CORRELATION = "correlation"
 
 VARIANCE_FLOOR = 1e-16
-
-
-@dataclass(frozen=True)
-class CovarianceSeries:
-    """Time-indexed sequence of symmetric N x N matrices of one flavor."""
-
-    flavor: str
-    dates: tuple[str, ...]
-    matrices: np.ndarray
-    assets: tuple[str, ...]
-
-    def __post_init__(self):
-        matrices = np.asarray(self.matrices, dtype=float)
-        object.__setattr__(self, "matrices", matrices)
-        if matrices.ndim != 3 or matrices.shape[1] != matrices.shape[2]:
-            raise ParameterError(f"matrix stack must be (T,N,N), got {matrices.shape}")
-        if matrices.shape[0] != len(self.dates):
-            raise ParameterError(
-                f"{len(self.dates)} dates but {matrices.shape[0]} matrices"
-            )
-
-    def __len__(self) -> int:
-        return len(self.dates)
-
-    @property
-    def n_assets(self) -> int:
-        return self.matrices.shape[1]
 
 
 def resolve_eval_indices(returns: ReturnPanel, kernel: WeightKernel, eval_dates):
@@ -96,29 +67,14 @@ def _root_weights(kernel: WeightKernel) -> np.ndarray:
 def covariance_at(returns: ReturnPanel, kernel: WeightKernel, j: int) -> np.ndarray:
     """W W' of the window of the kernel's L returns ending at panel index j."""
     w = returns.returns[:, j - kernel.length + 1 : j + 1] * _root_weights(kernel)
+    if not np.isfinite(w).all():
+        raise NumericalError(f"at date {returns.dates[j]!r}: non-finite returns")
     return w @ w.T
-
-
-def rolling_covariance(
-    returns: ReturnPanel, kernel: WeightKernel, eval_dates=None
-) -> CovarianceSeries:
-    """Weighted covariance W W' at each evaluation date.
-
-    ``eval_dates`` is None for every feasible date, or an explicit sequence
-    of dates.
-    """
-    idx = resolve_eval_indices(returns, kernel, eval_dates)
-    n = returns.n_assets
-    matrices = np.empty((len(idx), n, n))
-    for t, j in enumerate(idx):
-        matrices[t] = covariance_at(returns, kernel, j)
-    dates = tuple(returns.dates[j] for j in idx)
-    return CovarianceSeries(COVARIANCE, dates, matrices, returns.asset_ids)
 
 
 def weighted_windows(returns: ReturnPanel, kernel: WeightKernel, eval_dates=None):
     """The dates and the (T, N, L) stack of weighted return windows
-    W = r * sqrt(lambda), whose products W W' are ``rolling_covariance``."""
+    W = r * sqrt(lambda), whose products W W' are ``covariance_at``."""
     root = _root_weights(kernel)
     idx = np.array(resolve_eval_indices(returns, kernel, eval_dates))
     windows = np.lib.stride_tricks.sliding_window_view(returns.returns.T, kernel.length, axis=0)
@@ -158,13 +114,3 @@ def correlation_of(cov: np.ndarray, date: str, assets) -> np.ndarray:
     corr = cov * np.outer(inv_s, inv_s)
     np.fill_diagonal(corr, 1.0)
     return np.clip(corr, -1.0, 1.0, out=corr)
-
-
-def to_correlation(series: CovarianceSeries) -> CovarianceSeries:
-    """Normalize each covariance matrix to unit diagonal."""
-    if series.flavor != COVARIANCE:
-        raise ParameterError(f"expected a covariance series, got {series.flavor!r}")
-    out = np.empty_like(series.matrices)
-    for t, (date, cov) in enumerate(zip(series.dates, series.matrices)):
-        out[t] = correlation_of(cov, date, series.assets)
-    return CovarianceSeries(CORRELATION, series.dates, out, series.assets)

@@ -7,16 +7,18 @@ seed. On failure the manifest is still written, marked incomplete.
 
 Every file covspec writes, the bundle's (tables, matrix dumps, provenance
 log, JSON, manifest) and the synth CSV, is UTF-8 text written here by
-``_write_text``. Every float cell of a CSV (tables, matrix dumps, the synth
-panel) is written by ``format_floats``, one vectorised kernel giving the
-bytes of "%.17g" % v; ``_csv_lines`` writes any other cell as "%s" % v.
+``_write_text``, which hashes the bytes as it writes them for the manifest.
+Every float cell of a CSV (tables, matrix dumps, the synth panel) is written
+by ``format_floats``, one vectorised kernel giving the bytes of "%.17g" % v;
+``_csv_lines`` writes any other cell as "%s" % v.
 
 The main stage's dates are independent, so they run in contiguous chunks,
 one per usable CPU: chunk 0 in this process and the others in children
 forked from it (``_forked``), each writing its rows of result arrays held in
 anonymous shared memory. Every date runs the same code whatever the number
 of workers, so the bytes do not depend on it, and a failure leaves the
-error and the files a one-worker run leaves.
+error and the files a one-worker run leaves. ``rolling_spectra``, the
+library's route from returns to spectra, is this same stage.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from __future__ import annotations
 import datetime as _dt
 import functools
 import hashlib
+import io
 import itertools
 import json
 import logging
@@ -47,9 +50,10 @@ from .errors import (
     NumericalError,
     ParameterError,
 )
-from .kernels import build_kernel, effective_length
+from .kernels import WeightKernel, build_kernel, effective_length
 from .moments import (
     CORRELATION,
+    COVARIANCE,
     correlation_of,
     covariance_at,
     resolve_eval_indices,
@@ -310,10 +314,28 @@ def _lower_triangle(n: int):
     return np.tril_indices(n), separators.tobytes()
 
 
-def _write_text(path: str, lines) -> None:
-    """Write text lines as UTF-8, whatever the locale."""
-    with open(path, "w", encoding="utf-8") as fh:
+class _HashedFile(io.FileIO):
+    """A file opened for writing that hashes and counts the bytes written."""
+
+    def __init__(self, path: str):
+        super().__init__(path, "w")
+        self.sha256 = hashlib.sha256()
+        self.size = 0
+
+    def write(self, data) -> int:
+        written = super().write(data)
+        self.sha256.update(memoryview(data)[:written])
+        self.size += written
+        return written
+
+
+def _write_text(path: str, lines) -> tuple[str, int]:
+    """Write text lines as UTF-8, whatever the locale, buffered as ``open``
+    buffers them; returns the file's sha256 hex digest and byte count."""
+    raw = _HashedFile(path)
+    with io.TextIOWrapper(io.BufferedWriter(raw), encoding="utf-8", newline="") as fh:
         fh.writelines(lines)
+    return raw.sha256.hexdigest(), raw.size
 
 
 def _json_cell(value):
@@ -332,12 +354,12 @@ class _BundleWriter:
     def __init__(self, output_dir: str, out_format: str):
         self.output_dir = output_dir
         self.out_format = out_format
-        self.files: list[str] = []
+        # (name, sha256, bytes) of each file written
+        self.files: list[tuple[str, str, int]] = []
         os.makedirs(output_dir, exist_ok=True)
 
     def _write(self, name: str, lines) -> str:
-        _write_text(os.path.join(self.output_dir, name), lines)
-        self.files.append(name)
+        self.files.append((name, *_write_text(os.path.join(self.output_dir, name), lines)))
         return name
 
     def write_table(self, stem: str, header: list[str], rows) -> str:
@@ -373,18 +395,10 @@ class _BundleWriter:
 
     def write_manifest(self, config: RunConfig, complete: bool, error: str | None = None) -> str:
         """Write the manifest of every file written so far; returns its path."""
-        entries = []
-        for name in sorted(self.files):
-            path = os.path.join(self.output_dir, name)
-            with open(path, "rb") as fh:
-                data = fh.read()
-            entries.append(
-                {
-                    "name": name,
-                    "sha256": hashlib.sha256(data).hexdigest(),
-                    "bytes": len(data),
-                }
-            )
+        entries = [
+            {"name": name, "sha256": sha256, "bytes": size}
+            for name, sha256, size in sorted(self.files)
+        ]
         manifest = {"complete": complete, "config": config.flat(), "files": entries}
         if error is not None:
             manifest["error"] = error
@@ -596,17 +610,25 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+def _thread_count() -> int:
+    """The OS threads of this process: the entries of /proc/self/task where
+    it exists (OpenBLAS's threads included), else Python's own threads."""
+    task = "/proc/self/task"
+    return len(os.listdir(task)) if os.path.isdir(task) else threading.active_count()
+
+
 def _worker_count(n_dates: int) -> int:
     """How many processes share the main stage's dates: one per usable CPU,
     at most one per date. One where ``os.fork`` is missing, where OpenBLAS
     may run threads of its own (``OPENBLAS_NUM_THREADS`` other than "1":
     they use the cores already, and a forked child would inherit their locks
-    in whatever state they were), or where this process runs other threads,
-    for the same reason."""
+    in whatever state they were), or where this process runs any other
+    thread, for the same reason: numpy imported before covspec has started
+    OpenBLAS's threads before the variable was set."""
     if (
         not hasattr(os, "fork")
         or os.environ.get("OPENBLAS_NUM_THREADS") != "1"
-        or threading.active_count() > 1
+        or _thread_count() > 1
     ):
         return 1
     return min(_usable_cpus(), n_dates)
@@ -677,55 +699,49 @@ def _forked(n_items: int, run):
     return [(lo, hi, outcome) for (lo, hi), outcome in zip(chunks, outcomes)]
 
 
-def _main_stage(writer, returns, kernel, idx, config):
-    """The main matrices, date by date: each date's covariance W W' and,
-    where read, its correlation are formed once, dumped if asked, and solved
-    for the spectra the analyses read. The dates are split into contiguous
-    chunks run at once by ``_forked``, each in date order, writing its rows of
-    the shared result arrays; a failure fails the run as a one-worker run
-    would, with the error of the earliest date and its bundle's files.
-    Returns the main spectra (with the top max(projectors.ranks) vectors for
-    projectors and fluctuation) and the correlation spectra for mp-compare,
-    or None for each not read."""
-    analyses = set(config.analyses)
-    readers = {"spectrum", "density", "ansatz", "projectors", "fluctuation"}
-    # mp-compare reads the main spectra in correlation flavor, its own otherwise.
-    if config.flavor == CORRELATION:
-        readers.add("mp-compare")
-    need_spectra = bool(analyses & readers)
-    corr_apart = "mp-compare" in analyses and config.flavor != CORRELATION
-    if not (need_spectra or corr_apart or config.dump_matrices):
-        return None, None
-    n_vectors = (
-        max(config.projector_ranks) if analyses & {"projectors", "fluctuation"} else 0
-    )
+def _main_stage(
+    returns, kernel, idx, flavor, n_vectors=0, corr_apart=False, dump=None, solve=True
+):
+    """The main matrices at panel indices ``idx``, date by date: each date's
+    covariance W W' and, in correlation flavor or with ``corr_apart``, its
+    correlation are formed once, the ``flavor`` one dumped by the bundle
+    writer ``dump`` if given, and solved for the spectra read. The dates are
+    split into contiguous chunks run at once by ``_forked``, each in date
+    order, writing its rows of the shared result arrays; a failure raises as
+    a one-worker run would, the error of the earliest date as an
+    AnalysisError naming its stage, with that run's dumps. Returns the
+    ``flavor`` spectra with their top ``n_vectors`` vectors (None with
+    ``solve`` false) and the values alone of the correlation, solved apart
+    with ``corr_apart`` (else the ``flavor`` spectra)."""
     n = returns.n_assets
     dates = tuple(returns.dates[j] for j in idx)
-    values = _shared_array(len(dates), n) if need_spectra else None
-    vectors = _shared_array(len(dates), n, n_vectors) if n_vectors else None
+    values = _shared_array(len(dates), n) if solve else None
+    vectors = _shared_array(len(dates), n, n_vectors) if solve and n_vectors else None
     corr_values = _shared_array(len(dates), n) if corr_apart else None
+    files = dump.files if dump is not None else []
     parent = os.getpid()
 
-    def solve(lo, hi):
+    def run(lo, hi):
         """Dates lo to hi - 1 in date order, each after checking that the
-        run's process still lives. Returns the error that stopped them, or
-        None, and the names of the dumps written, taken off the writer's list
-        for the parent to register."""
-        first = len(writer.files)
+        caller's process still lives. Returns the error that stopped them, or
+        None, and its __cause__, sent apart because pickling an error drops
+        it, and the dumps' (name, sha256, bytes) entries, taken off the
+        writer's list for the parent to register."""
+        first = len(files)
         error = None
         try:
             for t in range(lo, hi):
                 _end_if_orphaned(parent)
                 date, j = dates[t], idx[t]
                 cov = _stage("moments", lambda: covariance_at(returns, kernel, j))
-                if config.flavor == CORRELATION or corr_apart:
+                if flavor == CORRELATION or corr_apart:
                     corr = _stage(
                         "moments", lambda: correlation_of(cov, date, returns.asset_ids)
                     )
-                base = corr if config.flavor == CORRELATION else cov
-                if config.dump_matrices:
-                    writer.write_matrix(config.flavor, date, base)
-                if need_spectra:
+                base = corr if flavor == CORRELATION else cov
+                if dump is not None:
+                    dump.write_matrix(flavor, date, base)
+                if solve:
                     values[t], kept = _stage(
                         "spectral", lambda: _solved(date, base, n_vectors)
                     )
@@ -735,29 +751,54 @@ def _main_stage(writer, returns, kernel, idx, config):
                     corr_values[t] = _stage("spectral", lambda: _solved(date, corr, 0))[0]
         except Exception as exc:
             error = exc
-        names = writer.files[first:]
-        del writer.files[first:]
-        return error, names
+        entries = files[first:]
+        del files[first:]
+        return error, error.__cause__ if error is not None else None, entries
 
-    error = None
-    for lo, hi, outcome in _forked(len(dates), solve):
+    error = cause = None
+    for lo, hi, outcome in _forked(len(dates), run):
         if outcome is None:
             outcome = NumericalError(
                 f"main stage: the worker for dates {dates[lo]!r} to "
                 f"{dates[hi - 1]!r} ended without reporting"
-            ), []
-        exc, names = outcome
+            ), None, []
+        exc, exc_cause, entries = outcome
         if error is None:
-            writer.files.extend(names)
-            error = exc
+            files.extend(entries)
+            error, cause = exc, exc_cause
         else:
             # after the earliest failure: a one-worker run writes none of these
-            for name in names:
-                os.remove(os.path.join(writer.output_dir, name))
+            for name, _, _ in entries:
+                os.remove(os.path.join(dump.output_dir, name))
     if error is not None:
-        raise error
-    spectra = SpectrumSeries(dates, values, vectors) if need_spectra else None
+        raise error from cause
+    spectra = SpectrumSeries(dates, values, vectors) if solve else None
     return spectra, SpectrumSeries(dates, corr_values) if corr_apart else spectra
+
+
+def rolling_spectra(
+    returns: ReturnPanel,
+    kernel: WeightKernel,
+    flavor: str = COVARIANCE,
+    eval_dates=None,
+    n_vectors: int = 0,
+) -> SpectrumSeries:
+    """The descending spectrum of the weighted covariance W W' at each
+    evaluation date, or of its correlation for ``flavor`` "correlation",
+    with its top ``n_vectors`` eigenvectors per date as a (T, N, n_vectors)
+    stack (None for 0). ``eval_dates`` is None for every feasible date, or a
+    sequence of panel dates.
+
+    This is the run's main stage: one date's N x N matrices at a time, the
+    dates shared among forked workers, and a failure at a date raises the
+    AnalysisError a run raises, naming the stage and the date.
+    """
+    if flavor not in (COVARIANCE, CORRELATION):
+        raise ParameterError(f"unknown matrix flavor {flavor!r}")
+    if not 0 <= n_vectors <= returns.n_assets:
+        raise ParameterError(f"n_vectors={n_vectors} outside [0, {returns.n_assets}]")
+    idx = resolve_eval_indices(returns, kernel, eval_dates)
+    return _main_stage(returns, kernel, idx, flavor, n_vectors)[0]
 
 
 def run_analysis(config: RunConfig) -> ReportBundle:
@@ -802,7 +843,21 @@ def run_analysis(config: RunConfig) -> ReportBundle:
                 "subspace", lambda: _lagged_dates(returns, config, eval_dates)
             )
 
-        spectra, corr_spectra = _main_stage(writer, returns, kernel, idx, config)
+        readers = {"spectrum", "density", "ansatz", "projectors", "fluctuation"}
+        # mp-compare reads the main spectra in correlation flavor, its own otherwise.
+        if config.flavor == CORRELATION:
+            readers.add("mp-compare")
+        solve = bool(analyses & readers)
+        corr_apart = "mp-compare" in analyses and config.flavor != CORRELATION
+        spectra = corr_spectra = None
+        if solve or corr_apart or config.dump_matrices:
+            n_vectors = (
+                max(config.projector_ranks) if analyses & {"projectors", "fluctuation"} else 0
+            )
+            dump = writer if config.dump_matrices else None
+            spectra, corr_spectra = _main_stage(
+                returns, kernel, idx, config.flavor, n_vectors, corr_apart, dump, solve
+            )
 
         if "spectrum" in analyses:
             _stage("spectral", lambda: _spectrum_files(writer, spectra))
@@ -832,7 +887,7 @@ def run_analysis(config: RunConfig) -> ReportBundle:
         manifest_path = writer.write_manifest(config, complete=False, error=str(exc))
         logger.error("run failed, wrote incomplete manifest %s", manifest_path)
         raise
-    files = tuple(sorted(writer.files))
+    files = tuple(sorted(name for name, _, _ in writer.files))
     manifest_path = writer.write_manifest(config, complete=True)
     return ReportBundle(config.output_dir, files, manifest_path, True)
 

@@ -1,9 +1,10 @@
 """Eigen-spectra of matrix series, spectral densities, and the spectrum fit.
 
-Covers the per-date eigendecomposition (values only where no vectors are
-read, and only the kept vectors where some are), descending spectrum
-series, leading eigenvectors of rolling covariances from the thin SVD of
-their return windows, the geometric (logarithmic) mean spectrum, histogram
+Covers the eigendecomposition of one symmetric matrix (values only where no
+vectors are read, and only the kept vectors where some are), the series of
+descending spectra the runner's main stage solves one date at a time
+(``runner.rolling_spectra``), leading eigenvectors of rolling covariances
+from the thin SVD of their return windows, the geometric (logarithmic) mean spectrum, histogram
 spectral densities, the Marchenko-Pastur reference density, the
 three-parameter parametric fit of the log spectrum
 
@@ -25,12 +26,11 @@ from scipy.optimize import brentq, minimize_scalar
 
 from .errors import (
     ContractViolationError,
-    CovspecError,
     FitError,
     NumericalError,
     ParameterError,
 )
-from .moments import CORRELATION, CovarianceSeries
+from .moments import CORRELATION
 
 SYMMETRY_RTOL = 1e-10
 DEFAULT_BIN_COUNT = 60
@@ -247,8 +247,8 @@ def leading_system(sym: np.ndarray, k: int):
     solver. The sign flip is per column, so it runs on the kept columns alone.
 
     ``sym`` must be finite and exactly symmetric, and is not checked: the
-    runner's own matrices are so by construction, and ``eigenvalues`` and
-    ``spectrum_series`` check a matrix from outside first."""
+    runner's own matrices are so by construction, and ``eigenvalues``
+    checks a matrix from outside first."""
     values, vectors = _tridiagonal_system(sym, k)
     if not k:
         return values, None
@@ -261,30 +261,6 @@ def eigenvalues(matrix) -> np.ndarray:
     """Descending eigenvalues alone of a square, finite matrix symmetric
     within 1e-10 relative."""
     return leading_system(_symmetric_part(matrix), 0)[0]
-
-
-def spectrum_series(series: CovarianceSeries, n_vectors: int = 0) -> SpectrumSeries:
-    """Spectrum of every matrix of the series, with its top ``n_vectors``
-    eigenvectors per date.
-
-    With ``n_vectors`` 0 only the eigenvalues are solved for; otherwise the
-    leading columns are kept, giving a (T, N, n_vectors) vector stack, and
-    the values are those of the values-only solve. Every matrix must be
-    finite and symmetric within 1e-10 relative.
-    """
-    t_len, n = len(series), series.n_assets
-    if not 0 <= n_vectors <= n:
-        raise ParameterError(f"n_vectors={n_vectors} outside [0, {n}]")
-    values = np.empty((t_len, n))
-    vectors = np.empty((t_len, n, n_vectors)) if n_vectors else None
-    for t in range(t_len):
-        try:
-            values[t], kept = leading_system(_symmetric_part(series.matrices[t]), n_vectors)
-        except CovspecError as exc:
-            raise type(exc)(f"at date {series.dates[t]!r}: {exc}") from exc
-        if n_vectors:
-            vectors[t] = kept
-    return SpectrumSeries(series.dates, values, vectors)
 
 
 def window_vectors(windows: np.ndarray, k: int) -> np.ndarray:

@@ -21,21 +21,20 @@ from covspec import (
     generate_returns,
     log_mean_spectrum,
     make_business_dates,
-    matrix_lagged_correlation,
     mean_projector,
     mp_density,
     mp_support,
-    rolling_covariance,
+    rolling_spectra,
     spectral_density,
-    spectrum_series,
-    to_correlation,
     top_eigenvalue_oracle,
 )
 from covspec import spectral
 from covspec.cli import main
+from covspec.subspace import matrix_lagged_correlation
 from testutil import (
     assert_correlation_constraints,
     basis_series,
+    covariance_stack,
     projector_series,
     random_symmetric,
 )
@@ -57,8 +56,7 @@ def mp_experiment():
     rows = []
     for s in range(samples):
         panel = generate_returns(EnsembleSpec("gaussian-iid", n, t_eff, seed=9000 + s))
-        corr = to_correlation(rolling_covariance(panel, kernel))
-        rows.append(spectrum_series(corr).values[0])
+        rows.append(rolling_spectra(panel, kernel, "correlation").values[0])
     elapsed = time.monotonic() - start
     values = np.vstack(rows)
     return values, elapsed
@@ -105,8 +103,8 @@ def test_criterion_3_correlation_spectrum_constraints():
     for kind, scheme, kwargs, beta in cases.values():
         panel = generate_returns(EnsembleSpec(kind, 25, 120, beta=beta, seed=77))
         kernel = build_kernel(scheme, 60, **kwargs)
-        corr = to_correlation(rolling_covariance(panel, kernel))
-        spectra = assert_correlation_constraints(corr, tol=1e-9)
+        spectra = rolling_spectra(panel, kernel, "correlation")
+        assert_correlation_constraints(spectra, tol=1e-9)
         worst = max(worst, float(np.abs(spectra.values.sum(axis=1) - 25).max()))
 
     # perfectly correlated rank-1 panel: top eigenvalue reaches N
@@ -117,8 +115,7 @@ def test_criterion_3_correlation_spectrum_constraints():
         make_business_dates(80),
         np.tile(base, (n, 1)),
     )
-    corr = to_correlation(rolling_covariance(panel, build_kernel("rectangular", 40)))
-    top = spectrum_series(corr).values[:, 0]
+    top = rolling_spectra(panel, build_kernel("rectangular", 40), "correlation").values[:, 0]
     rank1_err = float(np.abs(top - n).max())
     check(
         3,
@@ -150,8 +147,7 @@ def test_criterion_4_eigen_contract():
 def test_criterion_5_projector_suite():
     n, t_len = 30, 100
     panel = generate_returns(EnsembleSpec("gaussian-iid", n, n + t_len - 1, seed=11))
-    series = rolling_covariance(panel, build_kernel("rectangular", n))
-    spectra = spectrum_series(series, n_vectors=n)
+    spectra = rolling_spectra(panel, build_kernel("rectangular", n), n_vectors=n)
 
     worst_idem, worst_trace = 0.0, 0.0
     date0 = spectra.vectors[0]
@@ -236,9 +232,7 @@ def test_criterion_7_exponential_spectrum_decay():
         EnsembleSpec("one-factor", n, length + n_dates - 1, beta=0.5, seed=21)
     )
     kernel = build_kernel("long-memory", length, tau0_days=1560)
-    series = rolling_covariance(panel, kernel)
-    spectra = spectrum_series(series)
-    mean = log_mean_spectrum(spectra)
+    mean = log_mean_spectrum(rolling_spectra(panel, kernel))
 
     lo, hi = n // 4, 3 * n // 4
     ranks = np.arange(1, n + 1)[lo:hi].astype(float)
@@ -260,7 +254,7 @@ def test_criterion_8_window_overlap_lagged_correlation():
     panel = generate_returns(
         EnsembleSpec("gaussian-iid", 10, length + n_dates - 1, seed=31)
     )
-    series = rolling_covariance(panel, build_kernel("rectangular", length))
+    series = covariance_stack(panel, build_kernel("rectangular", length))
     lags = [1, 5, 10, 20, 30]
     rho = matrix_lagged_correlation(series, lags)
     worst = 0.0
@@ -284,8 +278,7 @@ def test_criterion_9_one_factor_leading_eigenvalue():
         panel = generate_returns(
             EnsembleSpec("one-factor", n, t_eff, beta=beta, seed=400 + seed)
         )
-        corr = to_correlation(rolling_covariance(panel, kernel))
-        tops.append(spectrum_series(corr).values[0, 0])
+        tops.append(rolling_spectra(panel, kernel, "correlation").values[0, 0])
     mean_top = float(np.mean(tops))
     rel = abs(mean_top - oracle) / oracle
     check(

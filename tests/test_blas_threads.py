@@ -83,6 +83,38 @@ def test_preset_thread_count_is_kept():
         assert threads > 1
 
 
+# The main stage's worker count for 100 dates in a process that imports
+# ``first`` before covspec, and this process's usable CPUs.
+WORKERS = """
+{first}
+import covspec
+from covspec import runner
+print(runner._worker_count(100), runner._usable_cpus())
+"""
+
+
+def worker_count(first):
+    proc = subprocess.run(
+        [sys.executable, "-c", WORKERS.format(first=first)], env=child_env(None),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    workers, cpus = map(int, proc.stdout.split())
+    return workers, cpus
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the main stage needs os.fork")
+def test_numpy_imported_first_runs_the_main_stage_on_one_worker():
+    # covspec first: OpenBLAS starts on one thread, and the main stage forks
+    workers, cpus = worker_count("")
+    assert workers == min(cpus, 100)
+    if not os.path.isdir("/proc/self/task"):
+        pytest.skip("no /proc/self/task to count OpenBLAS's threads")
+    # numpy first: OpenBLAS has started one thread per CPU before covspec
+    # set OPENBLAS_NUM_THREADS, and a fork would inherit them mid-state
+    assert worker_count("import numpy") == (1, cpus)
+
+
 def usable_cpus():
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))

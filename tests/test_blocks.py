@@ -18,18 +18,16 @@ from covspec import (
     load_panel,
     make_business_dates,
     generate_returns,
-    rolling_covariance,
+    rolling_spectra,
     run_analysis,
     runner,
-    matrix_lagged_correlation,
-    to_correlation,
     validate_config,
-    window_vectors,
 )
 from covspec import subspace
 from covspec.errors import AnalysisError, DegenerateAssetError
 from covspec.moments import covariance_at, unit_rows, weighted_windows
-from covspec.spectral import leading_system
+from covspec.spectral import leading_system, window_vectors
+from covspec.subspace import matrix_lagged_correlation
 from testutil import bundle_bytes
 
 N_ASSETS = 12
@@ -108,12 +106,13 @@ def test_variance_floor_fault_in_a_later_block(tmp_path, monkeypatch):
     csv_path = tmp_path / "p.csv"
     write_flat_asset_panel(csv_path)
     returns = compute_returns(load_panel(csv_path, IngestConfig()), IngestConfig())
-    series = rolling_covariance(returns, build_kernel("rectangular", 10))
-    with pytest.raises(DegenerateAssetError) as direct:
-        to_correlation(series)
+    with pytest.raises(AnalysisError) as direct:
+        rolling_spectra(returns, build_kernel("rectangular", 10), "correlation")
+    assert isinstance(direct.value.__cause__, DegenerateAssetError)
     # the first faulty date is the tenth or later
-    fault_at = [d for d in series.dates if d in str(direct.value)]
-    assert len(fault_at) == 1 and series.dates.index(fault_at[0]) >= 9
+    dates = returns.dates[9:]
+    fault_at = [d for d in dates if d in str(direct.value)]
+    assert len(fault_at) == 1 and dates.index(fault_at[0]) >= 9
 
     errors = {}
     for per_block in (3, None):
@@ -133,7 +132,7 @@ def test_variance_floor_fault_in_a_later_block(tmp_path, monkeypatch):
         assert manifest["complete"] is False
         assert manifest["error"] == errors[per_block]
         assert [f["name"] for f in manifest["files"]] == ["provenance.log"]
-    assert errors[3] == errors[None] == f"moments: {direct.value}"
+    assert errors[3] == errors[None] == str(direct.value)
 
 
 def test_run_without_spectra_or_dump_builds_no_main_matrices(tmp_path, monkeypatch, one_worker):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -17,9 +18,8 @@ from covspec import (
     load_panel,
     log_mean_spectrum,
     make_business_dates,
-    rolling_covariance,
+    rolling_spectra,
     run_analysis,
-    spectrum_series,
     validate_config,
 )
 from covspec.cli import main
@@ -57,12 +57,27 @@ def test_analyze_emits_expected_bundle(tmp_path):
     manifest = json.loads(read_bytes(bundle.output_dir, "manifest.json"))
     assert manifest["complete"] is True
     assert {f["name"] for f in manifest["files"]} == set(bundle.files)
-    import hashlib
-
     for entry in manifest["files"]:
         data = read_bytes(bundle.output_dir, entry["name"])
         assert hashlib.sha256(data).hexdigest() == entry["sha256"]
         assert len(data) == entry["bytes"]
+
+
+def test_manifest_hashes_each_file_as_written(tmp_path):
+    writer = _BundleWriter(str(tmp_path), "csv")
+    # multi-byte UTF-8 cells: the manifest counts bytes, not characters
+    writer.write_table("t", ["a", "\u00e9"], [[1, 0.5], ["\u00fc", 2.0]])
+    writer.write_json("j.json", {"k": [1.5, "\u00f1"]})
+    written = {name: (tmp_path / name).read_bytes() for name in ("j.json", "t.csv")}
+    for name in written:
+        (tmp_path / name).unlink()  # write_manifest reads no file back
+    config = validate_config(write_cfg(tmp_path, ENSEMBLE_CFG + f"output.dir = {tmp_path}\n"))
+    manifest = json.loads(Path(writer.write_manifest(config, complete=True)).read_bytes())
+    assert manifest["files"] == [
+        {"name": name, "sha256": hashlib.sha256(data).hexdigest(), "bytes": len(data)}
+        for name, data in written.items()
+    ]
+    assert len(written["t.csv"]) == len("a,\u00e9\n1,0.5\n\u00fc,2\n".encode())
 
 
 def test_spectrum_csv_shape(tmp_path):
@@ -229,8 +244,8 @@ analyses = ansatz
 """
     run_analysis(validate_config(write_cfg(tmp_path, text + f"output.dir = {tmp_path}\n")))
     returns = generate_returns(EnsembleSpec("one-factor", 40, 79, beta=0.4, seed=2))
-    series = rolling_covariance(returns, build_kernel("long-memory", 30, tau0_days=200))
-    fit = fit_ansatz(log_mean_spectrum(spectrum_series(series)))
+    spectra = rolling_spectra(returns, build_kernel("long-memory", 30, tau0_days=200))
+    fit = fit_ansatz(log_mean_spectrum(spectra))
     assert json.loads(read_bytes(tmp_path, "ansatz.json")) == {
         "a": fit.a,
         "b": fit.b,

@@ -2,7 +2,8 @@
 reference ones: a full eigendecomposition for every date's matrix, stacked
 (T,N,N) projector series and their stacked mean, and for every lagged
 series the stacked F_t F_t' of its factors with eigh vectors of the lagged
-covariance.
+covariance. The library's ``rolling_spectra`` writes the bytes of the run's
+spectrum files, and matches the plain numpy reference.
 
 Each config runs twice, once as shipped and once with the reference
 functions patched into the runner in place of its per-date solve and its
@@ -23,15 +24,21 @@ from covspec import (
     MeanProjector,
     build_kernel,
     generate_returns,
-    matrix_lagged_correlation,
+    rolling_spectra,
     run_analysis,
     runner,
     validate_config,
-    window_vectors,
 )
 from covspec.moments import weighted_windows
-from covspec.spectral import leading_system
-from testutil import eigendecompose, projector_series
+from covspec.spectral import leading_system, window_vectors
+from covspec.subspace import matrix_lagged_correlation
+from testutil import (
+    correlation_stack,
+    covariance_stack,
+    eigendecompose,
+    projector_series,
+    reference_values,
+)
 
 RTOL = 1e-12
 
@@ -184,3 +191,44 @@ def test_outputs_match_reference_solvers(tmp_path, monkeypatch, one_worker, case
             scale = max(float(np.nanmax(np.abs(expected))), 1e-300)
             err = float(np.nanmax(np.abs(actual - expected)))
             assert err <= RTOL * scale, (name, key, err / scale)
+
+
+@pytest.mark.parametrize("flavor", ["covariance", "correlation"])
+@pytest.mark.parametrize("ranks", [None, "1,3"])
+def test_rolling_spectra_write_the_runs_spectrum_files(tmp_path, flavor, ranks):
+    """The library route is the run's main stage: its values written as the
+    run writes them are the run's spectrum files, byte for byte, with or
+    without kept vectors, and both match eigh of each date's plain numpy
+    matrix within RTOL of the date's top eigenvalue."""
+    analyses = "spectrum" if ranks is None else "spectrum,projectors"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        ALL_ANALYSES.format(n=24, ranks=ranks or "1", lagged_length=8)
+        .replace("ensemble.dates = 420", "ensemble.dates = 150")
+        .replace("spectrum,density,mp-compare,ansatz,projectors,fluctuation,lagged", analyses)
+        + f"matrix.flavor = {flavor}\noutput.dir = {tmp_path / 'run'}\n"
+    )
+    config = validate_config(str(cfg))
+    run_analysis(config)
+    kernel = build_kernel("long-memory", 120)
+    returns = generate_returns(config.ensemble)
+    k = 0 if ranks is None else 3
+    spectra = rolling_spectra(returns, kernel, flavor, n_vectors=k)
+    writer = runner._BundleWriter(str(tmp_path / "library"), "csv")
+    runner._spectrum_files(writer, spectra)
+    for name in ("spectrum.csv", "mean_spectrum.csv"):
+        assert (tmp_path / "library" / name).read_bytes() == (tmp_path / "run" / name).read_bytes()
+
+    series = covariance_stack(returns, kernel)
+    if flavor == "correlation":
+        series = correlation_stack(series)
+    assert spectra.dates == series.dates
+    want = reference_values(series)
+    assert np.abs(spectra.values - want).max(axis=1).max() <= RTOL * want[:, 0].min()
+    if k:
+        assert spectra.vectors.shape == (len(series.dates), 24, k)
+        got = projector_series(spectra.vectors, k)
+        ref = np.array([eigendecompose(m).vectors[:, :k] for m in series.matrices])
+        assert np.abs(got - projector_series(ref, k)).max() <= RTOL
+    else:
+        assert spectra.vectors is None

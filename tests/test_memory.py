@@ -1,16 +1,16 @@
 """Peak memory of the per-date loops, as a multiple of one (T,N,N) stack.
 
-Each loop writes its results straight into a preallocated output stack, so
-a call holds one stack of results and a few per-date temporaries; a loop
-that collects per-date results and then stacks them holds two. Projector
-statistics read only the (T,N,k) leading vectors and never hold a (T,N,N)
-stack. The runner's main stage forms, dumps and solves one date's N x N
-matrices at a time, so a whole run holds one date's matrices plus the (T,N)
-values and (T,N,k) vectors, and its peak grows with the number of dates by
-those alone. The lagged stage gathers its (T,N,L) return windows one block
-of dates at a time (``runner.BLOCK_BYTES``), feeds them to running sums and
-drops them, so its peak does not grow with the number of dates and stays
-below one window stack.
+The runner's main stage, which ``rolling_spectra`` runs too, forms, dumps
+and solves one date's N x N matrices at a time, writing each date's values
+and kept vectors into the (T,N) and (T,N,k) result arrays. Those arrays sit
+in anonymous shared memory (``runner._shared_array``), outside tracemalloc:
+the traced peaks here are the per-date temporaries and what grows with the
+number of dates besides them, and the result arrays are checked by their
+shapes and nbytes. Projector statistics read only the (T,N,k) leading
+vectors and never hold a (T,N,N) stack. The lagged stage gathers its
+(T,N,L) return windows one block of dates at a time (``runner.BLOCK_BYTES``),
+feeds them to running sums and drops them, so its peak does not grow with
+the number of dates and stays below one window stack.
 """
 
 import tracemalloc
@@ -18,22 +18,18 @@ from types import SimpleNamespace
 
 import pytest
 
-from covspec import (
-    EnsembleSpec,
-    build_kernel,
-    generate_returns,
-    rolling_covariance,
-    runner,
-    spectrum_series,
-    window_vectors,
-)
+from covspec import EnsembleSpec, build_kernel, generate_returns, rolling_spectra, runner
 from covspec.config import config_from_mapping
 from covspec.moments import weighted_windows
+from covspec.spectral import window_vectors
 from testutil import factor_lagged_correlation
 
 N_ASSETS = 60
 N_DATES = 300
 KERNEL_LENGTH = 100
+# of one (T,N,N) stack: a call's traced peak is about 2.5% here, one
+# date's windows, matrices and solver workspace
+PEAK_FRACTION = 0.05
 
 
 @pytest.fixture(scope="module")
@@ -41,11 +37,6 @@ def panel_and_kernel():
     spec = EnsembleSpec("one-factor", N_ASSETS, KERNEL_LENGTH + N_DATES - 1, beta=0.5, seed=3)
     kernel = build_kernel("long-memory", KERNEL_LENGTH, tau0_days=600)
     return generate_returns(spec), kernel
-
-
-@pytest.fixture(scope="module")
-def series(panel_and_kernel):
-    return rolling_covariance(*panel_and_kernel)
 
 
 def peak_added_bytes(fn):
@@ -61,31 +52,43 @@ def peak_added_bytes(fn):
     return peak - before, result
 
 
+STACK_BYTES = 8 * N_DATES * N_ASSETS**2
+
+
+def spectra_peak(panel_and_kernel, **options):
+    """Traced peak of one rolling_spectra call, with its result arrays checked."""
+    peak, spectra = peak_added_bytes(lambda: rolling_spectra(*panel_and_kernel, **options))
+    assert spectra.values.shape == (N_DATES, N_ASSETS)
+    assert spectra.values.nbytes == 8 * N_DATES * N_ASSETS
+    return peak, spectra
+
+
 def test_direct_covariance_peaks_near_one_stack(panel_and_kernel):
-    peak, series = peak_added_bytes(
-        lambda: rolling_covariance(*panel_and_kernel)
-    )
-    assert series.matrices.shape == (N_DATES, N_ASSETS, N_ASSETS)
-    assert peak < 1.5 * series.matrices.nbytes
-
-
-def test_values_only_spectrum_holds_no_vector_stack(series):
-    peak, spectra = peak_added_bytes(lambda: spectrum_series(series))
+    # the covariance of every date is formed and solved, one date at a time
+    peak, spectra = spectra_peak(panel_and_kernel, flavor="covariance")
     assert spectra.vectors is None
-    assert peak < 0.5 * series.matrices.nbytes
+    assert peak < PEAK_FRACTION * STACK_BYTES
 
 
-def test_spectrum_with_vectors_peaks_near_one_stack(series):
-    peak, spectra = peak_added_bytes(lambda: spectrum_series(series, n_vectors=N_ASSETS))
-    assert spectra.vectors.shape == series.matrices.shape
-    assert peak < 1.5 * series.matrices.nbytes
+def test_values_only_spectrum_holds_no_vector_stack(panel_and_kernel):
+    peak, spectra = spectra_peak(panel_and_kernel, flavor="correlation")
+    assert spectra.vectors is None
+    assert peak < PEAK_FRACTION * STACK_BYTES
 
 
-def test_spectrum_keeps_only_the_requested_vectors(series):
+def test_spectrum_with_vectors_peaks_near_one_stack(panel_and_kernel):
+    peak, spectra = spectra_peak(panel_and_kernel, n_vectors=N_ASSETS)
+    assert spectra.vectors.shape == (N_DATES, N_ASSETS, N_ASSETS)
+    assert spectra.vectors.nbytes == STACK_BYTES
+    assert peak < PEAK_FRACTION * STACK_BYTES
+
+
+def test_spectrum_keeps_only_the_requested_vectors(panel_and_kernel):
     k = 5
-    peak, spectra = peak_added_bytes(lambda: spectrum_series(series, n_vectors=k))
+    peak, spectra = spectra_peak(panel_and_kernel, n_vectors=k)
     assert spectra.vectors.shape == (N_DATES, N_ASSETS, k)
-    assert peak < 0.5 * series.matrices.nbytes
+    assert spectra.vectors.nbytes == 8 * N_DATES * N_ASSETS * k
+    assert peak < PEAK_FRACTION * STACK_BYTES
 
 
 def test_lagged_projector_path_holds_no_projector_stack(panel_and_kernel):
@@ -187,12 +190,16 @@ def main_stage_peak(tmp_path, monkeypatch, n_dates):
 
 
 def test_main_stage_peak_grows_only_by_values_and_vectors(tmp_path, monkeypatch):
-    # per date: the main and the correlation values and 5 vectors of N = 80
-    kept_per_date = 8 * 80 * (1 + 1 + 5)
+    # The main and the correlation values and 5 vectors of N = 80, 4480
+    # bytes per date, sit in the untraced result arrays. What is traced grows
+    # per date by the dump's registered (name, sha256, bytes) entry and the
+    # date, about 250 bytes on one worker and 100 on two (x86-64, CPython
+    # 3.11): 400 bounds it.
+    traced_per_date = 400
     # built once and cached: the dump's cells and separators for N = 80, and
     # the CSV float kernel's table of powers of ten
     runner._lower_triangle(80)
     runner._powers_of_ten()
     short = main_stage_peak(tmp_path, monkeypatch, 100)
     long = main_stage_peak(tmp_path, monkeypatch, 400)
-    assert long - short < 1.1 * 300 * kept_per_date
+    assert long - short < 300 * traced_per_date

@@ -1,3 +1,7 @@
+"""The per-date matrices of the main stage (``covariance_at``,
+``correlation_of``), the evaluation dates and errors of ``rolling_spectra``,
+the window stacks of the lagged stage, and the matrix dump."""
+
 import numpy as np
 import pytest
 
@@ -6,18 +10,24 @@ from covspec import (
     WeightKernel,
     build_kernel,
     make_business_dates,
-    rolling_covariance,
-    to_correlation,
+    rolling_spectra,
 )
 from covspec.errors import (
+    AnalysisError,
     DegenerateAssetError,
     InsufficientDataError,
     NumericalError,
     ParameterError,
 )
-from covspec.moments import unit_rows, weighted_windows
+from covspec.moments import (
+    correlation_of,
+    covariance_at,
+    resolve_eval_indices,
+    unit_rows,
+    weighted_windows,
+)
 from covspec.runner import _BundleWriter
-from testutil import random_covariance_series
+from testutil import MatrixSeries, random_covariance_series, random_panel
 
 
 def panel_from(returns):
@@ -27,6 +37,20 @@ def panel_from(returns):
     return ReturnPanel(asset_ids, make_business_dates(t), returns)
 
 
+def covariances(panel, kernel, eval_dates=None):
+    """``covariance_at`` at each evaluation date, as the main stage forms it."""
+    idx = resolve_eval_indices(panel, kernel, eval_dates)
+    return MatrixSeries(
+        tuple(panel.dates[j] for j in idx),
+        np.array([covariance_at(panel, kernel, j) for j in idx]),
+    )
+
+
+def correlations(series, assets):
+    """``correlation_of`` each matrix of a covariance series."""
+    return np.array([correlation_of(m, d, assets) for d, m in zip(series.dates, series.matrices)])
+
+
 def test_constant_single_asset_any_kernel():
     panel = panel_from(np.full((1, 40), 0.02))
     for kernel in (
@@ -34,7 +58,7 @@ def test_constant_single_asset_any_kernel():
         build_kernel("exponential", 10, mu=0.7),
         build_kernel("long-memory", 10, tau0_days=100),
     ):
-        series = rolling_covariance(panel, kernel)
+        series = covariances(panel, kernel)
         assert series.matrices == pytest.approx(
             np.full((31, 1, 1), 0.0004), abs=1e-16
         )
@@ -43,7 +67,7 @@ def test_constant_single_asset_any_kernel():
 def test_identical_columns_give_rank_one():
     base = np.random.default_rng(0).standard_normal(30)
     panel = panel_from(np.vstack([base, base]))
-    series = rolling_covariance(panel, build_kernel("rectangular", 10))
+    series = covariances(panel, build_kernel("rectangular", 10))
     for mat in series.matrices:
         assert mat[0, 1] == pytest.approx(mat[0, 0], rel=1e-14)
         eigs = np.linalg.eigvalsh(mat)
@@ -53,7 +77,7 @@ def test_identical_columns_give_rank_one():
 def test_short_window_is_rank_deficient():
     rng = np.random.default_rng(1)
     panel = panel_from(rng.standard_normal((3, 20)))
-    series = rolling_covariance(panel, build_kernel("rectangular", 2))
+    series = covariances(panel, build_kernel("rectangular", 2))
     for mat in series.matrices:
         eigs = np.linalg.eigvalsh(mat)
         assert eigs[0] < 1e-12 * eigs[-1]
@@ -64,59 +88,60 @@ def test_insufficient_history_names_first_feasible_date():
     kernel = build_kernel("rectangular", 10)
     first_feasible = panel.dates[9]
     with pytest.raises(InsufficientDataError, match=first_feasible):
-        rolling_covariance(panel, kernel, [panel.dates[3]])
+        rolling_spectra(panel, kernel, eval_dates=[panel.dates[3]])
 
 
 def test_window_shorter_than_kernel_rejected():
     panel = panel_from(np.random.default_rng(2).standard_normal((2, 5)))
     with pytest.raises(InsufficientDataError):
-        rolling_covariance(panel, build_kernel("rectangular", 10))
+        rolling_spectra(panel, build_kernel("rectangular", 10))
 
 
 def test_eval_date_range_and_explicit_list():
     panel = panel_from(np.random.default_rng(3).standard_normal((2, 30)))
     kernel = build_kernel("rectangular", 10)
-    full = rolling_covariance(panel, kernel)
-    ranged = rolling_covariance(panel, kernel, panel.dates[12:16])
+    full = rolling_spectra(panel, kernel)
+    ranged = rolling_spectra(panel, kernel, eval_dates=panel.dates[12:16])
     assert ranged.dates == panel.dates[12:16]
-    listed = rolling_covariance(panel, kernel, [panel.dates[12], panel.dates[15]])
+    listed = rolling_spectra(panel, kernel, eval_dates=[panel.dates[12], panel.dates[15]])
     assert listed.dates == (panel.dates[12], panel.dates[15])
     j = full.dates.index(panel.dates[12])
-    assert np.array_equal(ranged.matrices[0], full.matrices[j])
+    assert np.array_equal(ranged.values[0], full.values[j])
 
 
 def test_two_date_tuple_is_two_dates_not_a_range():
     panel = panel_from(np.random.default_rng(3).standard_normal((2, 30)))
     kernel = build_kernel("rectangular", 10)
     pair = (panel.dates[12], panel.dates[15])
-    series = rolling_covariance(panel, kernel, pair)
-    assert series.dates == pair
-    full = rolling_covariance(panel, kernel)
-    assert np.array_equal(series.matrices[1], full.matrices[full.dates.index(pair[1])])
+    spectra = rolling_spectra(panel, kernel, eval_dates=pair)
+    assert spectra.dates == pair
+    full = rolling_spectra(panel, kernel)
+    assert np.array_equal(spectra.values[1], full.values[full.dates.index(pair[1])])
 
 
 def test_empty_eval_dates_rejected():
     panel = panel_from(np.random.default_rng(3).standard_normal((2, 30)))
     with pytest.raises(ParameterError, match="no evaluation dates"):
-        rolling_covariance(panel, build_kernel("rectangular", 5), [])
+        rolling_spectra(panel, build_kernel("rectangular", 5), eval_dates=[])
 
 
 def test_unknown_eval_date_rejected():
     panel = panel_from(np.random.default_rng(3).standard_normal((2, 30)))
     with pytest.raises(ParameterError, match="2222-01-01"):
-        rolling_covariance(panel, build_kernel("rectangular", 5), ["2222-01-01"])
+        rolling_spectra(panel, build_kernel("rectangular", 5), eval_dates=["2222-01-01"])
 
 
 def test_scaling_returns_scales_covariance_quadratically():
     rng = np.random.default_rng(4)
     raw = rng.standard_normal((4, 60))
     kernel = build_kernel("exponential", 20, mu=0.9)
-    base = rolling_covariance(panel_from(raw), kernel)
-    scaled = rolling_covariance(panel_from(3.0 * raw), kernel)
+    base = covariances(panel_from(raw), kernel)
+    scaled = covariances(panel_from(3.0 * raw), kernel)
     assert scaled.matrices == pytest.approx(9.0 * base.matrices, rel=1e-12)
-    corr_base = to_correlation(base)
-    corr_scaled = to_correlation(scaled)
-    assert corr_scaled.matrices == pytest.approx(corr_base.matrices, abs=1e-12)
+    assets = panel_from(raw).asset_ids
+    corr_base = correlations(base, assets)
+    corr_scaled = correlations(scaled, assets)
+    assert corr_scaled == pytest.approx(corr_base, abs=1e-12)
 
 
 def outer_product_sums(panel, kernel):
@@ -143,7 +168,7 @@ def test_covariance_matches_outer_product_sum(scheme, kwargs):
     rng = np.random.default_rng(5)
     panel = panel_from(rng.standard_normal((5, 400)))
     kernel = build_kernel(scheme, 60, **kwargs)
-    series = rolling_covariance(panel, kernel)
+    series = covariances(panel, kernel)
     reference = outer_product_sums(panel, kernel)
     assert series.dates == panel.dates[59:]
     assert relative_error_per_date(series, reference).max() <= 1e-12
@@ -161,40 +186,26 @@ def test_volatility_drop_leaves_no_residue(scheme, kwargs):
     returns[:, 500:] *= 1e-3
     panel = panel_from(returns)
     kernel = build_kernel(scheme, 60, **kwargs)
-    series = rolling_covariance(panel, kernel)
+    series = covariances(panel, kernel)
     reference = outer_product_sums(panel, kernel)
     assert relative_error_per_date(series, reference).max() <= 1e-12
 
 
 def test_correlation_of_diagonal_covariance_is_identity():
-    series = random_covariance_series(n=2, length=5, n_dates=1, seed=8)
-    mats = series.matrices.copy()
-    mats[0] = np.diag([4.0, 9.0])
-    diag_series = type(series)(
-        series.flavor, series.dates, mats, series.assets
-    )
-    corr = to_correlation(diag_series)
-    assert corr.matrices[0] == pytest.approx(np.eye(2), abs=1e-15)
+    corr = correlation_of(np.diag([4.0, 9.0]), "2024-01-02", ("a0", "a1"))
+    assert corr == pytest.approx(np.eye(2), abs=1e-15)
 
 
 def test_correlation_known_two_by_two():
-    series = random_covariance_series(n=2, length=5, n_dates=1, seed=9)
-    mats = series.matrices.copy()
-    mats[0] = np.array([[4.0, 2.0], [2.0, 4.0]])
-    fixed = type(series)(
-        series.flavor, series.dates, mats, series.assets
-    )
-    corr = to_correlation(fixed)
-    assert corr.matrices[0] == pytest.approx(
-        np.array([[1.0, 0.5], [0.5, 1.0]]), abs=1e-15
-    )
+    corr = correlation_of(np.array([[4.0, 2.0], [2.0, 4.0]]), "2024-01-02", ("a0", "a1"))
+    assert corr == pytest.approx(np.array([[1.0, 0.5], [0.5, 1.0]]), abs=1e-15)
 
 
 def test_perfectly_correlated_panel():
     base = np.random.default_rng(10).standard_normal(40)
     panel = panel_from(np.vstack([base, base, base]))
-    corr = to_correlation(rolling_covariance(panel, build_kernel("rectangular", 20)))
-    for mat in corr.matrices:
+    cov = covariances(panel, build_kernel("rectangular", 20))
+    for mat in correlations(cov, panel.asset_ids):
         assert mat == pytest.approx(np.ones((3, 3)), abs=1e-12)
         eigs = np.linalg.eigvalsh(mat)
         assert eigs[-1] == pytest.approx(3.0, abs=1e-9)
@@ -205,13 +216,15 @@ def test_degenerate_asset_names_asset_and_date():
     returns = rng.standard_normal((3, 30))
     returns[1] = 0.0
     panel = panel_from(returns)
-    series = rolling_covariance(panel, build_kernel("rectangular", 10))
-    with pytest.raises(DegenerateAssetError) as err:
-        to_correlation(series)
-    assert str(err.value) == (
-        f"variance 0.0 of asset 'a1' at date {series.dates[0]!r} is at or below "
-        "the floor 1e-16"
-    )
+    for n_vectors in (0, 2):
+        with pytest.raises(AnalysisError) as err:
+            rolling_spectra(panel, build_kernel("rectangular", 10), "correlation",
+                            n_vectors=n_vectors)
+        assert isinstance(err.value.__cause__, DegenerateAssetError)
+        assert str(err.value) == (
+            f"moments: variance 0.0 of asset 'a1' at date {panel.dates[9]!r} is at or "
+            "below the floor 1e-16"
+        )
 
 
 def outer_products(windows):
@@ -231,13 +244,13 @@ def test_window_products_match_covariance_and_correlation(scheme, kwargs):
     panel = panel_from(rng.standard_normal((5, 200)) * [[1e-3], [1], [10], [1], [1]])
     kernel = build_kernel(scheme, 60, **kwargs)
     eval_dates = panel.dates[80:120:3]
-    series = rolling_covariance(panel, kernel, eval_dates)
+    series = covariances(panel, kernel, eval_dates)
     dates, windows = weighted_windows(panel, kernel, eval_dates)
     assert dates == series.dates
     assert windows.shape == (len(dates), 5, 60)
     assert np.array_equal(series.matrices, outer_products(windows))
     units = unit_rows(windows, dates, panel.asset_ids)
-    corr = to_correlation(series).matrices
+    corr = correlations(series, panel.asset_ids)
     assert np.abs(outer_products(units) - corr).max() <= 1e-12
 
 
@@ -247,12 +260,12 @@ def test_unit_rows_refuse_a_degenerate_asset_like_to_correlation():
     returns[1, 12:25] = 0.0
     panel = panel_from(returns)
     kernel = build_kernel("rectangular", 10)
-    with pytest.raises(DegenerateAssetError) as want:
-        to_correlation(rolling_covariance(panel, kernel))
+    with pytest.raises(AnalysisError) as want:
+        rolling_spectra(panel, kernel, "correlation")
     dates, windows = weighted_windows(panel, kernel)
     with pytest.raises(DegenerateAssetError) as got:
         unit_rows(windows, dates, panel.asset_ids)
-    assert str(got.value) == str(want.value)
+    assert str(got.value) == str(want.value.__cause__)
     assert "'a1'" in str(got.value) and repr(panel.dates[21]) in str(got.value)
 
 
@@ -263,24 +276,31 @@ def test_windows_refuse_negative_weights_and_non_finite_returns():
     signed = WeightKernel("custom", [0.6, 0.6, -0.2])
     with pytest.raises(ParameterError, match="non-negative") as want:
         weighted_windows(panel, signed)
-    with pytest.raises(ParameterError) as got:
-        rolling_covariance(panel, signed)
-    assert str(got.value) == str(want.value)
-    returns[2, 17] = np.nan
-    with pytest.raises(NumericalError, match=repr(panel.dates[17])):
-        weighted_windows(panel_from(returns), build_kernel("rectangular", 5))
+    with pytest.raises(AnalysisError) as got:
+        rolling_spectra(panel, signed)
+    assert isinstance(got.value.__cause__, ParameterError)
+    assert str(got.value) == f"moments: {want.value}"
+    for value in (np.nan, np.inf):
+        returns[2, 17] = value
+        with pytest.raises(NumericalError, match=repr(panel.dates[17])) as want:
+            weighted_windows(panel_from(returns), build_kernel("rectangular", 5))
+        # the first date whose window holds the value
+        with pytest.raises(AnalysisError) as got:
+            rolling_spectra(panel_from(returns), build_kernel("rectangular", 5))
+        assert isinstance(got.value.__cause__, NumericalError)
+        assert str(got.value) == f"moments: {want.value}"
 
 
 def test_correlation_trace_is_exactly_n():
-    corr = to_correlation(random_covariance_series(n=7, length=30, n_dates=10, seed=12))
-    for mat in corr.matrices:
+    panel, kernel = random_panel(n=7, length=30, n_dates=10, seed=12)
+    for mat in correlations(covariances(panel, kernel), panel.asset_ids):
         assert abs(np.trace(mat) - 7.0) < 1e-12
         assert np.array_equal(mat, mat.T)
         assert np.abs(mat).max() <= 1.0
 
 
 def test_covariance_is_symmetric_psd():
-    series = random_covariance_series(n=6, length=40, n_dates=12, seed=13)
+    series = covariances(*random_panel(n=6, length=40, n_dates=12, seed=13))
     for mat in series.matrices:
         assert np.array_equal(mat, mat.T)
         eigs = np.linalg.eigvalsh(mat)
@@ -292,8 +312,8 @@ def dump_matrices(series, directory):
     registered."""
     writer = _BundleWriter(str(directory), "csv")
     for date, matrix in zip(series.dates, series.matrices):
-        writer.write_matrix(series.flavor, date, matrix)
-    return writer.files
+        writer.write_matrix("covariance", date, matrix)
+    return [name for name, _, _ in writer.files]
 
 
 def test_dump_matrices_lower_triangle(tmp_path):
@@ -315,8 +335,7 @@ def test_dump_matrices_bytes_match_per_value_formatting(tmp_path):
     for i, j, v in ((0, 0, -0.0), (1, 0, 5e-324), (1, 1, 1e300), (2, 0, 1.0),
                     (3, 1, np.nan), (3, 2, np.inf)):
         stack[0, i, j] = stack[0, j, i] = v
-    series = random_covariance_series(n=6, length=10, n_dates=2, seed=16)
-    series = type(series)(series.flavor, series.dates, stack, series.assets)
+    series = MatrixSeries(make_business_dates(2), stack)
     names = dump_matrices(series, tmp_path)
     for t, name in enumerate(names):
         expected = "".join(

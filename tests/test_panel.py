@@ -3,13 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from covspec import (
-    IngestConfig,
-    PricePanel,
-    compute_returns,
-    load_panel,
-    map_prices,
-)
+from covspec import IngestConfig, PricePanel, compute_returns, load_panel
+from covspec.panel import map_prices
 from covspec.errors import InsufficientDataError, PanelError, ParseError
 
 WELL_FORMED = """date,aaa,bbb,ccc

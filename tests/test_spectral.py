@@ -10,6 +10,7 @@ from covspec import (
     AnsatzFit,
     DensityBins,
     EnsembleSpec,
+    ReturnPanel,
     SpectrumSeries,
     build_kernel,
     default_fit_range,
@@ -17,19 +18,30 @@ from covspec import (
     eigenvalues,
     fit_ansatz,
     generate_returns,
-    rolling_covariance,
     log_mean_spectrum,
     make_business_dates,
     mp_density,
     mp_support,
+    rolling_spectra,
     spectral_density,
-    spectrum_series,
-    window_vectors,
 )
-from covspec import run_analysis, spectral, to_correlation, validate_config
+from covspec import run_analysis, spectral, validate_config
 from covspec.moments import weighted_windows
-from covspec.errors import ContractViolationError, FitError, NumericalError, ParameterError
-from testutil import eigendecompose, random_covariance_series, random_symmetric
+from covspec.spectral import window_vectors
+from covspec.errors import (
+    AnalysisError,
+    ContractViolationError,
+    FitError,
+    NumericalError,
+    ParameterError,
+)
+from testutil import (
+    covariance_stack,
+    eigendecompose,
+    random_covariance_series,
+    random_panel,
+    random_symmetric,
+)
 
 
 def spectra_from(values):
@@ -141,11 +153,12 @@ def test_tridiagonal_route_matches_eigh(case):
 
 
 @pytest.mark.parametrize("routine", ["dstemr", "dormqr"])
-def test_mrrr_failure_falls_back_to_eigh(monkeypatch, routine):
+def test_mrrr_failure_falls_back_to_eigh(monkeypatch, one_worker, routine):
     # as LAPACK's dsyevr does, a date whose MRRR vectors fail is solved again
     # by another solver; the values stay those of the values-only solve
-    series = random_covariance_series(n=20, length=30, n_dates=3, seed=13)
-    expected = spectrum_series(series)
+    panel, kernel = random_panel(n=20, length=30, n_dates=3, seed=13)
+    series = covariance_stack(panel, kernel)
+    expected = rolling_spectra(panel, kernel)
     original = getattr(spectral.lapack, routine)
     calls = []
 
@@ -156,7 +169,7 @@ def test_mrrr_failure_falls_back_to_eigh(monkeypatch, routine):
         return (*(np.full_like(a, np.nan) if np.ndim(a) else a for a in outputs), 1)
 
     monkeypatch.setattr(spectral.lapack, routine, failing)
-    kept = spectrum_series(series, n_vectors=2)
+    kept = rolling_spectra(panel, kernel, n_vectors=2)
     assert len(calls) == 3
     assert np.array_equal(kept.values, expected.values)
     for t, mat in enumerate(series.matrices):
@@ -164,7 +177,7 @@ def test_mrrr_failure_falls_back_to_eigh(monkeypatch, routine):
 
 
 def test_failure_of_every_solver_names_offending_date(monkeypatch):
-    series = random_covariance_series(n=20, length=30, n_dates=3, seed=13)
+    panel, kernel = random_panel(n=20, length=30, n_dates=3, seed=13)
     dstemr = spectral.lapack.dstemr
 
     def failing(*args, **kwargs):
@@ -175,9 +188,11 @@ def test_failure_of_every_solver_names_offending_date(monkeypatch):
 
     monkeypatch.setattr(spectral.lapack, "dstemr", failing)
     monkeypatch.setattr(spectral.np.linalg, "eigh", eigh)
-    with pytest.raises(NumericalError, match=f"{series.dates[0]}.*eigh failed"):
-        spectrum_series(series, n_vectors=2)
-    spectrum_series(series)  # values alone run neither
+    first = panel.dates[29]
+    with pytest.raises(AnalysisError, match=f"^spectral: at date '{first}'.*eigh failed") as err:
+        rolling_spectra(panel, kernel, n_vectors=2)
+    assert isinstance(err.value.__cause__, NumericalError)
+    rolling_spectra(panel, kernel)  # values alone run neither
 
 
 SPECTRA_CFG = """
@@ -235,36 +250,38 @@ def test_run_solves_its_own_matrices_unchecked(tmp_path, monkeypatch):
 
 
 def test_series_of_identities():
-    stack = np.repeat(np.eye(4)[None], 3, axis=0)
-    series = random_covariance_series(n=4, length=5, n_dates=3, seed=2)
-    fixed = type(series)(series.flavor, series.dates, stack, series.assets)
-    spectra = spectrum_series(fixed)
+    # returns 2 e_(t mod 4) under equal weights 1/4: every window W is a
+    # permutation matrix, so W W' = I at each date
+    returns = 2.0 * np.tile(np.eye(4), 2)[:, :6]
+    panel = ReturnPanel(("a", "b", "c", "d"), make_business_dates(6), returns)
+    spectra = rolling_spectra(panel, build_kernel("rectangular", 4))
     assert spectra.values == pytest.approx(np.ones((3, 4)))
 
 
 def test_rank_deficient_date_has_zero_eigenvalue():
-    series = random_covariance_series(n=4, length=3, n_dates=5, seed=3)
-    spectra = spectrum_series(series)
+    spectra = rolling_spectra(*random_panel(n=4, length=3, n_dates=5, seed=3))
     assert np.all(spectra.values[:, -1] < 1e-12 * spectra.values[:, 0])
 
 
 def test_trace_identity_on_wishart_series():
-    series = random_covariance_series(n=10, length=50, n_dates=8, seed=4)
-    spectra = spectrum_series(series)
+    panel, kernel = random_panel(n=10, length=50, n_dates=8, seed=4)
+    series = covariance_stack(panel, kernel)
+    spectra = rolling_spectra(panel, kernel)
     for row, mat in zip(spectra.values, series.matrices):
         trace = np.trace(mat)
         assert abs(row.sum() - trace) < 1e-10 * abs(trace)
 
 
 def test_vectors_stored_on_request():
-    series = random_covariance_series(n=5, length=10, n_dates=4, seed=5)
-    with_vectors = spectrum_series(series, n_vectors=5)
+    panel, kernel = random_panel(n=5, length=10, n_dates=4, seed=5)
+    series = covariance_stack(panel, kernel)
+    with_vectors = rolling_spectra(panel, kernel, n_vectors=5)
     assert with_vectors.vectors is not None
     assert with_vectors.vectors.shape == (4, 5, 5)
-    without = spectrum_series(series)
+    without = rolling_spectra(panel, kernel)
     assert without.vectors is None
     for k in (2, 5):
-        leading = spectrum_series(series, n_vectors=k)
+        leading = rolling_spectra(panel, kernel, n_vectors=k)
         assert leading.vectors.shape == (4, 5, k)
         # the values of the values-only solve, whatever number of vectors;
         # the vectors are a separate MRRR solve per k, checked by projector
@@ -273,18 +290,20 @@ def test_vectors_stored_on_request():
             assert_leading_vectors(mat, leading.values[t], leading.vectors[t])
     for bad in (-1, 6):
         with pytest.raises(ParameterError, match="n_vectors"):
-            spectrum_series(series, n_vectors=bad)
+            rolling_spectra(panel, kernel, n_vectors=bad)
+    with pytest.raises(ParameterError, match="flavor"):
+        rolling_spectra(panel, kernel, "covariances")
 
 
 def test_kept_vectors_are_eigendecompose_columns():
     # signs are flipped on the kept columns only; each column's flip is its
     # own. Every eigenvalue here is well separated, so each kept column is
     # eigendecompose's to 1e-13, sign included.
-    series = random_covariance_series(n=12, length=30, n_dates=5, seed=9)
-    systems = [eigendecompose(m) for m in series.matrices]
-    without = spectrum_series(series)
+    panel, kernel = random_panel(n=12, length=30, n_dates=5, seed=9)
+    systems = [eigendecompose(m) for m in covariance_stack(panel, kernel).matrices]
+    without = rolling_spectra(panel, kernel)
     for k in (1, 3, 12):
-        kept = spectrum_series(series, n_vectors=k)
+        kept = rolling_spectra(panel, kernel, n_vectors=k)
         assert np.array_equal(kept.values, without.values)
         for t, system in enumerate(systems):
             assert np.abs(kept.values[t] - system.values).max() <= 1e-13 * system.values[0]
@@ -293,23 +312,33 @@ def test_kept_vectors_are_eigendecompose_columns():
 
 def test_values_only_spectra_match_eigendecompose():
     for seed, length in ((6, 30), (7, 5)):
-        series = random_covariance_series(n=12, length=length, n_dates=20, seed=seed,
-                                          kind="one-factor", beta=0.6)
-        spectra = spectrum_series(series)
-        for row, mat in zip(spectra.values, series.matrices):
+        panel, kernel = random_panel(n=12, length=length, n_dates=20, seed=seed,
+                                     kind="one-factor", beta=0.6)
+        spectra = rolling_spectra(panel, kernel)
+        for row, mat in zip(spectra.values, covariance_stack(panel, kernel).matrices):
             reference = eigendecompose(mat).values
             assert np.abs(row - reference).max() <= 1e-13 * reference[0]
             assert np.all(np.diff(row) <= 0)
 
 
-def test_series_error_names_offending_date():
-    series = random_covariance_series(n=3, length=5, n_dates=3, seed=7)
-    broken = series.matrices.copy()
-    broken[1, 0, 1] += 1.0  # break symmetry at the second date
-    bad = type(series)(series.flavor, series.dates, broken, series.assets)
+def test_series_error_names_offending_date(monkeypatch, one_worker):
+    panel, kernel = random_panel(n=3, length=5, n_dates=3, seed=7)
+    dsterf = spectral.lapack.dsterf
     for n_vectors in (0, 2):
-        with pytest.raises(ContractViolationError, match=series.dates[1]):
-            spectrum_series(bad, n_vectors=n_vectors)
+        calls = []
+
+        def failing(*args, calls=calls):
+            calls.append(1)  # the second date's solve fails
+            return (*dsterf(*args)[:-1], 1) if len(calls) == 2 else dsterf(*args)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(spectral.lapack, "dsterf", failing)
+            with pytest.raises(AnalysisError) as err:
+                rolling_spectra(panel, kernel, n_vectors=n_vectors)
+        assert str(err.value) == (
+            f"spectral: at date {panel.dates[5]!r}: dsterf failed for 3x3 matrix (info 1)"
+        )
+        assert isinstance(err.value.__cause__, NumericalError)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
@@ -322,13 +351,13 @@ def test_non_finite_matrix_rejected(value):
 
 @pytest.mark.parametrize("value", [np.nan, np.inf])
 def test_non_finite_series_names_offending_date(value):
-    series = random_covariance_series(n=3, length=5, n_dates=3, seed=8)
-    broken = series.matrices.copy()
-    broken[2, 1, 1] = value
-    bad = type(series)(series.flavor, series.dates, broken, series.assets)
+    panel, kernel = random_panel(n=3, length=5, n_dates=3, seed=8)
+    panel.returns[1, 6] = value  # in the third date's window alone
     for n_vectors in (0, 1):
-        with pytest.raises(NumericalError, match=series.dates[2]):
-            spectrum_series(bad, n_vectors=n_vectors)
+        with pytest.raises(AnalysisError) as err:
+            rolling_spectra(panel, kernel, n_vectors=n_vectors)
+        assert str(err.value) == f"moments: at date {panel.dates[6]!r}: non-finite returns"
+        assert isinstance(err.value.__cause__, NumericalError)
 
 
 def test_window_vectors_match_eigh_projectors():
@@ -336,10 +365,10 @@ def test_window_vectors_match_eigh_projectors():
     returns = generate_returns(spec)
     for scheme, length in (("rectangular", 6), ("long-memory", 10)):
         kernel = build_kernel(scheme, length, tau0_days=60)
-        series = rolling_covariance(returns, kernel)
+        series = covariance_stack(returns, kernel)
         k = 4
         vectors = window_vectors(weighted_windows(returns, kernel)[1], k)
-        assert vectors.shape == (len(series), 15, k)
+        assert vectors.shape == (len(series.dates), 15, k)
         for t, mat in enumerate(series.matrices):
             eig = eigendecompose(mat)
             for j in range(1, k + 1):
@@ -354,7 +383,7 @@ def test_window_vectors_dates_follow_rolling_covariance():
     returns = generate_returns(EnsembleSpec("gaussian-iid", 8, 40, seed=10))
     kernel = build_kernel("rectangular", 5)
     dates = returns.dates[10:20:3]
-    series = rolling_covariance(returns, kernel, dates)
+    series = covariance_stack(returns, kernel, dates)
     vectors = window_vectors(weighted_windows(returns, kernel, dates)[1], 2)
     for t, mat in enumerate(series.matrices):
         reference = projector(eigendecompose(mat).vectors[:, :2])
@@ -448,8 +477,8 @@ def test_logarithmic_bins_normalize():
 
 
 def test_correlation_spectra_full_range_inclusion():
-    corr = to_correlation(random_covariance_series(n=10, length=40, n_dates=12, seed=30))
-    spectra = spectrum_series(corr)
+    panel, kernel = random_panel(n=10, length=40, n_dates=12, seed=30)
+    spectra = rolling_spectra(panel, kernel, "correlation")
     lo = float(spectra.values.min())
     hi = float(spectra.values.max())
     hist = spectral_density(spectra, DensityBins("linear", lo, hi, 60))
@@ -647,7 +676,7 @@ def test_fit_is_insensitive_to_last_bit_noise():
     # leaves rounding room for the former and must not be loosened.
     spec = EnsembleSpec("one-factor", 60, 159, beta=0.5, seed=3)
     kernel = build_kernel("long-memory", 120, tau0_days=1560)
-    mean = log_mean_spectrum(spectrum_series(rolling_covariance(generate_returns(spec), kernel)))
+    mean = log_mean_spectrum(rolling_spectra(generate_returns(spec), kernel))
     base = fit_ansatz(mean)
     assert 1.0 < base.b < 2.0
     rng = np.random.default_rng(2024)

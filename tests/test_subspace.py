@@ -12,14 +12,17 @@ from covspec import (
     build_kernel,
     fluctuation_index,
     generate_returns,
-    matrix_lagged_correlation,
     mean_projector,
     projector_spectrum,
-    rolling_covariance,
-    spectrum_series,
+    rolling_spectra,
 )
 from covspec import subspace
-from covspec.subspace import GRAM_MIN_GAMMA, LAGGED_KERNEL_LENGTH, LaggedSums
+from covspec.subspace import (
+    GRAM_MIN_GAMMA,
+    LAGGED_KERNEL_LENGTH,
+    LaggedSums,
+    matrix_lagged_correlation,
+)
 from covspec.errors import (
     ContractViolationError,
     DegenerateSeriesError,
@@ -31,12 +34,13 @@ from testutil import (
     factor_lagged_correlation,
     projector_series,
     random_covariance_series,
+    random_panel,
 )
 
 
 def random_spectra(n=6, n_dates=10, seed=0):
-    series = random_covariance_series(n=n, length=2 * n, n_dates=n_dates, seed=seed)
-    return spectrum_series(series, n_vectors=n)
+    panel, kernel = random_panel(n=n, length=2 * n, n_dates=n_dates, seed=seed)
+    return rolling_spectra(panel, kernel, n_vectors=n)
 
 
 # ---------------------------------------------------------------- mean projector
@@ -86,8 +90,7 @@ def test_mean_projector_matches_stacked_mean():
 
 
 def test_rank_above_stored_vectors_rejected():
-    series = random_covariance_series(n=6, length=12, n_dates=5, seed=23)
-    spectra = spectrum_series(series, n_vectors=2)
+    spectra = rolling_spectra(*random_panel(n=6, length=12, n_dates=5, seed=23), n_vectors=2)
     assert mean_projector(spectra, 2).matrix.shape == (6, 6)
     for fn in (mean_projector, projector_series):
         with pytest.raises(ContractViolationError, match="keeps 2"):
@@ -288,7 +291,7 @@ def one_factor_lagged_spectra(n=20, n_dates=300, seed=24):
     spec = EnsembleSpec("one-factor", n, LAGGED_KERNEL_LENGTH + n_dates - 1, beta=0.5,
                         seed=seed)
     kernel = build_kernel("rectangular", LAGGED_KERNEL_LENGTH)
-    return spectrum_series(rolling_covariance(generate_returns(spec), kernel), n_vectors=n)
+    return rolling_spectra(generate_returns(spec), kernel, n_vectors=n)
 
 
 def wandering_subspace(delta, n=12, k=2, n_dates=200, seed=25):

@@ -298,6 +298,10 @@ def test_worker_count(monkeypatch):
         release.set()
         thread.join(timeout=30)
     assert not thread.is_alive()
+    # join returns before the OS thread has left /proc/self/task
+    deadline = time.monotonic() + 5
+    while runner._thread_count() > 1 and time.monotonic() < deadline:
+        time.sleep(0.01)
     assert runner._worker_count(10) == 4
     monkeypatch.delattr(os, "fork")
     assert runner._worker_count(10) == 1

@@ -1,7 +1,9 @@
 """Shared helpers for the test suite, and the reference routes the package is
-checked against: a full ``eigh`` per matrix, stacked (T,N,N) projector
-series, the lagged correlation of a whole factor stack, and the per-row %
-template the CSV writer's text must equal."""
+checked against, in plain numpy where they stand for a package route: each
+date's covariance W W' and its correlation cov / outer(sqrt(diag),
+sqrt(diag)) stacked (T,N,N), a full ``eigh`` per matrix, stacked (T,N,N)
+projector series, the lagged correlation of a whole factor stack, and the
+per-row % template the CSV writer's text must equal."""
 
 import os
 from typing import NamedTuple
@@ -14,11 +16,41 @@ from covspec import (
     build_kernel,
     generate_returns,
     make_business_dates,
-    rolling_covariance,
-    spectrum_series,
-    to_correlation,
 )
 from covspec.subspace import LaggedSums, _leading_vectors
+
+
+class MatrixSeries(NamedTuple):
+    """A reference (T, N, N) stack of matrices, one per date."""
+
+    dates: tuple
+    matrices: np.ndarray
+
+
+def covariance_stack(panel, kernel, eval_dates=None):
+    """W W' at each evaluation date (every feasible date for None), W being
+    the kernel's L returns ending there, oldest first, times sqrt(weights)."""
+    length = kernel.length
+    if eval_dates is None:
+        eval_dates = panel.dates[length - 1 :]
+    root = np.sqrt(kernel.weights[::-1])
+    matrices = []
+    for date in eval_dates:
+        j = panel.dates.index(date)
+        w = panel.returns[:, j - length + 1 : j + 1] * root
+        matrices.append(w @ w.T)
+    return MatrixSeries(tuple(eval_dates), np.array(matrices))
+
+
+def correlation_stack(series):
+    """cov / outer(sqrt(diag), sqrt(diag)) of each matrix of a series."""
+    s = np.sqrt(np.diagonal(series.matrices, axis1=1, axis2=2))
+    return MatrixSeries(series.dates, series.matrices / (s[:, :, None] * s[:, None, :]))
+
+
+def reference_values(series):
+    """The (T, N) descending eigenvalues of each matrix, by ``eigendecompose``."""
+    return np.array([eigendecompose(m).values for m in series.matrices])
 
 
 class EigenSystem(NamedTuple):
@@ -59,30 +91,32 @@ def random_symmetric(n, seed=0, scale=1.0):
     return (m + m.T) / 2.0
 
 
-def random_covariance_series(n=8, length=20, n_dates=15, seed=0, kind="gaussian-iid",
-                             beta=0.0, scheme="rectangular"):
+def random_panel(n=8, length=20, n_dates=15, seed=0, kind="gaussian-iid", beta=0.0,
+                 scheme="rectangular"):
+    """A generated return panel and a kernel of ``length`` dates, with
+    ``n_dates`` feasible evaluation dates."""
     spec = EnsembleSpec(kind, n, length + n_dates - 1, beta=beta, seed=seed)
-    panel = generate_returns(spec)
-    kernel = build_kernel(scheme, length)
-    return rolling_covariance(panel, kernel)
+    return generate_returns(spec), build_kernel(scheme, length)
 
 
-def assert_correlation_constraints(corr_series, tol=1e-9):
-    """Sum of eigenvalues equals N and every eigenvalue is in [0, N]."""
-    spectra = spectrum_series(corr_series)
-    n = corr_series.n_assets
+def random_covariance_series(**kwargs):
+    """``covariance_stack`` of a ``random_panel`` at every feasible date."""
+    return covariance_stack(*random_panel(**kwargs))
+
+
+def assert_correlation_constraints(spectra, tol=1e-9):
+    """Each date's correlation eigenvalues sum to N and lie in [0, N]."""
+    n = spectra.n_assets
     sums = spectra.values.sum(axis=1)
     assert np.all(np.abs(sums - n) < tol), f"trace constraint violated: {sums}"
     assert spectra.values.min() > -tol
     assert spectra.values.max() < n + tol
-    return spectra
 
 
 def correlation_from_iid(n=20, t_eff=200, seed=0, kind="gaussian-iid", beta=0.0):
-    spec = EnsembleSpec(kind, n, t_eff, beta=beta, seed=seed)
-    panel = generate_returns(spec)
-    kernel = build_kernel("rectangular", t_eff)
-    return to_correlation(rolling_covariance(panel, kernel))
+    """``correlation_stack`` of a one-date rectangular window of ``t_eff``."""
+    panel, kernel = random_panel(n, t_eff, 1, seed, kind, beta)
+    return correlation_stack(covariance_stack(panel, kernel))
 
 
 def basis_series(columns, n):
