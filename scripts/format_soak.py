@@ -2,7 +2,7 @@
 """Soak test of covspec's CSV float kernel against Python's "%.17g".
 
 Draws N random 64-bit patterns from the seed, views them as doubles (nan,
-inf and subnormals included) and compares ``runner.format_floats`` with
+inf and subnormals included) and compares ``bundle.format_floats`` with
 "%.17g" % v, a block at a time. Prints the first mismatch with its seed and
 exits with status 1, or prints the count checked. Example:
 
@@ -13,7 +13,7 @@ import argparse
 import sys
 
 # covspec before numpy: importing it runs OpenBLAS on one thread.
-from covspec.runner import format_floats
+from covspec.bundle import format_floats
 
 import numpy as np
 

@@ -9,7 +9,7 @@ import os
 # benchmark billed 11.8 s of CPU for 5.6 s of analysis on two threads, and
 # 6.1 s for 5.3 s on one (medians of 10 runs each). One thread also makes the
 # output bytes independent of the core count. The cores are used instead by
-# the runner's main stage, which forks one worker per usable CPU, and only
+# the main stage's forked workers (``workers``), one per usable CPU, and only
 # while this variable reads "1" and the process runs no other thread: with
 # BLAS threads a fork is unsafe, so numpy imported first costs the workers.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")

@@ -12,7 +12,7 @@ numpy forms W W' by syrk, so each matrix is exactly symmetric.
 ``covariance_at`` and ``correlation_of`` give one date's matrices, which the
 runner's main stage reads one date at a time; ``weighted_windows`` stacks
 the windows W of a block of dates for the lagged stage. This module writes
-no files: the runner's bundle writer dumps the matrices.
+no files: the bundle writer (``bundle._BundleWriter``) dumps the matrices.
 """
 
 from __future__ import annotations

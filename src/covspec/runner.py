@@ -1,45 +1,30 @@
-"""Config-driven orchestration: run analyses and emit a report bundle.
+"""Config-driven orchestration: the stages of a run, from returns to a report bundle.
 
 Every enabled analysis writes plot-ready CSV/JSON files into the output
-directory; a manifest records each file with its content hash plus the
-resolved config. Outputs are byte-deterministic for a fixed config and
-seed. On failure the manifest is still written, marked incomplete.
+directory through the bundle writer (``bundle._BundleWriter``); a manifest
+records each file with its content hash plus the resolved config. Outputs
+are byte-deterministic for a fixed config and seed. On failure the manifest
+is still written, marked incomplete.
 
-Every file covspec writes, the bundle's (tables, matrix dumps, provenance
-log, JSON, manifest) and the synth CSV, is UTF-8 text written here by
-``_write_text``, which hashes the bytes as it writes them for the manifest.
-Every float cell of a CSV (tables, matrix dumps, the synth panel) is written
-by ``format_floats``, one vectorised kernel giving the bytes of "%.17g" % v;
-``_csv_lines`` writes any other cell as "%s" % v.
-
-The main stage's dates are independent, so they run in contiguous chunks,
-one per usable CPU: chunk 0 in this process and the others in children
-forked from it (``_forked``), each writing its rows of result arrays held in
-anonymous shared memory. Every date runs the same code whatever the number
-of workers, so the bytes do not depend on it, and a failure leaves the
-error and the files a one-worker run leaves. ``rolling_spectra``, the
-library's route from returns to spectra, is this same stage.
+The main stage forms and solves each evaluation date's matrices. Its dates
+are independent, so they run as the items of ``workers._forked``, one chunk
+per usable CPU, each date writing its rows of shared result arrays; a
+failure leaves the error and the files a one-worker run leaves.
+``rolling_spectra``, the library's route from returns to spectra, is this
+same stage.
 """
 
 from __future__ import annotations
 
 import datetime as _dt
-import functools
-import hashlib
-import io
-import itertools
-import json
 import logging
-import math
-import mmap
 import os
-import pickle
-import signal
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import workers
+from .bundle import _BundleWriter, _json_cell, _series_lines, _write_text
 from .config import RunConfig
 from .ensembles import generate_returns
 from .errors import (
@@ -47,7 +32,6 @@ from .errors import (
     ConfigError,
     CovspecError,
     InsufficientDataError,
-    NumericalError,
     ParameterError,
 )
 from .kernels import WeightKernel, build_kernel, effective_length
@@ -85,11 +69,6 @@ from .subspace import (
 
 logger = logging.getLogger(__name__)
 
-MANIFEST_NAME = "manifest.json"
-
-# json.dump's encoder for every JSON file, the manifest included
-_JSON = json.JSONEncoder(indent=2, sort_keys=True, allow_nan=False)
-
 # The lagged stage runs over blocks of dates holding at most this many bytes
 # of N x L return windows, so no (T,N,L) window stack is built: it holds one
 # block plus N x N running sums per lagged series, however many dates are
@@ -108,301 +87,6 @@ class ReportBundle:
     files: tuple[str, ...]
     manifest_path: str
     complete: bool
-
-
-# CSV float text. ``format_floats`` gives the bytes of "%.17g" % v for a whole
-# array at once: |v| * 10**(16 - e) is formed to within about 1e-14 from a
-# double-double power of ten and Dekker's exact product, rounded to its 17
-# digits D, and D and e are laid out by the %g rules. A value it cannot prove
-# rounds right that way (the part beyond its 17th digit within 1e-9 of 0, 1/2
-# or 1, or |v| outside [1e-270, 1e270), nan and inf included) is formatted by
-# "%" itself.
-
-# values per kernel pass and per block of a labelled table: a pass's
-# temporaries stay near 1.5 MB, twice that at 2**14 values
-FLOAT_BLOCK = 2**13
-_POWERS = 300  # the double-double table holds 10**p for |p| <= _POWERS
-_SPLIT = 134217729.0  # 2**27 + 1, Dekker's splitting constant
-# slot of a cell's text: sign, "0." and three zeros, then digit k at
-# _DIGIT + 2k and the point after it at _DIGIT + 2k + 1, then "e", its sign,
-# three exponent digits, and the separator; a pad slot holds byte 0
-_DIGIT = 6
-_EXP = _DIGIT + 33
-_SLOTS = _EXP + 6
-# 1 to 17, one row per digit rank
-_COUNTS = np.arange(1, 18, dtype=np.uint8)[:, None]
-
-
-@functools.cache
-def _powers_of_ten() -> np.ndarray:
-    """10**p as hi + lo for p in [-_POWERS, _POWERS], one row each: hi the
-    nearest double, lo the nearest double to the rest, both from exact
-    integers, and hi's Dekker halves."""
-    table = []
-    for p in range(-_POWERS, _POWERS + 1):
-        if p >= 0:
-            hi = float(10**p)
-            lo = float(10**p - int(hi))
-        else:
-            q = 10**-p
-            hi = 1 / q
-            num, den = hi.as_integer_ratio()
-            lo = (den - num * q) / (den * q)  # 1/q - hi, exactly rounded
-        table.append((hi, lo, *_halves(hi)))
-    return np.array(table)
-
-
-def _halves(a):
-    """Dekker's split of a into two 26-bit halves, a = h + l exactly."""
-    t = a * _SPLIT
-    h = t - (t - a)
-    return h, a - h
-
-
-def _decimal_digits(ax: np.ndarray):
-    """For positive values ax: D, the 17 leading decimal digits of each
-    rounded to nearest as an int64 in [10**16, 10**17), its exponent e
-    (ax ~ D * 10**(e - 16)), and where that rounding is proven."""
-    proven = (ax >= 1e-270) & (ax < 1e270)
-    ax = np.where(proven, ax, 1.0)
-    e10 = np.floor(np.log10(ax)).astype(np.int64)
-    a_hi, a_lo = _halves(ax)
-    for _ in range(3):  # log10 may miss e by one near a power of ten
-        hi, lo, b_hi, b_lo = _powers_of_ten()[_POWERS + 16 - e10].T
-        # ax * (hi + lo) = product + error + ax * lo, with Dekker's exact
-        # product error ((a_hi*b_hi - product) + a_hi*b_lo + a_lo*b_hi) + a_lo*b_lo
-        product = ax * hi
-        error = a_hi * b_hi
-        error -= product
-        error += a_hi * b_lo
-        error += a_lo * b_hi
-        error += a_lo * b_lo
-        error += ax * lo
-        whole = np.floor(product)
-        product -= whole
-        product += error  # what lies beyond whole, within 9 of 0
-        carry = np.floor(product)
-        digits = whole.astype(np.int64)
-        digits += carry.astype(np.int64)
-        product -= carry  # the fraction beyond the 17 digits
-        low, high = digits < 10**16, digits >= 10**17
-        missed = low | high
-        if not missed.any():
-            break
-        e10 += high
-        e10 -= low
-    proven &= ~missed & (product > 1e-9) & (product < 1 - 1e-9)
-    proven &= np.abs(product - 0.5) > 1e-9
-    digits += product > 0.5
-    carried = digits == 10**17
-    digits[carried] = 10**16
-    e10 += carried
-    return digits, e10, proven
-
-
-def _format_block(x: np.ndarray, separators: np.ndarray) -> str:
-    """``format_floats`` of at most FLOAT_BLOCK values."""
-    n = len(x)
-    ax = np.abs(x)
-    zero = ax == 0
-    d, e10, proven = _decimal_digits(ax)
-    d[zero] = 0
-    e10[zero] = 0
-    proven |= zero
-    # the 17 digits, most significant first, from two int32 halves
-    digits = np.empty((17, n), np.uint8)
-    top = d // 10**9
-    for part, ranks in ((top, range(7, -1, -1)), (d - top * 10**9, range(16, 7, -1))):
-        q = part.astype(np.int32)
-        for k in ranks:
-            next_q = q // 10
-            digits[k] = q - next_q * 10
-            q = next_q
-    # digits up to the last nonzero one (0 for zero)
-    n_sig = ((digits != 0) * _COUNTS).max(axis=0)
-    e = e10.astype(np.int16)
-    fixed = (e >= -4) & (e < 17)
-    whole = fixed & (e >= 0)  # fixed notation with an integer part
-    small = fixed & (e < 0)  # "0." and -e - 1 zeros before the digits
-    exponent = ~fixed
-    grid = np.zeros((_SLOTS, n), np.uint8)
-    np.copyto(grid[0], ord("-"), where=np.signbit(x))
-    np.copyto(grid[1], ord("0"), where=small)
-    np.copyto(grid[2], ord("."), where=small)
-    for k in range(3):
-        np.copyto(grid[3 + k], ord("0"), where=small & (e < -1 - k))
-    # a digit is kept up to the last nonzero one, and in the integer part
-    kept = np.maximum(n_sig, np.where(whole, e + 1, 0))
-    digits += ord("0")
-    digits *= _COUNTS <= kept
-    grid[_DIGIT:_EXP:2] = digits
-    # the point follows digit e (fixed) or digit 0 (exponent), if a digit follows it
-    point = np.where(whole, e, np.where(exponent, 0, -1)) + 1
-    points = grid[_DIGIT + 1 : _EXP - 1 : 2]
-    np.equal(_COUNTS[:16], point, out=points, casting="unsafe")
-    points &= _COUNTS[:16] < n_sig
-    points *= ord(".")
-    ae = np.abs(e)
-    np.copyto(grid[_EXP], ord("e"), where=exponent)
-    np.copyto(grid[_EXP + 1], np.where(e < 0, ord("-"), ord("+")), where=exponent, casting="unsafe")
-    np.copyto(grid[_EXP + 2], ae // 100 + ord("0"), where=exponent & (ae >= 100), casting="unsafe")
-    np.copyto(grid[_EXP + 3], ae // 10 % 10 + ord("0"), where=exponent, casting="unsafe")
-    np.copyto(grid[_EXP + 4], ae % 10 + ord("0"), where=exponent, casting="unsafe")
-    grid[_EXP + 5] = separators
-    for j in np.flatnonzero(~proven):
-        text = ("%.17g" % x[j]).encode("ascii") + separators[j : j + 1].tobytes()
-        grid[:, j] = 0
-        grid[: len(text), j] = np.frombuffer(text, np.uint8)
-    # transposed 1024 cells at a time: that slab stays in cache, which halved
-    # the transpose's time against one pass (2-vCPU x86-64 host)
-    return "".join(
-        grid[:, i : i + 1024].T.tobytes().translate(None, b"\0").decode("ascii")
-        for i in range(0, n, 1024)
-    )
-
-
-def format_floats(values, separators: bytes) -> str:
-    """The text of "%.17g" % v for every value, each followed by its own byte
-    of ``separators`` (one per value, none of them byte 0), formatted
-    FLOAT_BLOCK values at a time."""
-    x = np.asarray(values, dtype=np.float64).ravel()
-    seps = np.frombuffer(separators, np.uint8)
-    if len(seps) != len(x):
-        raise ValueError(f"{len(x)} values but {len(seps)} separators")
-    return "".join(
-        _format_block(x[i : i + FLOAT_BLOCK], seps[i : i + FLOAT_BLOCK])
-        for i in range(0, len(x), FLOAT_BLOCK)
-    )
-
-
-def _csv_lines(header, rows):
-    """A CSV table as text: the header line, then the rows 1024 at a time. A
-    float cell (one whose type subclasses float, numpy's float64 included)
-    reads "%.17g" % v, from ``format_floats``, and any other cell str(v)."""
-    yield ",".join(header) + "\n"
-    rows = iter(rows)
-    while block := list(itertools.islice(rows, 1024)):
-        floats = [v for row in block for v in row if isinstance(v, float)]
-        texts = iter(format_floats(floats, b"\n" * len(floats)).splitlines())
-        yield "".join(
-            ",".join(next(texts) if isinstance(v, float) else str(v) for v in row) + "\n"
-            for row in block
-        )
-
-
-def _series_lines(header, labels, values: np.ndarray):
-    """A CSV table whose rows are a label then a row of a 2-D float array, as
-    text: the header line, then about FLOAT_BLOCK values at a time, each
-    block's rows one ``format_floats`` call, each row its label and a line of
-    that text."""
-    yield ",".join(header) + "\n"
-    width = values.shape[1]
-    step = max(1, FLOAT_BLOCK // max(width, 1))
-    separators = (b"," * (width - 1) + b"\n") * step
-    for lo in range(0, len(values), step):
-        block = values[lo : lo + step]
-        lines = format_floats(block, separators[: block.size]).splitlines(keepends=True)
-        yield "".join("%s,%s" % pair for pair in zip(labels[lo : lo + step], lines))
-
-
-@functools.cache
-def _lower_triangle(n: int):
-    """The indices of an N x N matrix's lower-triangle cells, row by row, and
-    their CSV separators: "," within a matrix row and a newline at its end."""
-    separators = np.full(n * (n + 1) // 2, ord(","), np.uint8)
-    separators[np.cumsum(np.arange(1, n + 1)) - 1] = ord("\n")
-    return np.tril_indices(n), separators.tobytes()
-
-
-class _HashedFile(io.FileIO):
-    """A file opened for writing that hashes and counts the bytes written."""
-
-    def __init__(self, path: str):
-        super().__init__(path, "w")
-        self.sha256 = hashlib.sha256()
-        self.size = 0
-
-    def write(self, data) -> int:
-        written = super().write(data)
-        self.sha256.update(memoryview(data)[:written])
-        self.size += written
-        return written
-
-
-def _write_text(path: str, lines) -> tuple[str, int]:
-    """Write text lines as UTF-8, whatever the locale, buffered as ``open``
-    buffers them; returns the file's sha256 hex digest and byte count."""
-    raw = _HashedFile(path)
-    with io.TextIOWrapper(io.BufferedWriter(raw), encoding="utf-8", newline="") as fh:
-        fh.writelines(lines)
-    return raw.sha256.hexdigest(), raw.size
-
-
-def _json_cell(value):
-    """A table cell as a JSON value; a non-finite number, which JSON cannot
-    hold, becomes null."""
-    if isinstance(value, float):
-        return float(value) if math.isfinite(value) else None
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    return value
-
-
-class _BundleWriter:
-    """Writes every file of a bundle, registering each, and then the manifest."""
-
-    def __init__(self, output_dir: str, out_format: str):
-        self.output_dir = output_dir
-        self.out_format = out_format
-        # (name, sha256, bytes) of each file written
-        self.files: list[tuple[str, str, int]] = []
-        os.makedirs(output_dir, exist_ok=True)
-
-    def _write(self, name: str, lines) -> str:
-        self.files.append((name, *_write_text(os.path.join(self.output_dir, name), lines)))
-        return name
-
-    def write_table(self, stem: str, header: list[str], rows) -> str:
-        """Write a tabular output as CSV, or as a JSON row list when the
-        run format is json."""
-        if self.out_format == "json":
-            payload = [{key: _json_cell(v) for key, v in zip(header, row)} for row in rows]
-            return self.write_json(f"{stem}.json", payload)
-        return self._write(f"{stem}.csv", _csv_lines(header, rows))
-
-    def write_series(self, stem: str, header: list[str], labels, values: np.ndarray) -> str:
-        """Write a table whose rows are a label then a row of a 2-D float
-        array, as ``write_table`` writes it."""
-        if self.out_format == "json":
-            rows = ([label, *row.tolist()] for label, row in zip(labels, values))
-            return self.write_table(stem, header, rows)
-        return self._write(f"{stem}.csv", _series_lines(header, labels, values))
-
-    def write_json(self, name: str, payload) -> str:
-        """Write strict JSON, streamed chunk by chunk as json.dump does."""
-        return self._write(name, itertools.chain(_JSON.iterencode(payload), ("\n",)))
-
-    def write_lines(self, name: str, lines) -> str:
-        return self._write(name, (line + "\n" for line in lines))
-
-    def write_matrix(self, flavor: str, date: str, matrix: np.ndarray) -> None:
-        """Write one date's matrix as ``matrices/<flavor>_<date>.csv``: its
-        lower triangle, one row per asset, no header, CSV in either format."""
-        os.makedirs(os.path.join(self.output_dir, "matrices"), exist_ok=True)
-        cells, separators = _lower_triangle(len(matrix))
-        text = format_floats(matrix[cells], separators)
-        self._write(os.path.join("matrices", f"{flavor}_{date}.csv"), (text,))
-
-    def write_manifest(self, config: RunConfig, complete: bool, error: str | None = None) -> str:
-        """Write the manifest of every file written so far; returns its path."""
-        entries = [
-            {"name": name, "sha256": sha256, "bytes": size}
-            for name, sha256, size in sorted(self.files)
-        ]
-        manifest = {"complete": complete, "config": config.flat(), "files": entries}
-        if error is not None:
-            manifest["error"] = error
-        return os.path.join(self.output_dir, self.write_json(MANIFEST_NAME, manifest))
 
 
 def _stage(name: str, fn):
@@ -468,7 +152,9 @@ def _density_file(writer, spectra, flavor, config) -> None:
     )
 
 
-def _mp_compare_file(writer, corr_spectra, kernel, n_assets, config) -> None:
+def _mp_q(config, kernel, n_assets) -> tuple[float, float]:
+    """mp-compare's q = N / T_eff and the q it compares against: ``mp.q``,
+    else that one, which must lie in (0, 1]."""
     q_teff = n_assets / effective_length(kernel)
     q_used = config.mp_q if config.mp_q is not None else q_teff
     if not 0.0 < q_used <= 1.0:
@@ -476,6 +162,10 @@ def _mp_compare_file(writer, corr_spectra, kernel, n_assets, config) -> None:
             f"M-P comparison needs q in (0, 1]; got q={q_used:.6g} "
             "(set mp.q to override)"
         )
+    return q_teff, q_used
+
+
+def _mp_compare_file(writer, corr_spectra, q_teff, q_used, config) -> None:
     lo, hi = mp_support(q_used)
     hist = spectral_density(
         corr_spectra, DensityBins("linear", lo, hi, config.density_bins)
@@ -523,25 +213,18 @@ def _ansatz_files(writer, spectra) -> None:
     )
 
 
-def _projector_files(writer, spectra, config, want_spectrum, want_fluctuation) -> None:
-    spectrum_rows = []
-    fluctuation_rows = []
-    for k in config.projector_ranks:
-        mp = mean_projector(spectra, k)
-        if want_spectrum:
-            for i, value in enumerate(projector_spectrum(mp), start=1):
-                spectrum_rows.append([k, i, float(value)])
-        if want_fluctuation:
-            idx = fluctuation_index(mp)
-            fluctuation_rows.append([k, idx.gamma, idx.gamma_max, idx.ratio])
-    if want_spectrum:
-        writer.write_table(
-            "mean_projector_spectrum", ["k", "index", "value"], spectrum_rows
-        )
-    if want_fluctuation:
-        writer.write_table(
-            "fluctuation_index", ["k", "gamma", "gamma_max", "ratio"], fluctuation_rows
-        )
+def _projector_files(writer, spectra, config) -> None:
+    projectors = [mean_projector(spectra, k) for k in config.projector_ranks]
+    if "projectors" in config.analyses:
+        rows = [
+            [mp.k, i, float(value)]
+            for mp in projectors
+            for i, value in enumerate(projector_spectrum(mp), start=1)
+        ]
+        writer.write_table("mean_projector_spectrum", ["k", "index", "value"], rows)
+    if "fluctuation" in config.analyses:
+        rows = [[mp.k, *fluctuation_index(mp)] for mp in projectors]
+        writer.write_table("fluctuation_index", ["k", "gamma", "gamma_max", "ratio"], rows)
 
 
 def _lagged_dates(returns, config, eval_dates) -> tuple[str, ...]:
@@ -603,175 +286,56 @@ def _solved(date, matrix, k):
         raise type(exc)(f"at date {date!r}: {exc}") from exc
 
 
-def _usable_cpus() -> int:
-    """The number of CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _thread_count() -> int:
-    """The OS threads of this process: the entries of /proc/self/task where
-    it exists (OpenBLAS's threads included), else Python's own threads."""
-    task = "/proc/self/task"
-    return len(os.listdir(task)) if os.path.isdir(task) else threading.active_count()
-
-
-def _worker_count(n_dates: int) -> int:
-    """How many processes share the main stage's dates: one per usable CPU,
-    at most one per date. One where ``os.fork`` is missing, where OpenBLAS
-    may run threads of its own (``OPENBLAS_NUM_THREADS`` other than "1":
-    they use the cores already, and a forked child would inherit their locks
-    in whatever state they were), or where this process runs any other
-    thread, for the same reason: numpy imported before covspec has started
-    OpenBLAS's threads before the variable was set."""
-    if (
-        not hasattr(os, "fork")
-        or os.environ.get("OPENBLAS_NUM_THREADS") != "1"
-        or _thread_count() > 1
-    ):
-        return 1
-    return min(_usable_cpus(), n_dates)
-
-
-def _shared_array(*shape: int) -> np.ndarray:
-    """A zeroed float array in anonymous shared memory: the rows a forked
-    worker writes are the rows its parent reads."""
-    count = math.prod(shape)
-    return np.frombuffer(mmap.mmap(-1, 8 * count), count=count).reshape(shape)
-
-
-def _child(write_fd: int, run, lo: int, hi: int):
-    """A forked worker's whole life: run its chunk, send the outcome pickled
-    through its pipe, and leave by ``os._exit``, with status 0 only once the
-    outcome is sent. It runs none of the parent's exit handlers and flushes
-    none of its buffers."""
-    status = 1
-    try:
-        with open(write_fd, "wb") as pipe:
-            pickle.dump(run(lo, hi), pipe)
-        status = 0
-    finally:
-        os._exit(status)
-
-
-def _end_if_orphaned(parent: int) -> None:
-    """End a forked worker at once, writing nothing more, when ``parent``,
-    the pid of the process that forked it, has died: the worker then has
-    another parent pid. In ``parent`` itself this does nothing."""
-    if os.getpid() != parent and os.getppid() != parent:
-        os._exit(1)
-
-
-def _forked(n_items: int, run):
-    """``run(lo, hi)`` over contiguous chunks of range(n_items), one per
-    worker (``_worker_count``): chunk 0 in this process and each other chunk
-    in a forked child, all at once. Returns the (lo, hi, outcome) of every
-    chunk in order: what ``run`` returned, or None for a child that ended
-    without sending it. Every child is reaped before this returns or raises;
-    one still running when this process raises is killed first."""
-    workers = _worker_count(n_items)
-    bounds = [n_items * c // workers for c in range(workers + 1)]
-    chunks = list(zip(bounds, bounds[1:]))
-    children = []  # (pid, read end of its pipe) for chunks 1 on, in order
-    reaped = set()
-    try:
-        for lo, hi in chunks[1:]:
-            read_fd, write_fd = os.pipe()
-            pid = os.fork()
-            if pid == 0:
-                _child(write_fd, run, lo, hi)
-            os.close(write_fd)
-            children.append((pid, open(read_fd, "rb")))
-        outcomes = [run(*chunks[0])]
-        for pid, pipe in children:
-            report = pipe.read()
-            status = os.waitpid(pid, 0)[1]
-            reaped.add(pid)
-            sent = os.waitstatus_to_exitcode(status) == 0
-            outcomes.append(pickle.loads(report) if sent else None)
-    finally:
-        for pid, pipe in children:
-            pipe.close()
-            if pid not in reaped:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-    return [(lo, hi, outcome) for (lo, hi), outcome in zip(chunks, outcomes)]
-
-
 def _main_stage(
     returns, kernel, idx, flavor, n_vectors=0, corr_apart=False, dump=None, solve=True
 ):
     """The main matrices at panel indices ``idx``, date by date: each date's
     covariance W W' and, in correlation flavor or with ``corr_apart``, its
     correlation are formed once, the ``flavor`` one dumped by the bundle
-    writer ``dump`` if given, and solved for the spectra read. The dates are
-    split into contiguous chunks run at once by ``_forked``, each in date
-    order, writing its rows of the shared result arrays; a failure raises as
-    a one-worker run would, the error of the earliest date as an
-    AnalysisError naming its stage, with that run's dumps. Returns the
-    ``flavor`` spectra with their top ``n_vectors`` vectors (None with
-    ``solve`` false) and the values alone of the correlation, solved apart
-    with ``corr_apart`` (else the ``flavor`` spectra)."""
+    writer ``dump`` if given, and solved for the spectra read. The dates run
+    as the items of ``workers._forked``, each writing its rows of the shared
+    result arrays; a failure raises as a one-worker run would, the error of
+    the earliest date as an AnalysisError naming its stage, with that run's
+    dumps: those of the dates before it registered, later ones deleted.
+    Returns the ``flavor`` spectra with their top ``n_vectors`` vectors (None
+    with ``solve`` false) and the values alone of the correlation, solved
+    apart with ``corr_apart`` (else the ``flavor`` spectra)."""
     n = returns.n_assets
     dates = tuple(returns.dates[j] for j in idx)
-    values = _shared_array(len(dates), n) if solve else None
-    vectors = _shared_array(len(dates), n, n_vectors) if solve and n_vectors else None
-    corr_values = _shared_array(len(dates), n) if corr_apart else None
-    files = dump.files if dump is not None else []
-    parent = os.getpid()
+    values = workers._shared_array(len(dates), n) if solve else None
+    vectors = workers._shared_array(len(dates), n, n_vectors) if solve and n_vectors else None
+    corr_values = workers._shared_array(len(dates), n) if corr_apart else None
 
-    def run(lo, hi):
-        """Dates lo to hi - 1 in date order, each after checking that the
-        caller's process still lives. Returns the error that stopped them, or
-        None, and its __cause__, sent apart because pickling an error drops
-        it, and the dumps' (name, sha256, bytes) entries, taken off the
-        writer's list for the parent to register."""
-        first = len(files)
-        error = None
-        try:
-            for t in range(lo, hi):
-                _end_if_orphaned(parent)
-                date, j = dates[t], idx[t]
-                cov = _stage("moments", lambda: covariance_at(returns, kernel, j))
-                if flavor == CORRELATION or corr_apart:
-                    corr = _stage(
-                        "moments", lambda: correlation_of(cov, date, returns.asset_ids)
-                    )
-                base = corr if flavor == CORRELATION else cov
-                if dump is not None:
-                    dump.write_matrix(flavor, date, base)
-                if solve:
-                    values[t], kept = _stage(
-                        "spectral", lambda: _solved(date, base, n_vectors)
-                    )
-                    if n_vectors:
-                        vectors[t] = kept
-                if corr_apart:
-                    corr_values[t] = _stage("spectral", lambda: _solved(date, corr, 0))[0]
-        except Exception as exc:
-            error = exc
-        entries = files[first:]
-        del files[first:]
-        return error, error.__cause__ if error is not None else None, entries
+    def run_date(t):
+        """Date t's matrices, dumped and solved; returns the dump's entry, or
+        None with no dump."""
+        date, j = dates[t], idx[t]
+        cov = _stage("moments", lambda: covariance_at(returns, kernel, j))
+        if flavor == CORRELATION or corr_apart:
+            corr = _stage("moments", lambda: correlation_of(cov, date, returns.asset_ids))
+        base = corr if flavor == CORRELATION else cov
+        entry = dump.write_matrix(flavor, date, base) if dump is not None else None
+        if solve:
+            values[t], kept = _stage("spectral", lambda: _solved(date, base, n_vectors))
+            if n_vectors:
+                vectors[t] = kept
+        if corr_apart:
+            corr_values[t] = _stage("spectral", lambda: _solved(date, corr, 0))[0]
+        return entry
 
-    error = cause = None
-    for lo, hi, outcome in _forked(len(dates), run):
-        if outcome is None:
-            outcome = NumericalError(
-                f"main stage: the worker for dates {dates[lo]!r} to "
-                f"{dates[hi - 1]!r} ended without reporting"
-            ), None, []
-        exc, exc_cause, entries = outcome
-        if error is None:
-            files.extend(entries)
-            error, cause = exc, exc_cause
-        else:
-            # after the earliest failure: a one-worker run writes none of these
-            for name, _, _ in entries:
-                os.remove(os.path.join(dump.output_dir, name))
-    if error is not None:
-        raise error from cause
+    try:
+        entries = dict(enumerate(workers._forked(dates, run_date)))
+    except BaseException as exc:
+        entries = getattr(exc, "results", {})  # the dates that ran
+        raise
+    finally:
+        if dump is not None:
+            failed = next(t for t in range(len(dates) + 1) if t not in entries)
+            for t, entry in entries.items():
+                if t < failed:
+                    dump.files.append(entry)
+                else:
+                    os.remove(os.path.join(dump.output_dir, entry[0]))
     spectra = SpectrumSeries(dates, values, vectors) if solve else None
     return spectra, SpectrumSeries(dates, corr_values) if corr_apart else spectra
 
@@ -842,6 +406,8 @@ def run_analysis(config: RunConfig) -> ReportBundle:
             lagged_dates = _stage(
                 "subspace", lambda: _lagged_dates(returns, config, eval_dates)
             )
+        if "mp-compare" in analyses:
+            mp_q = _stage("spectral", lambda: _mp_q(config, kernel, n))
 
         readers = {"spectrum", "density", "ansatz", "projectors", "fluctuation"}
         # mp-compare reads the main spectra in correlation flavor, its own otherwise.
@@ -864,23 +430,11 @@ def run_analysis(config: RunConfig) -> ReportBundle:
         if "density" in analyses:
             _stage("spectral", lambda: _density_file(writer, spectra, config.flavor, config))
         if "mp-compare" in analyses:
-            _stage(
-                "spectral",
-                lambda: _mp_compare_file(writer, corr_spectra, kernel, n, config),
-            )
+            _stage("spectral", lambda: _mp_compare_file(writer, corr_spectra, *mp_q, config))
         if "ansatz" in analyses:
             _stage("spectral", lambda: _ansatz_files(writer, spectra))
         if analyses & {"projectors", "fluctuation"}:
-            _stage(
-                "subspace",
-                lambda: _projector_files(
-                    writer,
-                    spectra,
-                    config,
-                    "projectors" in analyses,
-                    "fluctuation" in analyses,
-                ),
-            )
+            _stage("subspace", lambda: _projector_files(writer, spectra, config))
         if "lagged" in analyses:
             _stage("subspace", lambda: _lagged_file(writer, returns, config, lagged_dates))
     except Exception as exc:

@@ -52,6 +52,11 @@ class SpectrumSeries:
             raise ParameterError(f"spectrum stack must be (T,N), got {values.shape}")
         if values.shape[0] != len(self.dates):
             raise ParameterError(f"{len(self.dates)} dates but {values.shape[0]} rows")
+        shape = np.shape(self.vectors)
+        if self.vectors is not None and not (
+            len(shape) == 3 and shape[:2] == values.shape and 1 <= shape[2] <= shape[1]
+        ):
+            raise ParameterError(f"vector stack must be (T,N,k) with 1 <= k <= N, got {shape}")
 
     def __len__(self) -> int:
         return len(self.dates)

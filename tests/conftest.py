@@ -3,11 +3,11 @@ process run OpenBLAS on one thread, as the covspec command does."""
 
 import covspec  # noqa: F401
 import pytest
-from covspec import runner
+from covspec import workers
 
 
 @pytest.fixture
 def one_worker(monkeypatch):
     """The main stage on one CPU: every date runs in this process, so the
     test sees each call through a function patched into the runner."""
-    monkeypatch.setattr(runner, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(workers, "_usable_cpus", lambda: 1)

@@ -88,8 +88,8 @@ def test_preset_thread_count_is_kept():
 WORKERS = """
 {first}
 import covspec
-from covspec import runner
-print(runner._worker_count(100), runner._usable_cpus())
+from covspec import workers
+print(workers._worker_count(100), workers._usable_cpus())
 """
 
 

@@ -20,11 +20,12 @@ from covspec import (
     make_business_dates,
     rolling_spectra,
     run_analysis,
+    runner,
     validate_config,
 )
 from covspec.cli import main
 from covspec.errors import AnalysisError, ConfigError, KernelClippingWarning
-from covspec.runner import _BundleWriter
+from covspec.bundle import _BundleWriter
 
 ENSEMBLE_CFG = """
 ensemble.kind = gaussian-iid
@@ -381,6 +382,26 @@ def test_lags_too_large_fail_before_any_analysis(tmp_path):
     with pytest.raises(AnalysisError) as err:
         run_analysis(validate_config(cfg))
     assert str(err.value) == "subspace: lag 279 too large for a series of length 280"
+    manifest = json.loads(read_bytes(out, "manifest.json"))
+    assert manifest["complete"] is False
+    assert manifest["files"] == []
+    assert os.listdir(out) == ["manifest.json"]
+
+
+def test_mp_compare_q_above_one_fails_before_the_main_stage(tmp_path, monkeypatch):
+    # N=40 and a rectangular L=20 give q = N / T_eff = 2
+    text = ENSEMBLE_CFG.replace("ensemble.assets = 20", "ensemble.assets = 40")
+    text = text.replace("kernel.length = 100", "kernel.length = 20")
+    text = text.replace("analyses = spectrum,density", "analyses = spectrum,density,mp-compare")
+    out = tmp_path / "out"
+    calls = []
+    monkeypatch.setattr(runner, "_main_stage", lambda *args: calls.append(args))
+    with pytest.raises(AnalysisError) as err:
+        run_analysis(validate_config(write_cfg(tmp_path, text + f"output.dir = {out}\n")))
+    assert str(err.value) == (
+        "spectral: M-P comparison needs q in (0, 1]; got q=2 (set mp.q to override)"
+    )
+    assert calls == []
     manifest = json.loads(read_bytes(out, "manifest.json"))
     assert manifest["complete"] is False
     assert manifest["files"] == []

@@ -22,6 +22,7 @@ import pytest
 
 from covspec import (
     MeanProjector,
+    bundle,
     build_kernel,
     generate_returns,
     rolling_spectra,
@@ -214,7 +215,7 @@ def test_rolling_spectra_write_the_runs_spectrum_files(tmp_path, flavor, ranks):
     returns = generate_returns(config.ensemble)
     k = 0 if ranks is None else 3
     spectra = rolling_spectra(returns, kernel, flavor, n_vectors=k)
-    writer = runner._BundleWriter(str(tmp_path / "library"), "csv")
+    writer = bundle._BundleWriter(str(tmp_path / "library"), "csv")
     runner._spectrum_files(writer, spectra)
     for name in ("spectrum.csv", "mean_spectrum.csv"):
         assert (tmp_path / "library" / name).read_bytes() == (tmp_path / "run" / name).read_bytes()

@@ -1,7 +1,7 @@
-"""The CSV float kernel, ``runner.format_floats``, gives exactly the bytes of
+"""The CSV float kernel, ``bundle.format_floats``, gives exactly the bytes of
 "%.17g" % v, and every table the writer builds on it equals the per-row %
-template's text: mixed rows through ``runner._csv_lines``, and labelled rows
-of a float array, in bounded memory, through ``runner._series_lines``."""
+template's text: mixed rows through ``bundle._csv_lines``, and labelled rows
+of a float array, in bounded memory, through ``bundle._series_lines``."""
 
 import math
 import tracemalloc
@@ -9,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from covspec import runner
+from covspec import bundle, runner
 from covspec.spectral import SpectrumSeries
 from testutil import template_csv_lines
 
@@ -44,7 +44,7 @@ def corpus():
 def test_kernel_gives_the_bytes_of_percent_format():
     values = corpus()
     separators = "".join(np.random.default_rng(1).choice([",", "\n"], len(values)))
-    text = runner.format_floats(values, separators.encode())
+    text = bundle.format_floats(values, separators.encode())
     expected = reference(values, separators)
     if text != expected:
         got, want = text.splitlines(), expected.splitlines()
@@ -57,17 +57,17 @@ def test_kernel_proves_ordinary_values_itself():
     rare one is left to "%"."""
     rng = np.random.default_rng(2)
     values = np.abs(rng.standard_normal(50_000)) * 10.0 ** rng.integers(-12, 12, 50_000)
-    _, _, proven = runner._decimal_digits(values)
+    _, _, proven = bundle._decimal_digits(values)
     assert proven.mean() > 0.999
 
 
 def test_kernel_blocks_and_empty_input():
-    values = np.random.default_rng(3).standard_normal(2 * runner.FLOAT_BLOCK + 5)
+    values = np.random.default_rng(3).standard_normal(2 * bundle.FLOAT_BLOCK + 5)
     separators = b"," * (len(values) - 1) + b"\n"
-    assert runner.format_floats(values, separators) == reference(values, separators.decode())
-    assert runner.format_floats(np.empty(0), b"") == ""
+    assert bundle.format_floats(values, separators) == reference(values, separators.decode())
+    assert bundle.format_floats(np.empty(0), b"") == ""
     with pytest.raises(ValueError):
-        runner.format_floats(values, b",")
+        bundle.format_floats(values, b",")
 
 
 def mixed_rows():
@@ -97,11 +97,11 @@ def mixed_rows():
 def test_table_text_equals_the_percent_template():
     header = ["a", "b", "c"]
     rows = mixed_rows()
-    got = "".join(runner._csv_lines(header, rows))
+    got = "".join(bundle._csv_lines(header, rows))
     assert got == "".join(template_csv_lines(header, rows))
 
 
-class PeakWriter(runner._BundleWriter):
+class PeakWriter(bundle._BundleWriter):
     """The bundle writer, recording the traced peak of each labelled table."""
 
     def write_series(self, stem, header, labels, values):

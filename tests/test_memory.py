@@ -3,7 +3,7 @@
 The runner's main stage, which ``rolling_spectra`` runs too, forms, dumps
 and solves one date's N x N matrices at a time, writing each date's values
 and kept vectors into the (T,N) and (T,N,k) result arrays. Those arrays sit
-in anonymous shared memory (``runner._shared_array``), outside tracemalloc:
+in anonymous shared memory (``workers._shared_array``), outside tracemalloc:
 the traced peaks here are the per-date temporaries and what grows with the
 number of dates besides them, and the result arrays are checked by their
 shapes and nbytes. Projector statistics read only the (T,N,k) leading
@@ -18,7 +18,14 @@ from types import SimpleNamespace
 
 import pytest
 
-from covspec import EnsembleSpec, build_kernel, generate_returns, rolling_spectra, runner
+from covspec import (
+    EnsembleSpec,
+    build_kernel,
+    bundle,
+    generate_returns,
+    rolling_spectra,
+    runner,
+)
 from covspec.config import config_from_mapping
 from covspec.moments import weighted_windows
 from covspec.spectral import window_vectors
@@ -198,8 +205,8 @@ def test_main_stage_peak_grows_only_by_values_and_vectors(tmp_path, monkeypatch)
     traced_per_date = 400
     # built once and cached: the dump's cells and separators for N = 80, and
     # the CSV float kernel's table of powers of ten
-    runner._lower_triangle(80)
-    runner._powers_of_ten()
+    bundle._lower_triangle(80)
+    bundle._powers_of_ten()
     short = main_stage_peak(tmp_path, monkeypatch, 100)
     long = main_stage_peak(tmp_path, monkeypatch, 400)
     assert long - short < 300 * traced_per_date

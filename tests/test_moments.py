@@ -26,7 +26,7 @@ from covspec.moments import (
     unit_rows,
     weighted_windows,
 )
-from covspec.runner import _BundleWriter
+from covspec.bundle import _BundleWriter
 from testutil import MatrixSeries, random_covariance_series, random_panel
 
 
@@ -254,7 +254,7 @@ def test_window_products_match_covariance_and_correlation(scheme, kwargs):
     assert np.abs(outer_products(units) - corr).max() <= 1e-12
 
 
-def test_unit_rows_refuse_a_degenerate_asset_like_to_correlation():
+def test_unit_rows_refuse_a_degenerate_asset_like_rolling_spectra():
     rng = np.random.default_rng(11)
     returns = rng.standard_normal((3, 30))
     returns[1, 12:25] = 0.0
@@ -308,12 +308,14 @@ def test_covariance_is_symmetric_psd():
 
 
 def dump_matrices(series, directory):
-    """The bundle writer's dump of each date's matrix; returns the names it
-    registered."""
+    """The bundle writer's dump of each date's matrix; returns the names of
+    the files it wrote."""
     writer = _BundleWriter(str(directory), "csv")
-    for date, matrix in zip(series.dates, series.matrices):
+    entries = [
         writer.write_matrix("covariance", date, matrix)
-    return [name for name, _, _ in writer.files]
+        for date, matrix in zip(series.dates, series.matrices)
+    ]
+    return [name for name, _, _ in entries]
 
 
 def test_dump_matrices_lower_triangle(tmp_path):

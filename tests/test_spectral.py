@@ -379,7 +379,7 @@ def test_window_vectors_match_eigh_projectors():
             assert np.all(vectors[t][lead, np.arange(k)] > 0)
 
 
-def test_window_vectors_dates_follow_rolling_covariance():
+def test_window_vectors_match_each_dates_covariance_eigenvectors():
     returns = generate_returns(EnsembleSpec("gaussian-iid", 8, 40, seed=10))
     kernel = build_kernel("rectangular", 5)
     dates = returns.dates[10:20:3]
@@ -396,6 +396,16 @@ def test_window_vectors_rank_limited_by_window():
         window_vectors(weighted_windows(returns, build_kernel("rectangular", 5))[1], 6)
     with pytest.raises(ParameterError, match="rank"):
         window_vectors(weighted_windows(returns, build_kernel("rectangular", 20))[1], 9)
+
+
+def test_spectrum_series_refuses_a_vector_stack_of_the_wrong_shape():
+    """Vectors beside T dates of N values are (T, N, k) with 1 <= k <= N."""
+    dates, values = make_business_dates(2), np.ones((2, 4))
+    rng = np.random.default_rng(12)
+    assert SpectrumSeries(dates, values, rng.standard_normal((2, 4, 4))).vectors.shape == (2, 4, 4)
+    for shape in ((3, 5, 2), (3, 4, 2), (2, 5, 2), (2, 4, 0), (2, 4, 5), (2, 4), (2, 4, 1, 1)):
+        with pytest.raises(ParameterError, match="vector stack"):
+            SpectrumSeries(dates, values, rng.standard_normal(shape))
 
 
 # ---------------------------------------------------------------- log mean

@@ -3,7 +3,7 @@ CPU: chunk 0 runs in this process and each other chunk in a forked child,
 writing its rows of shared result arrays. The bundle bytes do not depend on
 the number of workers, a failure gives the error and the files of a
 one-worker run, and no child outlives the run. The worker count is set here
-through ``runner._usable_cpus``."""
+through ``workers._usable_cpus``."""
 
 import json
 import os
@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from covspec import make_business_dates, run_analysis, runner, validate_config
+from covspec import make_business_dates, run_analysis, runner, validate_config, workers
 from covspec.errors import AnalysisError, DegenerateAssetError, NumericalError
 from covspec.moments import correlation_of, covariance_at
 from testutil import bundle_bytes
@@ -62,7 +62,7 @@ def run_config(tmp_path, name, settings=CONFIGS["covariance-csv-dump"]):
 def run(tmp_path, monkeypatch, name, cpus, settings):
     """A run with ``cpus`` usable CPUs; returns its output directory."""
     with monkeypatch.context() as patch:
-        patch.setattr(runner, "_usable_cpus", lambda: cpus)
+        patch.setattr(workers, "_usable_cpus", lambda: cpus)
         assert run_analysis(run_config(tmp_path, name, settings)).complete
     return tmp_path / name
 
@@ -113,7 +113,7 @@ def test_bundles_identical_for_every_worker_count(tmp_path, monkeypatch, config)
 def failing_run(tmp_path, monkeypatch, name, cpus):
     """A covariance run with dump and mp-compare on ``cpus`` CPUs that fails;
     returns the error's type and message and the bundle's files."""
-    monkeypatch.setattr(runner, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(workers, "_usable_cpus", lambda: cpus)
     with pytest.raises(AnalysisError) as err:
         run_analysis(run_config(tmp_path, name))
     assert_no_child_left()
@@ -175,7 +175,7 @@ def test_killed_worker_fails_the_run(tmp_path, monkeypatch):
             os.kill(os.getpid(), signal.SIGKILL)
         return covariance_at(returns, kernel, j)
 
-    monkeypatch.setattr(runner, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(workers, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(runner, "covariance_at", killed)
     with pytest.raises(NumericalError) as err:
         run_analysis(run_config(tmp_path, "killed"))
@@ -205,7 +205,7 @@ def test_interrupt_kills_and_reaps_the_workers(tmp_path, monkeypatch):
             raise KeyboardInterrupt
         return covariance_at(returns, kernel, j)
 
-    monkeypatch.setattr(runner, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(workers, "_usable_cpus", lambda: 3)
     monkeypatch.setattr(runner, "covariance_at", stalled)
     start = time.monotonic()
     with pytest.raises(KeyboardInterrupt):
@@ -216,7 +216,7 @@ def test_interrupt_kills_and_reaps_the_workers(tmp_path, monkeypatch):
 
 ORPHAN_RUN = """
 import os, sys, time
-from covspec import run_analysis, runner, validate_config
+from covspec import run_analysis, runner, validate_config, workers
 from covspec.moments import covariance_at
 
 parent = os.getpid()
@@ -229,7 +229,7 @@ def slowed(returns, kernel, j):
     return covariance_at(returns, kernel, j)
 
 runner.covariance_at = slowed
-runner._usable_cpus = lambda: 2
+workers._usable_cpus = lambda: 2
 run_analysis(validate_config(sys.argv[1]))
 """
 
@@ -280,31 +280,31 @@ def test_workers_end_with_a_killed_run(tmp_path):
 def test_worker_count(monkeypatch):
     """One worker per usable CPU, at most one per date; one wherever a fork
     is unsafe."""
-    monkeypatch.setattr(runner, "_usable_cpus", lambda: 4)
+    monkeypatch.setattr(workers, "_usable_cpus", lambda: 4)
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-    assert runner._worker_count(10) == 4
-    assert runner._worker_count(3) == 3
+    assert workers._worker_count(10) == 4
+    assert workers._worker_count(3) == 3
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
-    assert runner._worker_count(10) == 1
+    assert workers._worker_count(10) == 1
     monkeypatch.delenv("OPENBLAS_NUM_THREADS")
-    assert runner._worker_count(10) == 1
+    assert workers._worker_count(10) == 1
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     release = threading.Event()
     thread = threading.Thread(target=release.wait, args=(30,))
     thread.start()
     try:
-        assert runner._worker_count(10) == 1
+        assert workers._worker_count(10) == 1
     finally:
         release.set()
         thread.join(timeout=30)
     assert not thread.is_alive()
     # join returns before the OS thread has left /proc/self/task
     deadline = time.monotonic() + 5
-    while runner._thread_count() > 1 and time.monotonic() < deadline:
+    while workers._thread_count() > 1 and time.monotonic() < deadline:
         time.sleep(0.01)
-    assert runner._worker_count(10) == 4
+    assert workers._worker_count(10) == 4
     monkeypatch.delattr(os, "fork")
-    assert runner._worker_count(10) == 1
+    assert workers._worker_count(10) == 1
 
 
 def test_import_loads_no_process_pool():
