@@ -291,8 +291,9 @@ def _main_stage(
 ):
     """The main matrices at panel indices ``idx``, date by date: each date's
     covariance W W' and, in correlation flavor or with ``corr_apart``, its
-    correlation are formed once, the ``flavor`` one dumped by the bundle
-    writer ``dump`` if given, and solved for the spectra read. The dates run
+    correlation are formed once, solved for the spectra read, and the
+    ``flavor`` one then dumped by the bundle writer ``dump`` if given, so a
+    date whose solve fails writes no dump. The dates run
     as the items of ``workers._forked``, each writing its rows of the shared
     result arrays; a failure raises as a one-worker run would, the error of
     the earliest date as an AnalysisError naming its stage, with that run's
@@ -307,21 +308,20 @@ def _main_stage(
     corr_values = workers._shared_array(len(dates), n) if corr_apart else None
 
     def run_date(t):
-        """Date t's matrices, dumped and solved; returns the dump's entry, or
-        None with no dump."""
+        """Date t's matrices, solved and then dumped (the solves leave them
+        intact); returns the dump's entry, or None with no dump."""
         date, j = dates[t], idx[t]
         cov = _stage("moments", lambda: covariance_at(returns, kernel, j))
         if flavor == CORRELATION or corr_apart:
             corr = _stage("moments", lambda: correlation_of(cov, date, returns.asset_ids))
         base = corr if flavor == CORRELATION else cov
-        entry = dump.write_matrix(flavor, date, base) if dump is not None else None
         if solve:
             values[t], kept = _stage("spectral", lambda: _solved(date, base, n_vectors))
             if n_vectors:
                 vectors[t] = kept
         if corr_apart:
             corr_values[t] = _stage("spectral", lambda: _solved(date, corr, 0))[0]
-        return entry
+        return dump.write_matrix(flavor, date, base) if dump is not None else None
 
     try:
         entries = dict(enumerate(workers._forked(dates, run_date)))

@@ -13,6 +13,13 @@ three-parameter parametric fit of the log spectrum
 and the density-of-states curve it implies, whose leading term is
 1/(a*eps). ln eps_mid and a enter the fit linearly, so it searches
 c = (2/b)**4 alone (variable projection, Golub & Pereyra 1973).
+
+The scalar searches are ports of SciPy's two Brent routines, step for step
+and so bit for bit: ``_brent_root`` (``brentq``) finds the fit's c and
+inverts the fitted curve, and ``_bounded_minimum`` (``minimize_scalar`` with
+``method="bounded"``) fits the M-P q. Importing ``scipy.optimize`` for these
+three calls would cost every covspec process about 0.24 s and 21 MB of peak
+resident memory (x86-64 Linux, SciPy 1.17).
 """
 
 from __future__ import annotations
@@ -22,7 +29,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import lapack
-from scipy.optimize import brentq, minimize_scalar
 
 from .errors import (
     ContractViolationError,
@@ -367,14 +373,159 @@ def mp_density(lam, q: float):
     return out
 
 
+def _brent_root(f, a, b, xtol, rtol=4.0 * np.finfo(float).eps, maxiter=100) -> float:
+    """A root of f between a and b, where f changes sign, by Brent's method:
+    SciPy's ``brentq`` (Zeros/brentq.c) step for step, so the same points are
+    evaluated and the same root returned. Converged once the bracket is
+    narrower than xtol + rtol*|x|. Raises NumericalError where ``brentq``
+    raises: f(a) and f(b) of one sign, a NaN value of f, or no convergence
+    within ``maxiter`` steps."""
+
+    def value(x):
+        fx = float(f(x))  # brentq.c's doubles: a zero division raises below
+        if math.isnan(fx):
+            raise NumericalError(f"root search: f({x!r}) is NaN")
+        return fx
+
+    a, b, xtol, rtol = float(a), float(b), float(xtol), float(rtol)
+    xpre, xcur = a, b
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):  # C's signbit: neither is 0 or NaN
+        raise NumericalError(
+            f"root search: f({a!r}) = {fpre!r} and f({b!r}) = {fcur!r} have one sign"
+        )
+    # xcur is the best point, [xcur, xblk] brackets the root, xpre is the
+    # previous point; scur and spre are the last two steps
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if (fpre < 0.0) != (fcur < 0.0):  # fpre is not 0, and an fcur of 0 returns below
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        stry = math.inf  # a bisection, unless interpolation gives a short step
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic; C's division by an underflowed 0 bisects
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                denom = dblk * dpre * (fblk - fpre)
+                if denom != 0.0:
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / denom
+        if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+            spre, scur = scur, stry
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = value(xcur)
+    raise NumericalError(
+        f"root search did not converge in {maxiter} steps on [{a!r}, {b!r}]: "
+        f"last x = {xcur!r}"
+    )
+
+
+def _bounded_minimum(f, lo, hi, xatol, maxiter=500) -> float:
+    """A minimiser of f on [lo, hi] by Brent's bounded search, golden
+    sections with parabolic steps: SciPy's ``minimize_scalar(method=
+    "bounded")`` (``_minimize_scalar_bounded``) step for step, so the same
+    points are evaluated and the same x returned. Converged once both ends
+    of the bracket around x lie within 2*(sqrt(2.2e-16)*|x| + xatol/3) of
+    it; after ``maxiter`` evaluations the best x so far is returned, as
+    SciPy's is. Raises NumericalError where SciPy flags its result NaN."""
+    sqrt_eps = math.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+
+    def sign(v):  # np.sign(v) + (v == 0): a zero step goes up
+        return -1.0 if v < 0.0 else 1.0
+
+    # xf is the best point, nfc the second best and fulc the third; e and
+    # rat are the last two steps
+    a, b = lo, hi
+    fulc = a + golden_mean * (b - a)
+    nfc = xf = fulc
+    rat = e = 0.0
+    fx = f(xf)
+    num = 1
+    fu = math.inf
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:  # try a parabola through the three points
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r = e
+            e = rat
+            if abs(p) < abs(0.5 * q * r) and p > q * (a - xf) and p < q * (b - xf):
+                golden = False
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if (x - a) < tol2 or (b - x) < tol2:
+                    rat = tol1 * sign(xm - xf)
+        if golden:
+            e = (a if xf >= xm else b) - xf
+            rat = golden_mean * e
+        x = xf + sign(rat) * max(abs(rat), tol1)
+        fu = f(x)
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= maxiter:
+            break
+    if math.isnan(xf) or math.isnan(fx) or math.isnan(fu):
+        raise NumericalError(
+            f"bounded minimum search on [{lo!r}, {hi!r}] met a NaN: "
+            f"x = {xf!r}, f(x) = {fx!r}, last f = {fu!r}"
+        )
+    return xf
+
+
 def fit_mp_q(hist: DensityHistogram) -> float:
     """Least-squares fit of the M-P ratio q to a binned density."""
     def loss(q: float) -> float:
         return float(np.sum((hist.densities - mp_density(hist.centers, q)) ** 2))
 
-    res = minimize_scalar(loss, bounds=MP_Q_BOUNDS, method="bounded",
-                          options={"xatol": 1e-8})
-    return float(res.x)
+    return _bounded_minimum(loss, *MP_Q_BOUNDS, xatol=1e-8)
 
 
 def default_fit_range(n_ranks: int) -> tuple[int, int]:
@@ -445,7 +596,7 @@ def fit_ansatz(mean_spectrum, fit_range: tuple[int, int] | None = None) -> Ansat
     if g < -8.0 * eps * abs(a) * float(np.abs(y).max() * np.sum(np.abs(x) ** 5)):
         c = c_max
         if projection(c_max)[3] >= 0.0:
-            root = brentq(lambda t: projection(t)[3], 0.0, c_max, xtol=4.0 * eps * c_max)
+            root = _brent_root(lambda t: projection(t)[3], 0.0, c_max, xtol=4.0 * eps * c_max)
             c = root if np.sum(projection(root)[2] ** 2) <= r @ r else 0.0
         a, ln_mid, r, _ = projection(c)
     b = 2.0 / c**0.25 if c > 0.0 else math.inf
@@ -488,7 +639,7 @@ def density_of_states_curve(fit: AnsatzFit, eps_grid) -> DensityCurve:
         elif target >= shape_hi:
             xv = x_hi
         else:
-            xv = brentq(lambda t: shape(t) - target, x_lo, x_hi, xtol=1e-14, rtol=1e-15)
+            xv = _brent_root(lambda t: shape(t) - target, x_lo, x_hi, xtol=1e-14, rtol=1e-15)
         u = (2.0 * xv / fit.b) ** 4
         density[i] = (1.0 - u) ** 2 / (fit.a * eps_grid[i] * (1.0 + 3.0 * u))
     return DensityCurve(eps_grid, density, in_range)

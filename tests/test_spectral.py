@@ -41,6 +41,7 @@ from testutil import (
     random_covariance_series,
     random_panel,
     random_symmetric,
+    synthesize_spectrum,
 )
 
 
@@ -566,12 +567,6 @@ def test_mp_density_zero_outside_support(q, lam):
 # ---------------------------------------------------------------- fit
 
 
-def synthesize_spectrum(a, b, eps_mid, n):
-    alpha = np.arange(1, n + 1)
-    x = 0.5 - alpha / n
-    return np.exp(np.log(eps_mid) + a * x / (1 - (2 * x / b) ** 4))
-
-
 def test_fit_round_trip():
     eps = synthesize_spectrum(8.0, 1.1, 1e-4, 100)
     fit = fit_ansatz(eps)
@@ -671,7 +666,7 @@ def test_root_with_a_larger_residual_than_no_curvature_is_not_kept(monkeypatch):
     # than once) loses to c = 0; here the root finder is made to land next
     # to the singular end, where the residual is far above its value at 0
     eps = synthesize_spectrum(8.0, 1.1, 1e-4, 100)
-    monkeypatch.setattr(spectral, "brentq", lambda f, lo, hi, **kw: hi * (1.0 - 1e-6))
+    monkeypatch.setattr(spectral, "_brent_root", lambda f, lo, hi, **kw: hi * (1.0 - 1e-6))
     fit = fit_ansatz(eps)
     assert fit.b == math.inf
     x = 0.5 - np.arange(11, 91) / 100

@@ -130,6 +130,14 @@ def basis_series(columns, n):
     return SpectrumSeries(make_business_dates(t_len), values, vectors)
 
 
+def synthesize_spectrum(a, b, eps_mid, n):
+    """The n ranks of the parametric log-spectrum shape with parameters a, b
+    and eps_mid, as ``spectral.fit_ansatz`` fits it."""
+    alpha = np.arange(1, n + 1)
+    x = 0.5 - alpha / n
+    return np.exp(np.log(eps_mid) + a * x / (1 - (2 * x / b) ** 4))
+
+
 def bundle_bytes(directory):
     """Every file under ``directory``, by its path relative to it, with its bytes."""
     out = {}
