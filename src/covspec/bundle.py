@@ -311,8 +311,13 @@ class _BundleWriter:
         os.makedirs(os.path.join(self.output_dir, "matrices"), exist_ok=True)
         cells, separators = _lower_triangle(len(matrix))
         text = format_floats(matrix[cells], separators)
-        name = os.path.join("matrices", f"{flavor}_{date}.csv")
+        name = self.matrix_name(flavor, date)
         return (name, *_write_text(os.path.join(self.output_dir, name), (text,)))
+
+    @staticmethod
+    def matrix_name(flavor: str, date: str) -> str:
+        """The name ``write_matrix`` gives one date's matrix in the bundle."""
+        return os.path.join("matrices", f"{flavor}_{date}.csv")
 
     def write_manifest(self, config: RunConfig, complete: bool, error: str | None = None) -> str:
         """Write the manifest of every file written so far; returns its path."""

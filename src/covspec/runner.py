@@ -7,16 +7,18 @@ are byte-deterministic for a fixed config and seed. On failure the manifest
 is still written, marked incomplete.
 
 The main stage forms and solves each evaluation date's matrices. Its dates
-are independent, so they run as the items of ``workers._forked``, one chunk
-per usable CPU, each date writing its rows of shared result arrays; a
-failure leaves the error and the files a one-worker run leaves.
+are independent, so they run as the items of ``workers._forked``, dealt to
+one worker per usable CPU, each date writing its rows of shared result
+arrays; a failure leaves the error and the files a one-worker run leaves.
 ``rolling_spectra``, the library's route from returns to spectra, is this
-same stage.
+same stage. The lagged stage's blocks of dates run the same way.
 """
 
 from __future__ import annotations
 
+import contextlib
 import datetime as _dt
+import functools
 import logging
 import os
 from dataclasses import dataclass
@@ -70,12 +72,14 @@ from .subspace import (
 logger = logging.getLogger(__name__)
 
 # The lagged stage runs over blocks of dates holding at most this many bytes
-# of N x L return windows, so no (T,N,L) window stack is built: it holds one
-# block plus N x N running sums per lagged series, however many dates are
-# evaluated. Smaller blocks lower the peak further, but then malloc hands each
-# block's pages back to the kernel and faults them in again: at 2 MiB a
-# longmem-full run took four times the page faults of 8 MiB and about 5%
-# longer (2-vCPU x86-64 host, glibc). The main stage runs one date at a time.
+# of N x L return windows, so no (T,N,L) window stack is built: a worker
+# holds one block, and the run N x N running sums per lagged series, however
+# many dates are evaluated. Smaller blocks lower the peak further: at 2 MiB,
+# peak RSS fell from 85 to 73 MB on csv-dump and from 93 to 80 MB on
+# longmem-full. But csv-dump's 600 lagged dates, one block here, then fork
+# into four, each gathering the 42 dates before it again, and its CPU time
+# rose by about 4% (2-vCPU x86-64 host, BENCH_23.json). The main stage runs
+# one date at a time.
 BLOCK_BYTES = 8 * 2**20
 
 
@@ -235,11 +239,28 @@ def _lagged_dates(returns, config, eval_dates) -> tuple[str, ...]:
     return tuple(returns.dates[j] for j in idx)
 
 
+def _series_factors(returns, compact, dates, ranks):
+    """(name, (b, N, m) factors) of each lagged series at ``dates``, in
+    order. The windows are gathered once and read for the covariance and the
+    projector vectors, then scaled to unit rows in place for the correlation,
+    so each series' factors must be read before the next is drawn."""
+    dates, windows = weighted_windows(returns, compact, dates)
+    vectors = window_vectors(windows, max(ranks)) if ranks else None
+    yield "covariance", windows
+    yield "correlation", unit_rows(windows, dates, returns.asset_ids)
+    for k in ranks:
+        yield f"projector_k{k}", vectors[:, :, :k]
+
+
 def _lagged_file(writer, returns, config, dates) -> None:
-    """The lagged correlation of every lagged series, from running sums fed
-    one block of dates at a time. A block's windows are gathered, read for the
-    covariance sums and the projector vectors, then scaled to unit rows in
-    place for the correlation sums, and dropped."""
+    """The lagged correlation of every lagged series, from running sums over
+    blocks of dates. The blocks run as the items of ``workers._forked``: each
+    gathers its windows with those of the max(lags) dates before it, which
+    its pairs across the block's start read, and sends back its
+    ``LaggedSums.partial`` per series; the partials are merged in block
+    order, so the bytes do not depend on the number of workers. The factors
+    of the first and last max(lags) dates, which the with-mean terms read,
+    are rebuilt here."""
     compact = build_kernel("rectangular", config.lagged_length)
     n, length = returns.n_assets, compact.length
     # A window of L dates spans at most L directions, so ranks above L get no
@@ -248,17 +269,29 @@ def _lagged_file(writer, returns, config, dates) -> None:
     ranks = [k for k in config.projector_ranks if k <= length and k < n]
     names = ["covariance", "correlation", *(f"projector_k{k}" for k in ranks)]
     sums = {name: LaggedSums(config.lags, len(dates)) for name in names}
+    reach = max(config.lags)
     # bounds both the windows and the L x L grams of the sums
     step = max(1, BLOCK_BYTES // (8 * length * max(n, length)))
-    for lo in range(0, len(dates), step):
-        block, windows = weighted_windows(returns, compact, dates[lo : lo + step])
-        vectors = window_vectors(windows, max(ranks)) if ranks else None
-        sums["covariance"].add(windows)
-        unit_rows(windows, block, returns.asset_ids)
-        sums["correlation"].add(windows)
-        for k in ranks:
-            sums[f"projector_k{k}"].add(vectors[:, :, :k])
-        del windows, vectors  # freed before the next block is gathered
+    blocks = [dates[lo : lo + step] for lo in range(0, len(dates), step)]
+
+    def run_block(b):
+        lo = b * step
+        carried = min(reach, lo)
+        factors = _series_factors(returns, compact, dates[lo - carried : lo + step], ranks)
+        return [sums[name].partial(f, carried) for name, f in factors]
+
+    def merge(b, parts):
+        for name, part in zip(names, parts):
+            sums[name].merge(part)
+
+    workers._forked("lagged stage", blocks, run_block, merge)
+
+    @functools.cache
+    def ends():
+        """Each series' factors at the first and at the last max(lags) dates,
+        gathered once, when a series first reads them."""
+        edge = _series_factors(returns, compact, dates[:reach] + dates[len(dates) - reach :], ranks)
+        return {s: (f[:reach].copy(), f[reach:].copy()) for s, f in edge}
 
     def stack(name):
         """The (T, N, m) factors of one series, built only for a near-static one."""
@@ -272,7 +305,7 @@ def _lagged_file(writer, returns, config, dates) -> None:
     rows = [
         [name, lag, float(rho)]
         for name in names
-        for lag, rho in zip(config.lags, sums[name].rho(lambda: stack(name)))
+        for lag, rho in zip(config.lags, sums[name].rho(lambda: ends()[name], lambda: stack(name)))
     ]
     writer.write_table("lagged_correlation", ["series", "lag", "rho"], rows)
 
@@ -297,7 +330,8 @@ def _main_stage(
     as the items of ``workers._forked``, each writing its rows of the shared
     result arrays; a failure raises as a one-worker run would, the error of
     the earliest date as an AnalysisError naming its stage, with that run's
-    dumps: those of the dates before it registered, later ones deleted.
+    dumps: those of the dates before it registered, and every later one,
+    whichever worker wrote it, deleted.
     Returns the ``flavor`` spectra with their top ``n_vectors`` vectors (None
     with ``solve`` false) and the values alone of the correlation, solved
     apart with ``corr_apart`` (else the ``flavor`` spectra)."""
@@ -323,19 +357,19 @@ def _main_stage(
             corr_values[t] = _stage("spectral", lambda: _solved(date, corr, 0))[0]
         return dump.write_matrix(flavor, date, base) if dump is not None else None
 
+    entries = []  # the dump entries of the dates taken, in date order
     try:
-        entries = dict(enumerate(workers._forked(dates, run_date)))
-    except BaseException as exc:
-        entries = getattr(exc, "results", {})  # the dates that ran
-        raise
+        workers._forked(
+            "main stage", [(d,) for d in dates], run_date, lambda t, entry: entries.append(entry)
+        )
     finally:
         if dump is not None:
-            failed = next(t for t in range(len(dates) + 1) if t not in entries)
-            for t, entry in entries.items():
-                if t < failed:
-                    dump.files.append(entry)
-                else:
-                    os.remove(os.path.join(dump.output_dir, entry[0]))
+            dump.files.extend(entries)
+            # a failed run's dumps from the failing date on, written by
+            # workers that ran ahead of it
+            for date in dates[len(entries) :]:
+                with contextlib.suppress(FileNotFoundError):
+                    os.remove(os.path.join(dump.output_dir, dump.matrix_name(flavor, date)))
     spectra = SpectrumSeries(dates, values, vectors) if solve else None
     return spectra, SpectrumSeries(dates, corr_values) if corr_apart else spectra
 

@@ -154,15 +154,27 @@ def _with_mean(factors: np.ndarray, mean: np.ndarray) -> np.ndarray:
     return np.einsum("tik,tik->t", mean @ factors, factors)
 
 
+class LaggedPartial(NamedTuple):
+    """One block's terms of ``LaggedSums``, from ``LaggedSums.partial``."""
+
+    carried: int  # dates before the block whose factors it was given
+    total: np.ndarray  # sum over the block's dates of X_t
+    own: np.ndarray  # tr(X_t^2) per date of the block
+    within: np.ndarray  # per lag, sum of tr(X_t X_{t+tau}) over pairs inside the block
+    across: np.ndarray  # per lag, the same over pairs whose earlier date precedes it
+
+
 class LaggedSums:
     """Running sums that give ``matrix_lagged_correlation`` of X_t = F_t F_t'
-    over T dates whose (T, N, m) factors are fed in blocks, in date order,
-    by tr(X_t X_s) = ||F_t' F_s||_F^2 and tr(X_t M) = tr(F_t' M F_t).
+    over T dates whose (T, N, m) factors come in blocks, by
+    tr(X_t X_s) = ||F_t' F_s||_F^2 and tr(X_t M) = tr(F_t' M F_t).
 
-    Kept: S = sum_t X_t, tr(X_t^2) per date, sum_t tr(X_t X_{t+tau}) per lag,
-    and the first and last max(lags) factors. With M = S / T the with-mean
-    terms follow from sum_t tr(X_t M) = T tr(M^2) minus the head and tail
-    dates a lag leaves out, so no block is held after it is fed.
+    Each block's terms come from ``partial``, which reads nothing but the
+    lags, so any process can run it; ``merge`` adds them in date order, one
+    block after another. Kept: S = sum_t X_t, tr(X_t^2) per date and
+    sum_t tr(X_t X_{t+tau}) per lag. With M = S / T the with-mean terms
+    follow from sum_t tr(X_t M) = T tr(M^2) minus the first and last
+    max(lags) dates a lag leaves out, whose factors ``rho`` is given.
     """
 
     def __init__(self, lags, t_len: int):
@@ -173,45 +185,54 @@ class LaggedSums:
         self.total = None
         self.own: list[np.ndarray] = []
         self.cross = np.zeros(len(self.lags))
-        self.head = self.tail = None
 
-    def add(self, factors) -> None:
-        """Feed the (b, N, m) factors of the next b dates; none is kept as a view."""
+    def partial(self, factors, carried: int = 0) -> LaggedPartial:
+        """The terms of one block of dates from its (carried + b, N, m)
+        factors: those of the ``carried`` dates before the block, min(max(lags),
+        dates before it), then those of its own b dates."""
         f = np.asarray(factors, dtype=float)
         if f.ndim != 3:
             raise ParameterError(f"expected a (T,N,m) factor stack, got {f.shape}")
-        if self.seen + len(f) > self.t_len:
-            raise ParameterError(f"more than {self.t_len} dates fed")
-        if self.total is None:
-            self.head = self.tail = f[:0].copy()
-            self.total = np.zeros((f.shape[1], f.shape[1]))
+        earlier, f = f[:carried], f[carried:]
         y = _side_by_side(f)
-        self.total += y @ y.T  # exactly symmetric: numpy takes Y Y' to syrk
+        total = y @ y.T  # exactly symmetric: numpy takes Y Y' to syrk
         del y
-        self.own.append(_overlaps(f, f))
-        carried = len(self.tail)
+        within, across = np.zeros(len(self.lags)), np.zeros(len(self.lags))
         for i, lag in enumerate(self.lags):
             if lag == 0:
                 continue
             if lag < len(f):
-                self.cross[i] += _overlaps(f[:-lag], f[lag:]).sum()
-            # pairs whose earlier date lies in an earlier block
+                within[i] = _overlaps(f[:-lag], f[lag:]).sum()
             lo, hi = max(0, lag - carried), min(lag, len(f))
             if lo < hi:
-                earlier = self.tail[carried + lo - lag : carried + hi - lag]
-                self.cross[i] += _overlaps(earlier, f[lo:hi]).sum()
-        if self.reach:
-            if self.seen < self.reach:
-                self.head = np.concatenate((self.head, f[: self.reach - self.seen]))
-            stay = max(0, min(len(self.tail), self.reach - len(f)))
-            self.tail = np.concatenate((self.tail[len(self.tail) - stay :], f[-self.reach :]))
-        self.seen += len(f)
+                pairs = earlier[carried + lo - lag : carried + hi - lag], f[lo:hi]
+                across[i] = _overlaps(*pairs).sum()
+        return LaggedPartial(carried, total, _overlaps(f, f), within, across)
 
-    def rho(self, stack) -> np.ndarray:
-        """rho(tau) per lag, once all T dates are fed. A constant or
-        near-static series (GRAM_MIN_GAMMA) goes to ``matrix_lagged_correlation``
-        of the F_t F_t' stack, built from the (T, N, m) factors ``stack()``
-        returns, which refuses a constant one."""
+    def merge(self, part: LaggedPartial) -> None:
+        """Add the terms of the next block of dates."""
+        if self.seen + len(part.own) > self.t_len:
+            raise ParameterError(f"more than {self.t_len} dates fed")
+        if part.carried != min(self.reach, self.seen):
+            raise ContractViolationError(
+                f"a block after {self.seen} dates carries {part.carried} earlier dates, "
+                f"not {min(self.reach, self.seen)}"
+            )
+        if self.total is None:
+            self.total = np.zeros_like(part.total)
+        self.total += part.total
+        self.own.append(part.own)
+        self.cross += part.within
+        self.cross += part.across
+        self.seen += len(part.own)
+
+    def rho(self, ends, stack) -> np.ndarray:
+        """rho(tau) per lag, once all T dates are merged. ``ends()`` returns
+        the factors of the first and of the last max(lags) dates, read where
+        a lag is positive. A constant or near-static series (GRAM_MIN_GAMMA)
+        goes to ``matrix_lagged_correlation`` of the F_t F_t' stack, built
+        from the (T, N, m) factors ``stack()`` returns, which refuses a
+        constant one."""
         if self.seen != self.t_len:
             raise ContractViolationError(f"{self.seen} of {self.t_len} dates fed")
         t_len = self.t_len
@@ -221,12 +242,17 @@ class LaggedSums:
         denom = own - mean_sq
         if denom <= GRAM_MIN_GAMMA * own:
             return matrix_lagged_correlation(_outer_stack(stack()), self.lags)
-        head = _with_mean(self.head, mean)
-        tail = _with_mean(self.tail, mean)
-        out = np.empty(len(self.lags))
+        out = np.ones(len(self.lags))
+        if not self.reach:
+            return out
+        head, tail = (np.asarray(f, dtype=float) for f in ends())
+        if not len(head) == len(tail) == self.reach:
+            raise ContractViolationError(
+                f"{len(head)} first and {len(tail)} last dates given, not {self.reach}"
+            )
+        head, tail = _with_mean(head, mean), _with_mean(tail, mean)
         for i, lag in enumerate(self.lags):
             if lag == 0:
-                out[i] = 1.0
                 continue
             # sum over t < T - tau of tr((X_t - M)(X_{t+tau} - M))
             cross = (

@@ -1,11 +1,12 @@
 """Forked workers: a stage's independent items run on every usable CPU.
 
-``_forked`` runs a stage's items (today the main stage's dates) in
-contiguous chunks, one per usable CPU: chunk 0 in this process and the
-others in children forked from it, each writing its rows of result arrays
-held in anonymous shared memory (``_shared_array``) and sending back only
-its items' small results. Every item runs the same code whatever the number
-of workers, so the results do not depend on it, and a failure raises what a
+``_forked`` runs a stage's items (the main stage's dates, the lagged
+stage's blocks of dates) on one worker per usable CPU, dealt in turn: this
+process and children forked from it, each sending back its items' results
+as it goes, and writing any larger ones into rows of arrays held in
+anonymous shared memory (``_shared_array``). This process takes the results
+in item order. Every item runs the same code whatever the number of
+workers, so the results do not depend on it, and a failure raises what a
 one-worker run raises. No child outlives the run.
 """
 
@@ -67,82 +68,83 @@ def _end_if_orphaned(parent: int) -> None:
         os._exit(1)
 
 
-def _chunk(run_item, lo: int, hi: int, parent: int):
-    """Items lo to hi - 1 in order, each after checking that ``parent`` still
-    lives. Returns the {item: result} of the items that ran, the error that
-    stopped them or None, and its __cause__, kept apart because pickling an
-    error drops it."""
-    results = {}
-    try:
-        for i in range(lo, hi):
-            _end_if_orphaned(parent)
-            results[i] = run_item(i)
-    except Exception as exc:
-        return results, exc, exc.__cause__
-    return results, None, None
-
-
-def _child(write_fd: int, run_item, lo: int, hi: int, parent: int):
-    """A forked worker's whole life: run its chunk, send the outcome pickled
-    through its pipe, and leave by ``os._exit``, with status 0 only once the
-    outcome is sent. It runs none of the parent's exit handlers and flushes
-    none of its buffers."""
+def _child(write_fd: int, run_item, items: range, parent: int):
+    """A forked worker's whole life: run its items in order, each after
+    checking that ``parent`` still lives, and send each one's outcome
+    through its pipe as soon as it is known: (result, None, None), or
+    (None, error, its __cause__), kept apart because pickling an error drops
+    it, after which it runs no more. It leaves by ``os._exit``, running none
+    of the parent's exit handlers and flushing none of its buffers."""
     status = 1
     try:
         with open(write_fd, "wb") as pipe:
-            pickle.dump(_chunk(run_item, lo, hi, parent), pipe)
+            for i in items:
+                _end_if_orphaned(parent)
+                try:
+                    outcome = run_item(i), None, None
+                except Exception as exc:
+                    outcome = None, exc, exc.__cause__
+                pickle.dump(outcome, pipe)
+                pipe.flush()
+                if outcome[1] is not None:
+                    break
         status = 0
     finally:
         os._exit(status)
 
 
-def _forked(dates, run_item) -> list:
-    """``run_item(i)`` for every index i of ``dates``, the items' dates, over
-    contiguous chunks, one per worker (``_worker_count``): chunk 0 in this
-    process and each other chunk in a forked child, all at once. Returns each
-    item's result in item order; a child sends its items' results back
-    pickled, so they should be small: larger results go to ``_shared_array``.
+def _forked(stage: str, items, run_item, take) -> None:
+    """``take(i, run_item(i))`` for every index i of ``items``, each the
+    sequence of its item's dates, in item order and in this process. The
+    items are dealt to the workers (``_worker_count``) in turn: with P of
+    them, this process runs items 0, P, 2P, ... and forked child w runs
+    items w, w + P, ..., all at once. A child sends each result pickled
+    through its pipe as soon as it has it, and this process takes them in
+    item order: no child runs ahead of the taking by more than one result
+    beyond what its pipe buffers, so results do not pile up in any process.
+    Rows of arrays too large to send go to ``_shared_array``.
 
     A failure raises what a one-worker run raises, once every child is
-    reaped: the error of the earliest failing item, from its __cause__, or,
-    for a child that ended without reporting, a NumericalError naming its
-    chunk's first and last date. That error carries in ``results`` the
-    {item: result} of every item that ran, those after the failure included.
-    Any other error, an interrupt included, kills every child still running
-    before it is raised."""
-    workers = _worker_count(len(dates))
-    bounds = [len(dates) * c // workers for c in range(workers + 1)]
-    chunks = list(zip(bounds, bounds[1:]))
+    killed and reaped: the error of the earliest failing item, from its
+    __cause__, or, for a child that ended before it reported an item, a
+    NumericalError naming the ``stage`` and that item's dates. Every item
+    before it has been taken; no later one is. An error in ``take``, or an
+    interrupt, kills every child the same way before it is raised."""
+    workers = _worker_count(len(items))
     parent = os.getpid()
-    children = []  # (pid, read end of its pipe) for chunks 1 on, in order
-    reaped = set()
+    pipes = []  # the read end of child w's pipe at w - 1
+    pids = []
     try:
-        for lo, hi in chunks[1:]:
+        for w in range(1, workers):
             read_fd, write_fd = os.pipe()
             pid = os.fork()
             if pid == 0:
-                _child(write_fd, run_item, lo, hi, parent)
+                # the read ends, closed here, so a write fails once the run is gone
+                os.close(read_fd)
+                for pipe in pipes:
+                    pipe.close()
+                _child(write_fd, run_item, range(w, len(items), workers), parent)
+            pids.append(pid)
             os.close(write_fd)
-            children.append((pid, open(read_fd, "rb")))
-        outcomes = [_chunk(run_item, *chunks[0], parent)]
-        for (lo, hi), (pid, pipe) in zip(chunks[1:], children):
-            report = pipe.read()
-            status = os.waitpid(pid, 0)[1]
-            reaped.add(pid)
-            if os.waitstatus_to_exitcode(status) == 0:
-                outcomes.append(pickle.loads(report))
-            else:
-                worker = f"main stage: the worker for dates {dates[lo]!r} to {dates[hi - 1]!r}"
-                outcomes.append(({}, NumericalError(f"{worker} ended without reporting"), None))
+            pipes.append(open(read_fd, "rb"))
+        for i in range(len(items)):
+            if i % workers == 0:
+                take(i, run_item(i))
+                continue
+            try:
+                result, error, cause = pickle.load(pipes[i % workers - 1])
+            except (EOFError, pickle.UnpicklingError):
+                first, last = items[i][0], items[i][-1]
+                dates = f"date {first!r}" if first == last else f"dates {first!r} to {last!r}"
+                raise NumericalError(
+                    f"{stage}: the worker for {dates} ended without reporting"
+                ) from None
+            if error is not None:
+                raise error from cause
+            take(i, result)
     finally:
-        for pid, pipe in children:
+        for pipe in pipes:
             pipe.close()
-            if pid not in reaped:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-    results = {i: result for done, _, _ in outcomes for i, result in done.items()}
-    for _, error, cause in outcomes:
-        if error is not None:
-            error.results = results
-            raise error from cause
-    return list(results.values())
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)

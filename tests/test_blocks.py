@@ -191,11 +191,19 @@ LAGGED_CFG = BLOCKED_CFG.replace("output.dump_matrices = true", "").replace(
 WINDOW_BYTES = 8 * N_ASSETS * 8
 # 40 return dates, an 8-date window: 33 lagged dates
 LAGGED_BLOCKINGS = {1: 33, 4: 9, 30: 2, None: 1}
+REACH = 25  # max(lagged.lags)
+
+
+def block_gathers(per_block):
+    """The dates of each block's gather: its own, after the REACH dates
+    before it (fewer at the start), which its pairs across its start read."""
+    return [min(per_block, 33 - lo) + min(REACH, lo) for lo in range(0, 33, per_block)]
 
 
 def lagged_rows(tmp_path, monkeypatch, name, per_block, text=LAGGED_CFG):
     """The (series, lag, rho) rows of a lagged run in blocks of ``per_block``
-    dates, and the number of blocks gathered."""
+    dates, and the number of dates of each window gather, in order; the
+    blocks run in this process (``one_worker``)."""
     gathered = []
 
     def counted(returns, kernel, eval_dates):
@@ -215,13 +223,16 @@ def lagged_rows(tmp_path, monkeypatch, name, per_block, text=LAGGED_CFG):
     return [(label, int(lag), float(rho)) for label, lag, rho in rows], gathered
 
 
-def test_lagged_rho_agrees_for_every_block_size(tmp_path, monkeypatch):
+def test_lagged_rho_agrees_for_every_block_size(tmp_path, monkeypatch, one_worker):
     """Blocks shorter and longer than the lags: pairs across a block edge
-    come from the factors carried over."""
+    come from the factors of the dates before the block, gathered with it.
+    The first and last REACH dates are gathered once more, for the terms
+    with the mean."""
     results = {}
     for per_block, n_blocks in LAGGED_BLOCKINGS.items():
         rows, gathered = lagged_rows(tmp_path, monkeypatch, f"lagged-{per_block}", per_block)
-        assert len(gathered) == n_blocks and sum(gathered) == 33
+        assert gathered == block_gathers(per_block or 33) + [2 * REACH], per_block
+        assert len(gathered) == n_blocks + 1
         results[per_block] = rows
     reference = results.pop(None)
     assert {label for label, _, _ in reference} == {
@@ -233,13 +244,14 @@ def test_lagged_rho_agrees_for_every_block_size(tmp_path, monkeypatch):
         assert err <= 1e-12, per_block
 
 
-def test_near_static_lagged_series_rebuild_their_stack(tmp_path, monkeypatch):
+def test_near_static_lagged_series_rebuild_their_stack(tmp_path, monkeypatch, one_worker):
     """With the guard above every ratio, each series takes the stacked route
     on the whole factor stack, rebuilt after its blocks were dropped."""
     monkeypatch.setattr(subspace, "GRAM_MIN_GAMMA", 1.0)
     rows, gathered = lagged_rows(tmp_path, monkeypatch, "static", 4)
-    # 9 blocks, then one whole stack per series
-    assert gathered == [4] * 8 + [1] + [33] * 4
+    # 9 blocks, then one whole stack per series, and no gather of the first
+    # and last dates, which only the terms with the mean read
+    assert gathered == block_gathers(4) + [33] * 4
     config = validate_config(str(tmp_path / "static.cfg"))
     returns = generate_returns(config.ensemble)
     compact = build_kernel("rectangular", config.lagged_length)

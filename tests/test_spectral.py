@@ -391,6 +391,62 @@ def test_window_vectors_match_each_dates_covariance_eigenvectors():
         assert np.abs(projector(vectors[t]) - reference).max() < 1e-12
 
 
+def svd_vectors(windows, k):
+    """The top-k left singular vectors of each window by numpy's thin SVD."""
+    return np.array([np.linalg.svd(w, full_matrices=False)[0][:, :k] for w in windows])
+
+
+def factor_windows(n, length, count, seed):
+    """``count`` N x L windows of three factors, of well-separated strengths
+    (3, 2 and 1.5), over a noise of 0.1."""
+    rng = np.random.default_rng(seed)
+    loadings = rng.standard_normal((count, n, 3)) * np.array([3.0, 2.0, 1.5])
+    factors = rng.standard_normal((count, 3, length))
+    return loadings @ factors + 0.1 * rng.standard_normal((count, n, length))
+
+
+@pytest.mark.parametrize("n, length", [(40, 12), (12, 40), (16, 16)])
+def test_window_vectors_match_svd_projectors(n, length):
+    """The vectors from each window's smaller Gram, solved in batches of
+    GRAM_BATCH_BYTES, give the projectors of the thin SVD's to 1e-13, for
+    L < N, L > N and L = N, with the SVD's signs."""
+    windows = factor_windows(n, length, 300, seed=n + length)
+    assert len(windows) > spectral.GRAM_BATCH_BYTES // (8 * min(n, length) ** 2)
+    vectors = window_vectors(windows, 3)
+    reference = spectral._fix_signs(svd_vectors(windows, 3))
+    for j in (1, 2, 3):
+        got, want = vectors[:, :, :j], reference[:, :, :j]
+        diff = got @ np.swapaxes(got, 1, 2) - want @ np.swapaxes(want, 1, 2)
+        assert np.abs(diff).max() <= 1e-13, j
+    assert np.abs(vectors - reference).max() <= 1e-12
+
+
+def test_rank_deficient_window_takes_the_leading_system_route(monkeypatch):
+    """A window with a zero return column has rank L - 1, so at k = L its
+    lambda_k lies below GRAM_RANK_FLOOR times its lambda_1: its vectors come
+    from ``leading_system`` of W W', finite and orthonormal, and its top
+    L - 1 directions are the SVD's. The other windows keep the Gram route."""
+    windows = np.random.default_rng(12).standard_normal((5, 30, 8))
+    windows[2, :, 3] = 0.0
+    solved = []
+    leading_system = spectral.leading_system
+
+    def counted(sym, k):
+        solved.append(k)
+        return leading_system(sym, k)
+
+    monkeypatch.setattr(spectral, "leading_system", counted)
+    vectors = window_vectors(windows, 8)
+    assert solved == [8]
+    assert np.array_equal(vectors[2], leading_system(windows[2] @ windows[2].T, 8)[1])
+    assert np.isfinite(vectors).all()
+    for v in vectors:
+        assert np.abs(v.T @ v - np.eye(8)).max() <= 1e-13
+    want = svd_vectors(windows[2:3], 7)[0]
+    got = vectors[2, :, :7]
+    assert np.abs(got @ got.T - want @ want.T).max() <= 1e-13
+
+
 def test_window_vectors_rank_limited_by_window():
     returns = generate_returns(EnsembleSpec("gaussian-iid", 8, 40, seed=11))
     with pytest.raises(ParameterError, match="rank"):

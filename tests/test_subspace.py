@@ -32,6 +32,7 @@ from testutil import (
     basis_series,
     eigendecompose,
     factor_lagged_correlation,
+    fed_in_blocks,
     projector_series,
     random_covariance_series,
     random_panel,
@@ -403,13 +404,6 @@ def test_gram_rho_rejects_static_subspace_and_bad_lags():
         factor_lagged_correlation(vectors, [-1])
 
 
-def fed_in_blocks(factors, lags, step):
-    sums = LaggedSums(lags, len(factors))
-    for lo in range(0, len(factors), step):
-        sums.add(factors[lo : lo + step])
-    return sums.rho(lambda: factors)
-
-
 @pytest.mark.parametrize("step", [1, 3, 7, 40, 200])
 def test_sums_fed_in_blocks_match_stacked_rho(step):
     """Blocks shorter and longer than the lags: the pairs across a block edge
@@ -432,9 +426,12 @@ def test_near_static_sums_take_the_stacked_route():
 def test_sums_need_every_date():
     factors = drifting_factors(1e-1)
     sums = LaggedSums([0, 1], len(factors))
-    sums.add(factors[:-1])
+    sums.merge(sums.partial(factors[:-1]))
     with pytest.raises(ContractViolationError, match="199 of 200 dates"):
-        sums.rho(lambda: factors)
-    sums.add(factors[-1:])
+        sums.rho(lambda: (factors[:1], factors[-1:]), lambda: factors)
+    # the last block's pairs across its start need the date before it
+    with pytest.raises(ContractViolationError, match="carries 0 earlier dates, not 1"):
+        sums.merge(sums.partial(factors[-1:]))
+    sums.merge(sums.partial(factors[-2:], 1))
     with pytest.raises(ParameterError, match="more than 200 dates"):
-        sums.add(factors[:1])
+        sums.merge(sums.partial(factors[:1]))

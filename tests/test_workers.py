@@ -1,9 +1,10 @@
-"""The main stage's dates are split into contiguous chunks, one per usable
-CPU: chunk 0 runs in this process and each other chunk in a forked child,
-writing its rows of shared result arrays. The bundle bytes do not depend on
-the number of workers, a failure gives the error and the files of a
-one-worker run, and no child outlives the run. The worker count is set here
-through ``workers._usable_cpus``."""
+"""The main stage's dates, and the lagged stage's blocks of dates, are dealt
+in turn to one worker per usable CPU: this process and forked children,
+which write their rows of shared result arrays and send back the rest, taken
+here in date order. The bundle bytes do not depend on the number of workers,
+a failure gives the error and the files of a one-worker run, and no child
+outlives the run. The worker count is set here through
+``workers._usable_cpus``."""
 
 import json
 import os
@@ -16,9 +17,16 @@ from pathlib import Path
 
 import pytest
 
-from covspec import make_business_dates, run_analysis, runner, validate_config, workers
+from covspec import (
+    bundle,
+    make_business_dates,
+    run_analysis,
+    runner,
+    validate_config,
+    workers,
+)
 from covspec.errors import AnalysisError, DegenerateAssetError, NumericalError
-from covspec.moments import correlation_of, covariance_at
+from covspec.moments import correlation_of, covariance_at, weighted_windows
 from testutil import bundle_bytes
 
 # 40 return dates, a 30-date kernel: 11 evaluation dates
@@ -94,12 +102,14 @@ def test_bundles_identical_for_every_worker_count(tmp_path, monkeypatch, config)
         for line in log.read_text().splitlines():
             pid, date = line.split()
             by_pid.setdefault(int(pid), []).append(date)
-        # one process per chunk, this one first; each runs its chunk's
-        # contiguous dates in date order, every date once
-        assert len(by_pid) == min(cpus, len(DATES)), cpus
-        assert os.getpid() in by_pid and by_pid[os.getpid()][0] == DATES[0]
-        chunks = sorted(by_pid.values())
-        assert [d for chunk in chunks for d in chunk] == list(DATES), cpus
+        # one process per worker, this one first; worker w runs dates w,
+        # w + P, ... in date order, every date once
+        workers_run = min(cpus, len(DATES))
+        assert len(by_pid) == workers_run, cpus
+        assert by_pid[os.getpid()] == list(DATES[::workers_run]), cpus
+        assert sorted(by_pid.values()) == sorted(
+            list(DATES[w::workers_run]) for w in range(workers_run)
+        ), cpus
 
     reference = bundles.pop(1)
     if config == "covariance-csv-dump":
@@ -136,9 +146,9 @@ FAULTS = [("correlation_of", 0), ("correlation_of", 4), ("correlation_of", 7),
 @forking
 @pytest.mark.parametrize("where, fail_at", FAULTS)
 def test_failure_matches_one_worker(tmp_path, monkeypatch, where, fail_at):
-    """A fault at one date, in the first, a middle or the last chunk: the
-    same error and the same files as one worker, the dumps that later chunks
-    wrote deleted."""
+    """A fault at one date, on this process or a child, early, in the middle
+    or last: the same error and the same files as one worker, the dumps of
+    later dates that other workers wrote deleted."""
     target = DATES[fail_at]
     solved = runner._solved
 
@@ -170,53 +180,134 @@ def test_failure_matches_one_worker(tmp_path, monkeypatch, where, fail_at):
 
 @forking
 def test_killed_worker_fails_the_run(tmp_path, monkeypatch):
-    """A child that dies without reporting (here by SIGKILL in its second
-    chunk date) fails the run with a NumericalError naming its dates, and the
-    manifest, marked incomplete, lists what the chunks before it wrote."""
+    """A child that dies before it reports a date (here by SIGKILL once that
+    date's dump is written) fails the run with a NumericalError naming the
+    date. The manifest, marked incomplete, lists the dumps of the dates
+    before it, and no other dump is left on disk."""
     parent = os.getpid()
+    write_matrix = bundle._BundleWriter.write_matrix
 
-    def killed(returns, kernel, j):
-        if os.getpid() != parent and returns.dates[j] == DATES[6]:
+    def killed(writer, flavor, date, matrix):
+        entry = write_matrix(writer, flavor, date, matrix)
+        if os.getpid() != parent and date == DATES[5]:
             os.kill(os.getpid(), signal.SIGKILL)
-        return covariance_at(returns, kernel, j)
+        return entry
 
     monkeypatch.setattr(workers, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(runner, "covariance_at", killed)
+    monkeypatch.setattr(bundle._BundleWriter, "write_matrix", killed)
     with pytest.raises(NumericalError) as err:
         run_analysis(run_config(tmp_path, "killed"))
     assert_no_child_left()
-    # chunk 1 of 2 holds dates 5 to 10
+    # the child runs dates 1, 3, 5, ...
     assert str(err.value) == (
-        f"main stage: the worker for dates {DATES[5]!r} to {DATES[10]!r} "
-        "ended without reporting"
+        f"main stage: the worker for date {DATES[5]!r} ended without reporting"
     )
     manifest = json.loads((tmp_path / "killed" / "manifest.json").read_text())
     assert manifest["complete"] is False and manifest["error"] == str(err.value)
-    assert [f["name"] for f in manifest["files"]] == [
-        f"matrices/covariance_{date}.csv" for date in DATES[:5]
-    ]
+    listed = [f["name"] for f in manifest["files"]]
+    assert listed == [f"matrices/covariance_{date}.csv" for date in DATES[:5]]
+    on_disk = sorted(set(bundle_bytes(tmp_path / "killed")) - {"manifest.json"})
+    assert on_disk == listed
 
 
 @forking
 def test_interrupt_kills_and_reaps_the_workers(tmp_path, monkeypatch):
-    """An interrupt in this process while the children still run kills them
-    at once, rather than waiting for their chunks."""
+    """An interrupt in this process while it waits for a child's date (here
+    from SIGALRM, one second in) kills every child at once, rather than
+    waiting for their dates."""
     parent = os.getpid()
 
     def stalled(returns, kernel, j):
         if os.getpid() != parent:
             time.sleep(60)
-        elif returns.dates[j] == DATES[2]:
-            raise KeyboardInterrupt
         return covariance_at(returns, kernel, j)
+
+    def interrupt(signum, frame):
+        raise KeyboardInterrupt
 
     monkeypatch.setattr(workers, "_usable_cpus", lambda: 3)
     monkeypatch.setattr(runner, "covariance_at", stalled)
+    previous = signal.signal(signal.SIGALRM, interrupt)
     start = time.monotonic()
-    with pytest.raises(KeyboardInterrupt):
-        run_analysis(run_config(tmp_path, "interrupted"))
+    try:
+        signal.setitimer(signal.ITIMER_REAL, 1.0)
+        with pytest.raises(KeyboardInterrupt):
+            run_analysis(run_config(tmp_path, "interrupted"))
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
     assert time.monotonic() - start < 30
     assert_no_child_left()
+
+
+LAGGED_SETTINGS = "analyses = lagged\nlagged.length = 8\nlagged.lags = 0,1,2,5\n"
+# 40 return dates, an 8-date window: 33 lagged dates, in 9 blocks of 4
+BLOCK_DATES = [make_business_dates(40)[-33:][lo : lo + 4] for lo in range(0, 33, 4)]
+
+
+@forking
+def test_lagged_blocks_identical_for_every_worker_count(tmp_path, monkeypatch):
+    """The lagged stage's blocks, with every series of projectors.ranks, are
+    dealt to the workers in turn, and the lagged correlation is the same
+    bytes on any number of them."""
+    log = tmp_path / "blocks.log"
+
+    def logged(returns, kernel, eval_dates):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()} {eval_dates[-1]}\n")
+        return weighted_windows(returns, kernel, eval_dates)
+
+    monkeypatch.setattr(runner, "BLOCK_BYTES", 4 * 8 * 12 * 8)
+    monkeypatch.setattr(runner, "weighted_windows", logged)
+    written = {}
+    for cpus in CPU_COUNTS:
+        log.write_text("")
+        out = run(tmp_path, monkeypatch, f"lagged-{cpus}", cpus, LAGGED_SETTINGS)
+        assert_no_child_left()
+        written[cpus] = (out / "lagged_correlation.csv").read_bytes()
+        by_pid = {}
+        for line in log.read_text().splitlines():
+            pid, last = line.split()
+            by_pid.setdefault(int(pid), []).append(last)
+        # each block's gather ends at its last date; this process then
+        # gathers the first and last max(lags) dates once more
+        workers_run = min(cpus, len(BLOCK_DATES))
+        ends = [block[-1] for block in BLOCK_DATES]
+        assert by_pid.pop(os.getpid()) == ends[::workers_run] + [ends[-1]], cpus
+        assert sorted(by_pid.values()) == sorted(
+            ends[w::workers_run] for w in range(1, workers_run)
+        ), cpus
+    assert b"projector_k3" in written[1]
+    assert all(got == written[1] for got in written.values())
+
+
+@forking
+def test_killed_lagged_worker_fails_the_run(tmp_path, monkeypatch):
+    """A lagged worker that dies without reporting its block fails the run
+    with an error naming the lagged stage and the block's dates, and an
+    incomplete manifest."""
+    parent = os.getpid()
+
+    def killed(returns, kernel, eval_dates):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return weighted_windows(returns, kernel, eval_dates)
+
+    monkeypatch.setattr(runner, "BLOCK_BYTES", 4 * 8 * 12 * 8)
+    monkeypatch.setattr(runner, "weighted_windows", killed)
+    monkeypatch.setattr(workers, "_usable_cpus", lambda: 2)
+    with pytest.raises(AnalysisError) as err:
+        run_analysis(run_config(tmp_path, "killed", LAGGED_SETTINGS))
+    assert_no_child_left()
+    # the child's first block is the second
+    first, last = BLOCK_DATES[1][0], BLOCK_DATES[1][-1]
+    assert str(err.value) == (
+        f"subspace: lagged stage: the worker for dates {first!r} to {last!r} "
+        "ended without reporting"
+    )
+    manifest = json.loads((tmp_path / "killed" / "manifest.json").read_text())
+    assert manifest["complete"] is False and manifest["error"] == str(err.value)
+    assert manifest["files"] == []
 
 
 ORPHAN_RUN = """
@@ -257,7 +348,7 @@ def running(pid):
 def test_workers_end_with_a_killed_run(tmp_path):
     """A run killed by SIGKILL, which no handler sees, leaves no worker
     running: a worker checks its parent before each date and leaves at once
-    when the parent is gone. Here its chunk of 6 dates would take 9 s more."""
+    when the parent is gone. Here its 5 dates would take 7.5 s."""
     cfg = tmp_path / "orphan.cfg"
     cfg.write_text(BASE_CFG + CONFIGS["covariance-csv-dump"]
                    + f"output.dir = {tmp_path / 'orphan'}\n")

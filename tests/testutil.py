@@ -77,12 +77,22 @@ def projector_series(series, k):
     return vk @ np.transpose(vk, (0, 2, 1))
 
 
+def fed_in_blocks(factors, lags, step):
+    """The lagged correlation of X_t = F_t F_t' from one ``LaggedSums`` fed
+    the (T, N, m) factor stack in blocks of ``step`` dates, each block's
+    partial given the max(lags) dates before it, as the lagged stage does."""
+    sums = LaggedSums(lags, len(factors))
+    for lo in range(0, len(factors), step):
+        carried = min(sums.reach, lo)
+        sums.merge(sums.partial(factors[lo - carried : lo + step], carried))
+    reach = sums.reach
+    return sums.rho(lambda: (factors[:reach], factors[len(factors) - reach :]), lambda: factors)
+
+
 def factor_lagged_correlation(factors, lags):
     """The lagged correlation of X_t = F_t F_t' from one ``LaggedSums`` fed
     the whole (T, N, m) factor stack."""
-    sums = LaggedSums(lags, len(factors))
-    sums.add(factors)
-    return sums.rho(lambda: factors)
+    return fed_in_blocks(factors, lags, len(factors))
 
 
 def random_symmetric(n, seed=0, scale=1.0):
