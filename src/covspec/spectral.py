@@ -19,7 +19,10 @@ and so bit for bit: ``_brent_root`` (``brentq``) finds the fit's c and
 inverts the fitted curve, and ``_bounded_minimum`` (``minimize_scalar`` with
 ``method="bounded"``) fits the M-P q. Importing ``scipy.optimize`` for these
 three calls would cost every covspec process about 0.24 s and 21 MB of peak
-resident memory (x86-64 Linux, SciPy 1.17).
+resident memory (x86-64 Linux, SciPy 1.17). For the same reason the
+tridiagonal route calls its four LAPACK routines (dsytrd, dsterf, dstemr,
+dormqr) through ``_lapack``, a ctypes binding to the OpenBLAS numpy's wheels
+bundle, not through ``scipy.linalg.lapack``; both return the same bits.
 """
 
 from __future__ import annotations
@@ -28,8 +31,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lapack
 
+from . import _lapack
 from .errors import (
     ContractViolationError,
     FitError,
@@ -226,29 +229,25 @@ def _tridiagonal_system(sym: np.ndarray, k: int):
     n = sym.shape[0]
     # Exactly symmetric, so the transpose is the same matrix in Fortran order:
     # dsytrd reduces a copy of it, and the blocked workspace is dsyevd's.
-    lwork = int(lapack.dsytrd_lwork(n, lower=1)[0])
-    c, d, e, tau, info = lapack.dsytrd(sym.T, lower=1, lwork=lwork)
+    c = sym.T.copy(order="F")
+    d, e, tau, info = _lapack.dsytrd(c)
     _check_info("dsytrd", info, n)
-    # dstemr takes e of length N (so does dsterf's wrapper at N = 1), and
-    # overwrites it; the last entry is not read.
-    e = np.append(e, 0.0)
-    values, info = lapack.dsterf(d, e[: max(n - 1, 1)])
+    # dsterf destroys its d and e, which dstemr reads next
+    values = d.copy()
+    info = _lapack.dsterf(values, e.copy())
     _check_info("dsterf", info, n)
-    values = np.ascontiguousarray(values[::-1])
+    values = values[::-1].copy()
     if not k:
         return values, None
-    _, _, z, info = lapack.dstemr(d, e, 2, 0.0, 0.0, n - k + 1, n)
-    if info != 0:
+    z = np.empty((n, k), order="F")
+    if _lapack.dstemr(d, e, n - k + 1, n, z) != 0:
         return values, None
-    z = z[:, :k]
-    if n > 1:
-        # Q = diag(1, H_1 ... H_{N-1}); the minimal workspace runs the
-        # unblocked product, faster than the blocked one for few columns
-        # (for k near N the blocked one is faster, but dstemr dominates).
-        rows, _, info = lapack.dormqr("L", "N", c[1:, :-1], tau, z[1:], lwork=k)
-        if info != 0:
-            return values, None
-        z[1:] = rows
+    # Q = diag(1, H_1 ... H_{N-1}): the reflectors' product on rows 2..N, in
+    # place; the minimal workspace runs the unblocked product, faster than the
+    # blocked one for few columns (for k near N the blocked one is faster, but
+    # dstemr dominates).
+    if n > 1 and _lapack.dormqr(c[1:, :-1], tau[:-1], z[1:]) != 0:
+        return values, None
     return values, z[:, ::-1]
 
 

@@ -29,16 +29,17 @@ lagged.lags = 0,1,5
 """
 
 # One product and one tridiagonal reduction large enough to run threaded, on
-# numpy's OpenBLAS and on SciPy's own, then the environment value and the
-# process's thread count (-1 where /proc/self/task does not exist).
+# numpy's OpenBLAS, which runs covspec's LAPACK calls too, then the
+# environment value and the process's thread count (-1 where /proc/self/task
+# does not exist).
 PROBE = """
 import os
 import covspec
 import numpy as np
-from scipy.linalg import lapack
+from covspec import _lapack
 a = np.ones((600, 600))
 a @ a
-lapack.dsytrd(a + np.eye(600), lower=1, lwork=600 * 32)
+_lapack.dsytrd(np.asfortranarray(a + np.eye(600)))
 task = "/proc/self/task"
 threads = len(os.listdir(task)) if os.path.isdir(task) else -1
 print(os.environ.get("OPENBLAS_NUM_THREADS", "unset"), threads)
@@ -76,8 +77,8 @@ def test_preset_thread_count_is_kept():
     value, threads = probe("2")
     assert value == "2"
     assert probe(None)[0] == "1"
-    # the probe sees BLAS threads where there are any (3 with numpy's and
-    # SciPy's OpenBLAS each on two), so one thread above is not vacuous.
+    # the probe sees BLAS threads where there are any (2 with OpenBLAS on
+    # two), so one thread above is not vacuous.
     # OpenBLAS takes no more threads than the CPUs this process may run on.
     if os.path.isdir("/proc/self/task") and usable_cpus() > 1:
         assert threads > 1

@@ -15,6 +15,7 @@ SCRIPT_ARGS = {
 }
 SOAK_ARGS = ["--values", "10000", "--seed", "3"]
 SOLVER_SOAK_ARGS = ["--problems", "300", "--seed", "3"]
+LAPACK_SOAK_ARGS = ["--matrices", "60", "--seed", "3"]
 
 
 def run_script(name, args):
@@ -34,7 +35,7 @@ def run_script(name, args):
 def test_scripts_run(tmp_path):
     scripts = sorted(p.name for p in (ROOT / "scripts").glob("*.py"))
     assert scripts == sorted([*SCRIPT_ARGS, "format_soak.py", "solver_soak.py",
-                              "code_lines.py"]), (
+                              "lapack_soak.py", "code_lines.py"]), (
         "give new scripts arguments"
     )
     for name, args in SCRIPT_ARGS.items():
@@ -54,6 +55,12 @@ def test_solver_soak_finds_no_mismatch():
     proc = run_script("solver_soak.py", SOLVER_SOAK_ARGS)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert proc.stdout == "seed 3: 300 problems, ports equal scipy\n"
+
+
+def test_lapack_soak_finds_no_mismatch():
+    proc = run_script("lapack_soak.py", LAPACK_SOAK_ARGS)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout == "seed 3: 60 matrices, binding equals scipy\n"
 
 
 # 9 code lines: the docstrings, the comment line and the blank lines are not

@@ -4,7 +4,7 @@ routines, against the routines themselves: ``_brent_root`` against
 "bounded")``. Each port must evaluate the same points and return the same
 bits, on the problems covspec poses (recorded from its own calls) and on
 edge cases, and raise NumericalError where SciPy raises. covspec itself
-loads no ``scipy.optimize`` module; these tests do."""
+loads no ``scipy`` module; these tests do."""
 
 import math
 import os
@@ -244,18 +244,18 @@ def test_a_failed_search_names_the_stage(tmp_path, monkeypatch):
 
 # ---------------------------------------------------------------- imports
 
-# A fresh interpreter: the modules of scipy.optimize that covspec's import,
-# then a run with the two fits and the curve inversion on, leave loaded.
+# A fresh interpreter: the scipy modules that covspec's import, then a run of
+# every analysis with the per-date matrices dumped, leave loaded.
 PROBE = """
 import sys
 import covspec
 
-def optimize():
-    return sorted(m for m in sys.modules if m.startswith("scipy.optimize"))
+def scipy():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 
-print(*optimize(), sep=",")
+print(*scipy(), sep=",")
 covspec.run_analysis(covspec.validate_config(sys.argv[1]))
-print(*optimize(), sep=",")
+print(*scipy(), sep=",")
 """
 
 CONFIG = """
@@ -270,10 +270,11 @@ analyses = spectrum,density,mp-compare,ansatz,projectors,fluctuation,lagged
 projectors.ranks = 1,3
 lagged.length = 8
 lagged.lags = 0,1,5
+output.dump_matrices = true
 """
 
 
-def test_covspec_loads_no_scipy_optimize(tmp_path):
+def test_covspec_loads_no_scipy(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(CONFIG + f"output.dir = {tmp_path / 'out'}\n")
     env = dict(os.environ)
@@ -282,6 +283,7 @@ def test_covspec_loads_no_scipy_optimize(tmp_path):
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "\n\n"
-    assert {"ansatz.json", "density_of_states.csv", "mp_compare.json"} <= set(
+    assert {"ansatz.json", "density_of_states.csv", "lagged_correlation.csv", "matrices",
+            "mean_projector_spectrum.csv", "mp_compare.json"} <= set(
         os.listdir(tmp_path / "out")
     )

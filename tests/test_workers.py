@@ -405,11 +405,10 @@ def test_worker_count(monkeypatch):
 
 def test_import_loads_no_process_pool():
     """A fresh ``import covspec`` loads no multiprocessing or
-    concurrent.futures module beyond what numpy and SciPy's LAPACK wrappers
-    load themselves."""
+    concurrent.futures module beyond what numpy loads itself."""
     probe = """
 import sys
-import numpy, scipy.linalg.lapack
+import numpy
 before = set(sys.modules)
 import covspec
 print(*sorted(set(sys.modules) - before))
