@@ -11,7 +11,7 @@ whatever the kernel, so no date carries rounding error over from another;
 numpy forms W W' by syrk, so each matrix is exactly symmetric.
 ``covariance_at`` and ``correlation_of`` give one date's matrices, which the
 runner's main stage reads one date at a time; ``weighted_windows`` stacks
-the windows W of a block of dates for the lagged stage. This module writes
+the windows W of a chunk of dates for the lagged stage. This module writes
 no files: the bundle writer (``bundle._BundleWriter``) dumps the matrices.
 """
 
@@ -72,11 +72,13 @@ def covariance_at(returns: ReturnPanel, kernel: WeightKernel, j: int) -> np.ndar
     return w @ w.T
 
 
-def weighted_windows(returns: ReturnPanel, kernel: WeightKernel, eval_dates=None):
-    """The dates and the (T, N, L) stack of weighted return windows
-    W = r * sqrt(lambda), whose products W W' are ``covariance_at``."""
+def weighted_windows(returns: ReturnPanel, kernel: WeightKernel, idx=None):
+    """The dates at the panel indices ``idx``, as ``resolve_eval_indices``
+    gives them (None: every feasible date), and the (T, N, L) stack of their
+    weighted return windows W = r * sqrt(lambda), whose products W W' are
+    ``covariance_at``."""
     root = _root_weights(kernel)
-    idx = np.array(resolve_eval_indices(returns, kernel, eval_dates))
+    idx = np.asarray(resolve_eval_indices(returns, kernel, None) if idx is None else idx)
     windows = np.lib.stride_tricks.sliding_window_view(returns.returns.T, kernel.length, axis=0)
     windows = windows[idx - kernel.length + 1]  # one gathered copy, scaled in place
     windows *= root

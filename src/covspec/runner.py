@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import workers
+from . import subspace, workers
 from .bundle import _BundleWriter, _json_cell, _series_lines, _write_text
 from .config import RunConfig
 from .ensembles import generate_returns
@@ -71,15 +71,14 @@ from .subspace import (
 
 logger = logging.getLogger(__name__)
 
-# The lagged stage runs over blocks of dates holding at most this many bytes
-# of N x L return windows, so no (T,N,L) window stack is built: a worker
-# holds one block, and the run N x N running sums per lagged series, however
-# many dates are evaluated. Smaller blocks lower the peak further: at 2 MiB,
-# peak RSS fell from 85 to 73 MB on csv-dump and from 93 to 80 MB on
-# longmem-full. But csv-dump's 600 lagged dates, one block here, then fork
-# into four, each gathering the 42 dates before it again, and its CPU time
-# rose by about 4% (2-vCPU x86-64 host, BENCH_23.json). The main stage runs
-# one date at a time.
+# The lagged stage deals its dates to the workers in blocks of as many dates
+# as this many bytes of N x L return windows would hold. The blocks fix the
+# order of the sums, and so the bytes, whatever the number of workers; each
+# re-gathers the max(lags) dates before it. A block is never held whole: a
+# worker walks it in chunks of ``subspace.CHUNK_BYTES``, holding one chunk
+# and the factors of the max(lags) dates before it, and the run N x N sums
+# per lagged series, however long the block and however many dates are
+# evaluated. The main stage runs one date at a time.
 BLOCK_BYTES = 8 * 2**20
 
 
@@ -231,20 +230,22 @@ def _projector_files(writer, spectra, config) -> None:
         writer.write_table("fluctuation_index", ["k", "gamma", "gamma_max", "ratio"], rows)
 
 
-def _lagged_dates(returns, config, eval_dates) -> tuple[str, ...]:
-    """The lagged stage's dates, with the lags checked against their count."""
+def _lagged_dates(returns, config, eval_dates) -> np.ndarray:
+    """The panel indices of the lagged stage's dates, with the lags checked
+    against their count."""
     compact = build_kernel("rectangular", config.lagged_length)
-    idx = resolve_eval_indices(returns, compact, eval_dates)
+    idx = np.array(resolve_eval_indices(returns, compact, eval_dates))
     checked_lags(config.lags, len(idx))
-    return tuple(returns.dates[j] for j in idx)
+    return idx
 
 
-def _series_factors(returns, compact, dates, ranks):
-    """(name, (b, N, m) factors) of each lagged series at ``dates``, in
-    order. The windows are gathered once and read for the covariance and the
-    projector vectors, then scaled to unit rows in place for the correlation,
-    so each series' factors must be read before the next is drawn."""
-    dates, windows = weighted_windows(returns, compact, dates)
+def _series_factors(returns, compact, idx, ranks):
+    """(name, (b, N, m) factors) of each lagged series at the panel indices
+    ``idx``, in order. The windows are gathered once and read for the
+    covariance and the projector vectors, then scaled to unit rows in place
+    for the correlation, so each series' factors must be read before the
+    next is drawn."""
+    dates, windows = weighted_windows(returns, compact, idx)
     vectors = window_vectors(windows, max(ranks)) if ranks else None
     yield "covariance", windows
     yield "correlation", unit_rows(windows, dates, returns.asset_ids)
@@ -252,15 +253,26 @@ def _series_factors(returns, compact, dates, ranks):
         yield f"projector_k{k}", vectors[:, :, :k]
 
 
-def _lagged_file(writer, returns, config, dates) -> None:
-    """The lagged correlation of every lagged series, from running sums over
-    blocks of dates. The blocks run as the items of ``workers._forked``: each
-    gathers its windows with those of the max(lags) dates before it, which
-    its pairs across the block's start read, and sends back its
-    ``LaggedSums.partial`` per series; the partials are merged in block
-    order, so the bytes do not depend on the number of workers. The factors
-    of the first and last max(lags) dates, which the with-mean terms read,
-    are rebuilt here."""
+def _last_dates(earlier, factors, count):
+    """A copy of the factors of the last ``count`` dates of ``earlier``
+    (None for none) followed by ``factors``."""
+    if earlier is None or len(factors) >= count:
+        return factors[max(0, len(factors) - count) :].copy()
+    return np.concatenate((earlier[max(0, len(earlier) + len(factors) - count) :], factors))
+
+
+def _lagged_file(writer, returns, config, idx) -> None:
+    """The lagged correlation of every lagged series at the panel indices
+    ``idx``, from running sums over blocks of dates. The blocks run as the
+    items of ``workers._forked``, and each walks its dates in chunks: it
+    gathers the chunk's windows, forms its factors, takes their terms with
+    ``LaggedSums.partial``, given the factors of the max(lags) dates before
+    the chunk, which its pairs across its start read, and keeps only those.
+    A block starts by walking the max(lags) dates before it for their
+    factors alone; it sends back its terms per series, and the terms are
+    merged in block order, so the bytes do not depend on the number of
+    workers. The factors of the first and last max(lags) dates, which the
+    with-mean terms read, are rebuilt here."""
     compact = build_kernel("rectangular", config.lagged_length)
     n, length = returns.n_assets, compact.length
     # A window of L dates spans at most L directions, so ranks above L get no
@@ -268,17 +280,29 @@ def _lagged_file(writer, returns, config, dates) -> None:
     # identity at every date, a constant series.
     ranks = [k for k in config.projector_ranks if k <= length and k < n]
     names = ["covariance", "correlation", *(f"projector_k{k}" for k in ranks)]
-    sums = {name: LaggedSums(config.lags, len(dates)) for name in names}
+    sums = {name: LaggedSums(config.lags, len(idx)) for name in names}
     reach = max(config.lags)
     # bounds both the windows and the L x L grams of the sums
-    step = max(1, BLOCK_BYTES // (8 * length * max(n, length)))
+    date_bytes = 8 * length * max(n, length)
+    step = max(1, BLOCK_BYTES // date_bytes)
+    chunk = max(1, subspace.CHUNK_BYTES // date_bytes)
+    dates = [returns.dates[j] for j in idx]
     blocks = [dates[lo : lo + step] for lo in range(0, len(dates), step)]
 
     def run_block(b):
-        lo = b * step
-        carried = min(reach, lo)
-        factors = _series_factors(returns, compact, dates[lo - carried : lo + step], ranks)
-        return [sums[name].partial(f, carried) for name, f in factors]
+        lo, hi = b * step, min(b * step + step, len(idx))
+        carry = dict.fromkeys(names)  # factors of the last max(lags) dates walked
+        parts = dict.fromkeys(names)
+        # the dates before the block, for their factors alone, then its own
+        for first, last in ((lo - min(reach, lo), lo), (lo, hi)):
+            for start in range(first, last, chunk):
+                chunk_idx = idx[start : min(start + chunk, last)]
+                for name, f in _series_factors(returns, compact, chunk_idx, ranks):
+                    if first == lo:
+                        part = sums[name].partial(f, carry[name])
+                        parts[name] = part if parts[name] is None else parts[name].then(part)
+                    carry[name] = _last_dates(carry[name], f, reach)
+        return [parts[name] for name in names]
 
     def merge(b, parts):
         for name, part in zip(names, parts):
@@ -290,12 +314,13 @@ def _lagged_file(writer, returns, config, dates) -> None:
     def ends():
         """Each series' factors at the first and at the last max(lags) dates,
         gathered once, when a series first reads them."""
-        edge = _series_factors(returns, compact, dates[:reach] + dates[len(dates) - reach :], ranks)
+        edge_idx = np.concatenate((idx[:reach], idx[len(idx) - reach :]))
+        edge = _series_factors(returns, compact, edge_idx, ranks)
         return {s: (f[:reach].copy(), f[reach:].copy()) for s, f in edge}
 
     def stack(name):
         """The (T, N, m) factors of one series, built only for a near-static one."""
-        windows = weighted_windows(returns, compact, dates)[1]
+        windows = weighted_windows(returns, compact, idx)[1]
         if name == "covariance":
             return windows
         if name == "correlation":

@@ -22,6 +22,14 @@ from .spectral import eigenvalues
 # 0.9 down to 3e-5); below this g, where that passes 3e-13, the stack is used.
 GRAM_MIN_GAMMA = 1e-3
 LAGGED_KERNEL_LENGTH = 21
+# Sums over dates of per-date N x m factors run over chunks of dates holding
+# at most this many bytes of factors, so no copy of a whole stack is made:
+# the mean projector's, and each lagged block's walk over its N x L windows
+# (``runner._lagged_file``). Up to 1 MiB the chunk does not set the lagged
+# stage's traced peak: 4.1 MB on csv-dump and 6.7 MB on longmem-full at
+# 256 KiB, 512 KiB and 1 MiB alike, against 6.1 and 8.7 MB at 2 MiB; smaller
+# chunks only add calls (2-vCPU x86-64 host, one worker).
+CHUNK_BYTES = 2**20
 
 
 @dataclass(frozen=True)
@@ -64,23 +72,30 @@ def _outer_stack(factors: np.ndarray) -> np.ndarray:
     return factors @ np.transpose(factors, (0, 2, 1))
 
 
-def _side_by_side(vk: np.ndarray) -> np.ndarray:
-    """The (T, N, k) stack as one N x (T k) matrix [V_1 V_2 ... V_T]."""
-    return np.transpose(vk, (1, 0, 2)).reshape(vk.shape[1], -1)
+def _outer_sum(factors: np.ndarray) -> np.ndarray:
+    """sum_t F_t F_t' of a (b, N, m) stack, as one product Y Y' with
+    Y = [F_1 ... F_b], a copy of the stack dropped on return; exactly
+    symmetric, since numpy takes Y Y' to syrk."""
+    y = np.transpose(factors, (1, 0, 2)).reshape(factors.shape[1], -1)
+    return y @ y.T
 
 
 def mean_projector(series, k: int) -> MeanProjector:
     """Arithmetic time average of the per-date rank-k projectors.
 
-    sum_t V_t V_t' is one product Y Y' with Y = [V_1 ... V_T], so no
-    per-date projector is formed.
+    sum_t V_t V_t' is a sum of products Y Y' with Y = [V_s ... V_u] over
+    fixed chunks of dates of at most CHUNK_BYTES, added in date order, so
+    no per-date projector and no copy of the whole stack is formed.
     """
     vk = _leading_vectors(series, k)
-    t_len = vk.shape[0]
+    t_len, n = vk.shape[:2]
     if t_len < 1:
         raise ParameterError("empty spectrum series")
-    y = _side_by_side(vk)
-    return MeanProjector(k, (y @ y.T) / t_len, t_len)  # Y Y' by syrk: exactly symmetric
+    step = max(1, CHUNK_BYTES // (8 * n * k))
+    total = np.zeros((n, n))
+    for lo in range(0, t_len, step):
+        total += _outer_sum(vk[lo : lo + step])  # exactly symmetric, as each term is
+    return MeanProjector(k, total / t_len, t_len)
 
 
 def projector_spectrum(mp: MeanProjector) -> np.ndarray:
@@ -155,13 +170,23 @@ def _with_mean(factors: np.ndarray, mean: np.ndarray) -> np.ndarray:
 
 
 class LaggedPartial(NamedTuple):
-    """One block's terms of ``LaggedSums``, from ``LaggedSums.partial``."""
+    """The terms of ``LaggedSums`` of a run of consecutive dates, from
+    ``LaggedSums.partial``."""
 
-    carried: int  # dates before the block whose factors it was given
-    total: np.ndarray  # sum over the block's dates of X_t
-    own: np.ndarray  # tr(X_t^2) per date of the block
-    within: np.ndarray  # per lag, sum of tr(X_t X_{t+tau}) over pairs inside the block
-    across: np.ndarray  # per lag, the same over pairs whose earlier date precedes it
+    carried: int  # dates before the run whose factors it was given
+    total: np.ndarray  # sum over the run's dates of X_t
+    own: np.ndarray  # tr(X_t^2) per date of the run
+    cross: np.ndarray  # per lag, sum of tr(X_t X_{t+tau}) over pairs whose later date is in it
+
+    def then(self, later: "LaggedPartial") -> "LaggedPartial":
+        """The terms of this run followed by those of the ``later`` one,
+        which starts at the date after it."""
+        return LaggedPartial(
+            self.carried,
+            self.total + later.total,
+            np.concatenate((self.own, later.own)),
+            self.cross + later.cross,
+        )
 
 
 class LaggedSums:
@@ -169,10 +194,11 @@ class LaggedSums:
     over T dates whose (T, N, m) factors come in blocks, by
     tr(X_t X_s) = ||F_t' F_s||_F^2 and tr(X_t M) = tr(F_t' M F_t).
 
-    Each block's terms come from ``partial``, which reads nothing but the
-    lags, so any process can run it; ``merge`` adds them in date order, one
-    block after another. Kept: S = sum_t X_t, tr(X_t^2) per date and
-    sum_t tr(X_t X_{t+tau}) per lag. With M = S / T the with-mean terms
+    The terms of each run of dates come from ``partial``, which reads
+    nothing but the lags, so any process can run it; ``LaggedPartial.then``
+    joins those of consecutive runs, and ``merge`` adds them in date order,
+    one block of dates after another. Kept: S = sum_t X_t, tr(X_t^2) per
+    date and sum_t tr(X_t X_{t+tau}) per lag. With M = S / T the with-mean terms
     follow from sum_t tr(X_t M) = T tr(M^2) minus the first and last
     max(lags) dates a lag leaves out, whose factors ``rho`` is given.
     """
@@ -186,31 +212,30 @@ class LaggedSums:
         self.own: list[np.ndarray] = []
         self.cross = np.zeros(len(self.lags))
 
-    def partial(self, factors, carried: int = 0) -> LaggedPartial:
-        """The terms of one block of dates from its (carried + b, N, m)
-        factors: those of the ``carried`` dates before the block, min(max(lags),
-        dates before it), then those of its own b dates."""
+    def partial(self, factors, earlier=None) -> LaggedPartial:
+        """The terms of a run of b consecutive dates from their (b, N, m)
+        factors, given as ``earlier`` the factors of the min(max(lags), dates
+        before the run) dates just before it (None for none), which its
+        pairs across its start read."""
         f = np.asarray(factors, dtype=float)
         if f.ndim != 3:
             raise ParameterError(f"expected a (T,N,m) factor stack, got {f.shape}")
-        earlier, f = f[:carried], f[carried:]
-        y = _side_by_side(f)
-        total = y @ y.T  # exactly symmetric: numpy takes Y Y' to syrk
-        del y
-        within, across = np.zeros(len(self.lags)), np.zeros(len(self.lags))
+        earlier = f[:0] if earlier is None else np.asarray(earlier, dtype=float)
+        carried = len(earlier)
+        cross = np.zeros(len(self.lags))
         for i, lag in enumerate(self.lags):
             if lag == 0:
                 continue
             if lag < len(f):
-                within[i] = _overlaps(f[:-lag], f[lag:]).sum()
+                cross[i] = _overlaps(f[:-lag], f[lag:]).sum()
             lo, hi = max(0, lag - carried), min(lag, len(f))
             if lo < hi:
                 pairs = earlier[carried + lo - lag : carried + hi - lag], f[lo:hi]
-                across[i] = _overlaps(*pairs).sum()
-        return LaggedPartial(carried, total, _overlaps(f, f), within, across)
+                cross[i] += _overlaps(*pairs).sum()
+        return LaggedPartial(carried, _outer_sum(f), _overlaps(f, f), cross)
 
     def merge(self, part: LaggedPartial) -> None:
-        """Add the terms of the next block of dates."""
+        """Add the terms of the next run of dates."""
         if self.seen + len(part.own) > self.t_len:
             raise ParameterError(f"more than {self.t_len} dates fed")
         if part.carried != min(self.reach, self.seen):
@@ -222,8 +247,7 @@ class LaggedSums:
             self.total = np.zeros_like(part.total)
         self.total += part.total
         self.own.append(part.own)
-        self.cross += part.within
-        self.cross += part.across
+        self.cross += part.cross
         self.seen += len(part.own)
 
     def rho(self, ends, stack) -> np.ndarray:

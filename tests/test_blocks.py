@@ -1,10 +1,11 @@
 """The main stage runs one date at a time, in date order, and the lagged
-stage over blocks of dates (``runner.BLOCK_BYTES``): every output byte of the
-main stage is the same whatever the block size, the lagged rho moves by
-rounding only, and a fault at a later date fails the run with the same error
-whatever the block size. Tests that count calls through a function patched
-into the runner pin the main stage to one worker (``one_worker``), whose
-dates all run in this process."""
+stage over blocks of dates (``runner.BLOCK_BYTES``), each walked in chunks
+(``subspace.CHUNK_BYTES``): every output byte of the main stage is the same
+whatever the block size, the lagged rho moves by rounding only, and a fault
+at a later date fails the run with the same error whatever the block size.
+Tests that count calls through a function patched into the runner pin the
+main stage to one worker (``one_worker``), whose dates all run in this
+process."""
 
 import json
 
@@ -194,21 +195,27 @@ LAGGED_BLOCKINGS = {1: 33, 4: 9, 30: 2, None: 1}
 REACH = 25  # max(lagged.lags)
 
 
-def block_gathers(per_block):
-    """The dates of each block's gather: its own, after the REACH dates
-    before it (fewer at the start), which its pairs across its start read."""
-    return [min(per_block, 33 - lo) + min(REACH, lo) for lo in range(0, 33, per_block)]
+def block_gathers(per_block, per_chunk=33):
+    """The dates of each window gather of a lagged run in blocks of
+    ``per_block`` dates walked in chunks of ``per_chunk``: each block walks
+    the REACH dates before it (fewer at the start), which its pairs across
+    its start read, then its own."""
+    gathers = []
+    for lo in range(0, 33, per_block):
+        for start, end in ((lo - min(REACH, lo), lo), (lo, min(lo + per_block, 33))):
+            gathers += [min(per_chunk, end - a) for a in range(start, end, per_chunk)]
+    return gathers
 
 
 def lagged_rows(tmp_path, monkeypatch, name, per_block, text=LAGGED_CFG):
     """The (series, lag, rho) rows of a lagged run in blocks of ``per_block``
-    dates, and the number of dates of each window gather, in order; the
+    dates, and the panel indices of each window gather, in order; the
     blocks run in this process (``one_worker``)."""
     gathered = []
 
-    def counted(returns, kernel, eval_dates):
-        gathered.append(len(eval_dates))
-        return weighted_windows(returns, kernel, eval_dates)
+    def counted(returns, kernel, idx):
+        gathered.append(list(idx))
+        return weighted_windows(returns, kernel, idx)
 
     out = tmp_path / name
     cfg = tmp_path / f"{name}.cfg"
@@ -225,20 +232,47 @@ def lagged_rows(tmp_path, monkeypatch, name, per_block, text=LAGGED_CFG):
 
 def test_lagged_rho_agrees_for_every_block_size(tmp_path, monkeypatch, one_worker):
     """Blocks shorter and longer than the lags: pairs across a block edge
-    come from the factors of the dates before the block, gathered with it.
+    come from the factors of the dates before the block, walked with it.
     The first and last REACH dates are gathered once more, for the terms
     with the mean."""
     results = {}
     for per_block, n_blocks in LAGGED_BLOCKINGS.items():
         rows, gathered = lagged_rows(tmp_path, monkeypatch, f"lagged-{per_block}", per_block)
-        assert gathered == block_gathers(per_block or 33) + [2 * REACH], per_block
-        assert len(gathered) == n_blocks + 1
+        sizes = [len(g) for g in gathered]
+        assert sizes == block_gathers(per_block or 33) + [2 * REACH], per_block
+        # each block after the first walks the dates before it, each block
+        # its own, then the ends
+        assert len(gathered) == 2 * n_blocks
         results[per_block] = rows
     reference = results.pop(None)
     assert {label for label, _, _ in reference} == {
         "covariance", "correlation", "projector_k1", "projector_k3"
     }
     for per_block, rows in results.items():
+        assert [row[:2] for row in rows] == [row[:2] for row in reference]
+        err = max(abs(a[2] - b[2]) for a, b in zip(rows, reference))
+        assert err <= 1e-12, per_block
+
+
+def test_lagged_blocks_gather_each_date_once(tmp_path, monkeypatch, one_worker):
+    """Each block walks its dates in chunks, here of 3 dates, fewer than
+    REACH, so the factors carried into a chunk span several chunks before
+    it. Every date of a block is gathered once, in date order, and only the
+    REACH dates before a block's start once more, as its first walk; rho
+    agrees with one chunk per block."""
+    first = 40 - 33  # the panel index of the first lagged date
+    reference, _ = lagged_rows(tmp_path, monkeypatch, "one-chunk", None)
+    for per_block in (4, 30, None):
+        with monkeypatch.context() as patch:
+            patch.setattr(subspace, "CHUNK_BYTES", 3 * WINDOW_BYTES)
+            rows, gathered = lagged_rows(tmp_path, monkeypatch, f"chunks-{per_block}", per_block)
+        *walks, edges = gathered
+        assert [len(g) for g in walks] == block_gathers(per_block or 33, 3), per_block
+        want = []
+        for lo in range(0, 33, per_block or 33):
+            want += range(first + lo - min(REACH, lo), first + min(lo + (per_block or 33), 33))
+        assert [j for g in walks for j in g] == want, per_block
+        assert edges == [*range(first, first + REACH), *range(40 - REACH, 40)]
         assert [row[:2] for row in rows] == [row[:2] for row in reference]
         err = max(abs(a[2] - b[2]) for a, b in zip(rows, reference))
         assert err <= 1e-12, per_block
@@ -251,7 +285,7 @@ def test_near_static_lagged_series_rebuild_their_stack(tmp_path, monkeypatch, on
     rows, gathered = lagged_rows(tmp_path, monkeypatch, "static", 4)
     # 9 blocks, then one whole stack per series, and no gather of the first
     # and last dates, which only the terms with the mean read
-    assert gathered == block_gathers(4) + [33] * 4
+    assert [len(g) for g in gathered] == block_gathers(4) + [33] * 4
     config = validate_config(str(tmp_path / "static.cfg"))
     returns = generate_returns(config.ensemble)
     compact = build_kernel("rectangular", config.lagged_length)

@@ -7,15 +7,18 @@ in anonymous shared memory (``workers._shared_array``), outside tracemalloc:
 the traced peaks here are the per-date temporaries and what grows with the
 number of dates besides them, and the result arrays are checked by their
 shapes and nbytes. Projector statistics read only the (T,N,k) leading
-vectors and never hold a (T,N,N) stack. The lagged stage gathers its
-(T,N,L) return windows one block of dates at a time (``runner.BLOCK_BYTES``),
-feeds them to running sums and drops them, so its peak does not grow with
-the number of dates and stays below one window stack.
+vectors, sum them over chunks of dates (``subspace.CHUNK_BYTES``), and hold
+neither a (T,N,N) stack nor a copy of the (T,N,k) one. The lagged stage
+deals its dates in blocks (``runner.BLOCK_BYTES``), and each block walks its
+(T,N,L) return windows in chunks of ``subspace.CHUNK_BYTES``, feeding them to
+running sums and dropping them, so its peak grows neither with the number of
+dates nor with the block, and stays below one window stack.
 """
 
 import tracemalloc
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from covspec import (
@@ -29,6 +32,7 @@ from covspec import (
 from covspec.config import config_from_mapping
 from covspec.moments import weighted_windows
 from covspec.spectral import window_vectors
+from covspec.subspace import mean_projector
 from testutil import factor_lagged_correlation
 
 N_ASSETS = 60
@@ -113,6 +117,15 @@ def test_lagged_projector_path_holds_no_projector_stack(panel_and_kernel):
     assert peak < 0.5 * stack_bytes
 
 
+def test_mean_projector_holds_no_copy_of_the_vectors():
+    t_len, n, k = 3000, 60, 5
+    vectors = np.random.default_rng(7).standard_normal((t_len, n, k))
+    peak, mp = peak_added_bytes(lambda: mean_projector(vectors, k))
+    assert mp.sample_count == t_len
+    # one chunk's copy (CHUNK_BYTES, 1 MiB) and N x N sums, of a 7.2 MB stack
+    assert peak < 0.25 * vectors.nbytes
+
+
 class TableSink:
     """Stands in for the bundle writer; keeps the rows of each table."""
 
@@ -147,6 +160,15 @@ def test_lagged_stage_peaks_below_one_stack(monkeypatch):
     assert max(short, long) < 1.25 * min(short, long)
     assert short < short_stack
     assert long < long_stack
+
+
+def test_lagged_stage_peak_does_not_grow_with_the_block(monkeypatch):
+    monkeypatch.setattr(runner, "BLOCK_BYTES", 40 * 8 * 120 * 21)  # 40 dates
+    blocked, _ = lagged_stage_peak(1200)
+    monkeypatch.setattr(runner, "BLOCK_BYTES", 1200 * 8 * 120 * 21)  # one block
+    whole, _ = lagged_stage_peak(1200)
+    # a block is walked in chunks, however many dates it holds
+    assert whole < 1.25 * blocked
 
 
 def main_config(tmp_path, n_dates, n=80, length=100, **keys):

@@ -245,7 +245,9 @@ def test_window_products_match_covariance_and_correlation(scheme, kwargs):
     kernel = build_kernel(scheme, 60, **kwargs)
     eval_dates = panel.dates[80:120:3]
     series = covariances(panel, kernel, eval_dates)
-    dates, windows = weighted_windows(panel, kernel, eval_dates)
+    dates, windows = weighted_windows(
+        panel, kernel, resolve_eval_indices(panel, kernel, eval_dates)
+    )
     assert dates == series.dates
     assert windows.shape == (len(dates), 5, 60)
     assert np.array_equal(series.matrices, outer_products(windows))

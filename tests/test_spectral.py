@@ -26,7 +26,7 @@ from covspec import (
     spectral_density,
 )
 from covspec import _lapack, run_analysis, spectral, validate_config
-from covspec.moments import weighted_windows
+from covspec.moments import resolve_eval_indices, weighted_windows
 from covspec.spectral import window_vectors
 from covspec.errors import (
     AnalysisError,
@@ -390,7 +390,8 @@ def test_window_vectors_match_each_dates_covariance_eigenvectors():
     kernel = build_kernel("rectangular", 5)
     dates = returns.dates[10:20:3]
     series = covariance_stack(returns, kernel, dates)
-    vectors = window_vectors(weighted_windows(returns, kernel, dates)[1], 2)
+    idx = resolve_eval_indices(returns, kernel, dates)
+    vectors = window_vectors(weighted_windows(returns, kernel, idx)[1], 2)
     for t, mat in enumerate(series.matrices):
         reference = projector(eigendecompose(mat).vectors[:, :2])
         assert np.abs(projector(vectors[t]) - reference).max() < 1e-12

@@ -432,6 +432,6 @@ def test_sums_need_every_date():
     # the last block's pairs across its start need the date before it
     with pytest.raises(ContractViolationError, match="carries 0 earlier dates, not 1"):
         sums.merge(sums.partial(factors[-1:]))
-    sums.merge(sums.partial(factors[-2:], 1))
+    sums.merge(sums.partial(factors[-1:], factors[-2:-1]))
     with pytest.raises(ParameterError, match="more than 200 dates"):
         sums.merge(sums.partial(factors[:1]))

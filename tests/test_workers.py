@@ -252,10 +252,10 @@ def test_lagged_blocks_identical_for_every_worker_count(tmp_path, monkeypatch):
     bytes on any number of them."""
     log = tmp_path / "blocks.log"
 
-    def logged(returns, kernel, eval_dates):
+    def logged(returns, kernel, idx):
         with open(log, "a") as fh:
-            fh.write(f"{os.getpid()} {eval_dates[-1]}\n")
-        return weighted_windows(returns, kernel, eval_dates)
+            fh.write(f"{os.getpid()} {returns.dates[idx[-1]]}\n")
+        return weighted_windows(returns, kernel, idx)
 
     monkeypatch.setattr(runner, "BLOCK_BYTES", 4 * 8 * 12 * 8)
     monkeypatch.setattr(runner, "weighted_windows", logged)
@@ -269,14 +269,19 @@ def test_lagged_blocks_identical_for_every_worker_count(tmp_path, monkeypatch):
         for line in log.read_text().splitlines():
             pid, last = line.split()
             by_pid.setdefault(int(pid), []).append(last)
-        # each block's gather ends at its last date; this process then
-        # gathers the first and last max(lags) dates once more
+        # a block walks the max(lags) dates before it, a gather ending at
+        # the date before it, then its own dates, one chunk ending at its
+        # last date; this process then gathers the first and last max(lags)
+        # dates once more
         workers_run = min(cpus, len(BLOCK_DATES))
         ends = [block[-1] for block in BLOCK_DATES]
-        assert by_pid.pop(os.getpid()) == ends[::workers_run] + [ends[-1]], cpus
-        assert sorted(by_pid.values()) == sorted(
-            ends[w::workers_run] for w in range(1, workers_run)
-        ), cpus
+
+        def walks(w):
+            blocks = range(w, len(ends), workers_run)
+            return [d for b in blocks for d in ends[max(0, b - 1) : b + 1]]
+
+        assert by_pid.pop(os.getpid()) == walks(0) + [ends[-1]], cpus
+        assert sorted(by_pid.values()) == sorted(walks(w) for w in range(1, workers_run)), cpus
     assert b"projector_k3" in written[1]
     assert all(got == written[1] for got in written.values())
 
@@ -288,10 +293,10 @@ def test_killed_lagged_worker_fails_the_run(tmp_path, monkeypatch):
     incomplete manifest."""
     parent = os.getpid()
 
-    def killed(returns, kernel, eval_dates):
+    def killed(returns, kernel, idx):
         if os.getpid() != parent:
             os.kill(os.getpid(), signal.SIGKILL)
-        return weighted_windows(returns, kernel, eval_dates)
+        return weighted_windows(returns, kernel, idx)
 
     monkeypatch.setattr(runner, "BLOCK_BYTES", 4 * 8 * 12 * 8)
     monkeypatch.setattr(runner, "weighted_windows", killed)

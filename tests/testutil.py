@@ -84,7 +84,7 @@ def fed_in_blocks(factors, lags, step):
     sums = LaggedSums(lags, len(factors))
     for lo in range(0, len(factors), step):
         carried = min(sums.reach, lo)
-        sums.merge(sums.partial(factors[lo - carried : lo + step], carried))
+        sums.merge(sums.partial(factors[lo : lo + step], factors[lo - carried : lo]))
     reach = sums.reach
     return sums.rho(lambda: (factors[:reach], factors[len(factors) - reach :]), lambda: factors)
 
