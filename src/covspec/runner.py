@@ -8,10 +8,11 @@ is still written, marked incomplete.
 
 The main stage forms and solves each evaluation date's matrices. Its dates
 are independent, so they run as the items of ``workers._forked``, dealt to
-one worker per usable CPU, each date writing its rows of shared result
-arrays; a failure leaves the error and the files a one-worker run leaves.
-``rolling_spectra``, the library's route from returns to spectra, is this
-same stage. The lagged stage's blocks of dates run the same way.
+one worker per usable CPU, each date sending back its values, kept vectors
+and dump entry, which this process stores in date order; a failure leaves
+the error and the files a one-worker run leaves. ``rolling_spectra``, the
+library's route from returns to spectra, is this same stage. The lagged
+stage's blocks of dates run the same way.
 """
 
 from __future__ import annotations
@@ -71,25 +72,24 @@ from .subspace import (
 
 logger = logging.getLogger(__name__)
 
-# The lagged stage deals its dates to the workers in blocks of as many dates
-# as this many bytes of N x L return windows would hold. The blocks fix the
-# order of the sums, and so the bytes, whatever the number of workers; each
-# re-gathers the max(lags) dates before it. A block is never held whole: a
-# worker walks it in chunks of ``subspace.CHUNK_BYTES``, holding one chunk
-# and the factors of the max(lags) dates before it, and the run N x N sums
-# per lagged series, however long the block and however many dates are
-# evaluated. The main stage runs one date at a time.
-BLOCK_BYTES = 8 * 2**20
+# The lagged stage deals its dates to the workers in blocks of this many
+# dates. The blocks fix the order of the sums, and so the bytes, whatever
+# the number of workers; each re-gathers the max(lags) dates before it. A
+# block is never held whole: a worker walks it in chunks of
+# ``subspace.CHUNK_BYTES``, holding one chunk and the factors of the
+# max(lags) dates before it, and the run N x N sums per lagged series,
+# however long the block and however many dates are evaluated. The main
+# stage runs one date at a time.
+DATES_PER_BLOCK = 300
 
 
 @dataclass(frozen=True)
 class ReportBundle:
-    """Where a run wrote its outputs, and whether it finished."""
+    """Where a finished run wrote its outputs."""
 
     output_dir: str
     files: tuple[str, ...]
     manifest_path: str
-    complete: bool
 
 
 def _stage(name: str, fn):
@@ -282,10 +282,9 @@ def _lagged_file(writer, returns, config, idx) -> None:
     names = ["covariance", "correlation", *(f"projector_k{k}" for k in ranks)]
     sums = {name: LaggedSums(config.lags, len(idx)) for name in names}
     reach = max(config.lags)
+    step = DATES_PER_BLOCK
     # bounds both the windows and the L x L grams of the sums
-    date_bytes = 8 * length * max(n, length)
-    step = max(1, BLOCK_BYTES // date_bytes)
-    chunk = max(1, subspace.CHUNK_BYTES // date_bytes)
+    chunk = max(1, subspace.CHUNK_BYTES // (8 * length * max(n, length)))
     dates = [returns.dates[j] for j in idx]
     blocks = [dates[lo : lo + step] for lo in range(0, len(dates), step)]
 
@@ -344,59 +343,60 @@ def _solved(date, matrix, k):
         raise type(exc)(f"at date {date!r}: {exc}") from exc
 
 
-def _main_stage(
-    returns, kernel, idx, flavor, n_vectors=0, corr_apart=False, dump=None, solve=True
-):
+def _main_stage(returns, kernel, idx, solves, dump=None):
     """The main matrices at panel indices ``idx``, date by date: each date's
-    covariance W W' and, in correlation flavor or with ``corr_apart``, its
-    correlation are formed once, solved for the spectra read, and the
-    ``flavor`` one then dumped by the bundle writer ``dump`` if given, so a
-    date whose solve fails writes no dump. The dates run
-    as the items of ``workers._forked``, each writing its rows of the shared
-    result arrays; a failure raises as a one-worker run would, the error of
-    the earliest date as an AnalysisError naming its stage, with that run's
-    dumps: those of the dates before it registered, and every later one,
-    whichever worker wrote it, deleted.
-    Returns the ``flavor`` spectra with their top ``n_vectors`` vectors (None
-    with ``solve`` false) and the values alone of the correlation, solved
-    apart with ``corr_apart`` (else the ``flavor`` spectra)."""
+    covariance W W' and, where a solve or the dump reads it, its correlation
+    are formed once, the matrix of each flavor in ``solves`` solved for its
+    values and as many top vectors as ``solves`` maps it to, and then, with
+    ``dump`` a (bundle writer, flavor) pair, the matrix of that flavor
+    dumped, so a date whose solve fails writes no dump. The dates run as the
+    items of ``workers._forked``, each sending back its solves and its dump
+    entry, stored here in date order; a failure raises as a one-worker run
+    would, the error of the earliest date as an AnalysisError naming its
+    stage, with that run's dumps: those of the dates before it registered,
+    and every later one, whichever worker wrote it, deleted.
+    Returns the spectra of each flavor in ``solves``, keyed by it."""
     n = returns.n_assets
     dates = tuple(returns.dates[j] for j in idx)
-    values = workers._shared_array(len(dates), n) if solve else None
-    vectors = workers._shared_array(len(dates), n, n_vectors) if solve and n_vectors else None
-    corr_values = workers._shared_array(len(dates), n) if corr_apart else None
+    writer, dumped = dump or (None, None)
+    values = {f: np.empty((len(dates), n)) for f in solves}
+    vectors = {f: np.empty((len(dates), n, k)) for f, k in solves.items() if k}
+    entries = []  # the dump entries of the dates taken, in date order
 
     def run_date(t):
-        """Date t's matrices, solved and then dumped (the solves leave them
-        intact); returns the dump's entry, or None with no dump."""
+        """Date t's solves, then its dump (the solves leave the matrices
+        intact), and the dump's entry, or None with no dump."""
         date, j = dates[t], idx[t]
         cov = _stage("moments", lambda: covariance_at(returns, kernel, j))
-        if flavor == CORRELATION or corr_apart:
-            corr = _stage("moments", lambda: correlation_of(cov, date, returns.asset_ids))
-        base = corr if flavor == CORRELATION else cov
-        if solve:
-            values[t], kept = _stage("spectral", lambda: _solved(date, base, n_vectors))
-            if n_vectors:
-                vectors[t] = kept
-        if corr_apart:
-            corr_values[t] = _stage("spectral", lambda: _solved(date, corr, 0))[0]
-        return dump.write_matrix(flavor, date, base) if dump is not None else None
+        matrices = {COVARIANCE: cov}
+        if CORRELATION in (*solves, dumped):
+            matrices[CORRELATION] = _stage(
+                "moments", lambda: correlation_of(cov, date, returns.asset_ids)
+            )
+        systems = [
+            _stage("spectral", lambda: _solved(date, matrices[f], k)) for f, k in solves.items()
+        ]
+        return systems, writer.write_matrix(dumped, date, matrices[dumped]) if writer else None
 
-    entries = []  # the dump entries of the dates taken, in date order
+    def take(t, result):
+        systems, entry = result
+        for f, (row, kept) in zip(solves, systems):
+            values[f][t] = row
+            if kept is not None:
+                vectors[f][t] = kept
+        entries.append(entry)
+
     try:
-        workers._forked(
-            "main stage", [(d,) for d in dates], run_date, lambda t, entry: entries.append(entry)
-        )
+        workers._forked("main stage", [(d,) for d in dates], run_date, take)
     finally:
-        if dump is not None:
-            dump.files.extend(entries)
+        if writer is not None:
+            writer.files.extend(entries)
             # a failed run's dumps from the failing date on, written by
             # workers that ran ahead of it
             for date in dates[len(entries) :]:
                 with contextlib.suppress(FileNotFoundError):
-                    os.remove(os.path.join(dump.output_dir, dump.matrix_name(flavor, date)))
-    spectra = SpectrumSeries(dates, values, vectors) if solve else None
-    return spectra, SpectrumSeries(dates, corr_values) if corr_apart else spectra
+                    os.remove(os.path.join(writer.output_dir, writer.matrix_name(dumped, date)))
+    return {f: SpectrumSeries(dates, values[f], vectors.get(f)) for f in solves}
 
 
 def rolling_spectra(
@@ -421,7 +421,7 @@ def rolling_spectra(
     if not 0 <= n_vectors <= returns.n_assets:
         raise ParameterError(f"n_vectors={n_vectors} outside [0, {returns.n_assets}]")
     idx = resolve_eval_indices(returns, kernel, eval_dates)
-    return _main_stage(returns, kernel, idx, flavor, n_vectors)[0]
+    return _main_stage(returns, kernel, idx, {flavor: n_vectors})[flavor]
 
 
 def run_analysis(config: RunConfig) -> ReportBundle:
@@ -468,32 +468,32 @@ def run_analysis(config: RunConfig) -> ReportBundle:
         if "mp-compare" in analyses:
             mp_q = _stage("spectral", lambda: _mp_q(config, kernel, n))
 
-        readers = {"spectrum", "density", "ansatz", "projectors", "fluctuation"}
-        # mp-compare reads the main spectra in correlation flavor, its own otherwise.
-        if config.flavor == CORRELATION:
-            readers.add("mp-compare")
-        solve = bool(analyses & readers)
-        corr_apart = "mp-compare" in analyses and config.flavor != CORRELATION
-        spectra = corr_spectra = None
-        if solve or corr_apart or config.dump_matrices:
-            n_vectors = (
+        solves = {}  # the flavors whose spectra are read, with their kept vectors
+        if analyses & {"spectrum", "density", "ansatz", "projectors", "fluctuation"}:
+            solves[config.flavor] = (
                 max(config.projector_ranks) if analyses & {"projectors", "fluctuation"} else 0
             )
-            dump = writer if config.dump_matrices else None
-            spectra, corr_spectra = _main_stage(
-                returns, kernel, idx, config.flavor, n_vectors, corr_apart, dump, solve
-            )
+        if "mp-compare" in analyses:
+            # correlation spectra: the main ones in correlation flavor, else its own
+            solves.setdefault(CORRELATION, 0)
+        spectra = {}
+        if solves or config.dump_matrices:
+            dump = (writer, config.flavor) if config.dump_matrices else None
+            spectra = _main_stage(returns, kernel, idx, solves, dump)
+        main = spectra.get(config.flavor)
 
         if "spectrum" in analyses:
-            _stage("spectral", lambda: _spectrum_files(writer, spectra))
+            _stage("spectral", lambda: _spectrum_files(writer, main))
         if "density" in analyses:
-            _stage("spectral", lambda: _density_file(writer, spectra, config.flavor, config))
+            _stage("spectral", lambda: _density_file(writer, main, config.flavor, config))
         if "mp-compare" in analyses:
-            _stage("spectral", lambda: _mp_compare_file(writer, corr_spectra, *mp_q, config))
+            _stage(
+                "spectral", lambda: _mp_compare_file(writer, spectra[CORRELATION], *mp_q, config)
+            )
         if "ansatz" in analyses:
-            _stage("spectral", lambda: _ansatz_files(writer, spectra))
+            _stage("spectral", lambda: _ansatz_files(writer, main))
         if analyses & {"projectors", "fluctuation"}:
-            _stage("subspace", lambda: _projector_files(writer, spectra, config))
+            _stage("subspace", lambda: _projector_files(writer, main, config))
         if "lagged" in analyses:
             _stage("subspace", lambda: _lagged_file(writer, returns, config, lagged_dates))
     except Exception as exc:
@@ -502,7 +502,7 @@ def run_analysis(config: RunConfig) -> ReportBundle:
         raise
     files = tuple(sorted(name for name, _, _ in writer.files))
     manifest_path = writer.write_manifest(config, complete=True)
-    return ReportBundle(config.output_dir, files, manifest_path, True)
+    return ReportBundle(config.output_dir, files, manifest_path)
 
 
 def _previous_weekday(iso_date: str) -> str:

@@ -3,21 +3,16 @@
 ``_forked`` runs a stage's items (the main stage's dates, the lagged
 stage's blocks of dates) on one worker per usable CPU, dealt in turn: this
 process and children forked from it, each sending back its items' results
-as it goes, and writing any larger ones into rows of arrays held in
-anonymous shared memory (``_shared_array``). This process takes the results
-in item order. Every item runs the same code whatever the number of
-workers, so the results do not depend on it, and a failure raises what a
-one-worker run raises. No child outlives the run.
+through its pipe as it goes, the only way a result comes back. This process
+takes the results in item order. Every item runs the same code whatever the
+number of workers, so the results do not depend on it, and a failure raises
+what a one-worker run raises. No child outlives the run.
 """
 
-import math
-import mmap
 import os
 import pickle
 import signal
 import threading
-
-import numpy as np
 
 from .errors import NumericalError
 
@@ -51,13 +46,6 @@ def _worker_count(n_items: int) -> int:
     ):
         return 1
     return min(_usable_cpus(), n_items)
-
-
-def _shared_array(*shape: int) -> np.ndarray:
-    """A zeroed float array in anonymous shared memory: the rows a forked
-    worker writes are the rows its parent reads."""
-    count = math.prod(shape)
-    return np.frombuffer(mmap.mmap(-1, 8 * count), count=count).reshape(shape)
 
 
 def _end_if_orphaned(parent: int) -> None:
@@ -102,7 +90,6 @@ def _forked(stage: str, items, run_item, take) -> None:
     through its pipe as soon as it has it, and this process takes them in
     item order: no child runs ahead of the taking by more than one result
     beyond what its pipe buffers, so results do not pile up in any process.
-    Rows of arrays too large to send go to ``_shared_array``.
 
     A failure raises what a one-worker run raises, once every child is
     killed and reaped: the error of the earliest failing item, from its

@@ -1,5 +1,5 @@
 """The main stage runs one date at a time, in date order, and the lagged
-stage over blocks of dates (``runner.BLOCK_BYTES``), each walked in chunks
+stage over blocks of dates (``runner.DATES_PER_BLOCK``), each walked in chunks
 (``subspace.CHUNK_BYTES``): every output byte of the main stage is the same
 whatever the block size, the lagged rho moves by rounding only, and a fault
 at a later date fails the run with the same error whatever the block size.
@@ -32,7 +32,6 @@ from covspec.subspace import matrix_lagged_correlation
 from testutil import bundle_bytes
 
 N_ASSETS = 12
-MATRIX_BYTES = 8 * N_ASSETS**2
 
 # 40 return dates, a 30-date kernel: 11 evaluation dates
 BLOCKED_CFG = f"""
@@ -48,7 +47,7 @@ projectors.ranks = 1,3
 output.dump_matrices = true
 """
 
-# dates per block of the lagged stage (None: the default BLOCK_BYTES); the
+# dates per block of the lagged stage (None: the default DATES_PER_BLOCK); the
 # main stage runs one date at a time whatever the block size
 BLOCKINGS = (1, 3, None)
 
@@ -73,10 +72,9 @@ def test_bundles_identical_for_every_block_size(
         )
         with monkeypatch.context() as patch:
             if per_block is not None:
-                patch.setattr(runner, "BLOCK_BYTES", per_block * MATRIX_BYTES)
+                patch.setattr(runner, "DATES_PER_BLOCK", per_block)
             patch.setattr(runner, "covariance_at", counted)
-            bundle = run_analysis(validate_config(str(cfg)))
-        assert bundle.complete
+            run_analysis(validate_config(str(cfg)))
         # one covariance per evaluation date, formed once, in date order
         assert calls == list(make_business_dates(40)[-11:])
         bundles[per_block] = bundle_bytes(out)
@@ -125,7 +123,7 @@ def test_variance_floor_fault_in_a_later_block(tmp_path, monkeypatch):
         )
         with monkeypatch.context() as patch:
             if per_block is not None:
-                patch.setattr(runner, "BLOCK_BYTES", per_block * 8 * 3**2)
+                patch.setattr(runner, "DATES_PER_BLOCK", per_block)
             with pytest.raises(AnalysisError) as err:
                 run_analysis(validate_config(str(cfg)))
         errors[per_block] = str(err.value)
@@ -177,7 +175,7 @@ def test_mp_compare_alone_solves_only_the_spectra_it_reads(tmp_path, monkeypatch
         )
         with monkeypatch.context() as patch:
             patch.setattr(runner, "leading_system", counted)
-            assert run_analysis(validate_config(str(cfg))).complete
+            run_analysis(validate_config(str(cfg)))
         bundles[flavor, analyses] = bundle_bytes(out)
         if analyses == "mp-compare":
             assert solved == [("correlation", 0)] * 11, flavor
@@ -222,9 +220,9 @@ def lagged_rows(tmp_path, monkeypatch, name, per_block, text=LAGGED_CFG):
     cfg.write_text(text + f"output.dir = {out}\n")
     with monkeypatch.context() as patch:
         if per_block is not None:
-            patch.setattr(runner, "BLOCK_BYTES", per_block * WINDOW_BYTES)
+            patch.setattr(runner, "DATES_PER_BLOCK", per_block)
         patch.setattr(runner, "weighted_windows", counted)
-        assert run_analysis(validate_config(str(cfg))).complete
+        run_analysis(validate_config(str(cfg)))
     lines = (out / "lagged_correlation.csv").read_text().splitlines()[1:]
     rows = [line.split(",") for line in lines]
     return [(label, int(lag), float(rho)) for label, lag, rho in rows], gathered

@@ -1,18 +1,18 @@
 """Peak memory of the per-date loops, as a multiple of one (T,N,N) stack.
 
-The runner's main stage, which ``rolling_spectra`` runs too, forms, dumps
-and solves one date's N x N matrices at a time, writing each date's values
-and kept vectors into the (T,N) and (T,N,k) result arrays. Those arrays sit
-in anonymous shared memory (``workers._shared_array``), outside tracemalloc:
-the traced peaks here are the per-date temporaries and what grows with the
-number of dates besides them, and the result arrays are checked by their
-shapes and nbytes. Projector statistics read only the (T,N,k) leading
-vectors, sum them over chunks of dates (``subspace.CHUNK_BYTES``), and hold
-neither a (T,N,N) stack nor a copy of the (T,N,k) one. The lagged stage
-deals its dates in blocks (``runner.BLOCK_BYTES``), and each block walks its
-(T,N,L) return windows in chunks of ``subspace.CHUNK_BYTES``, feeding them to
-running sums and dropping them, so its peak grows neither with the number of
-dates nor with the block, and stays below one window stack.
+The runner's main stage, which ``rolling_spectra`` runs too, forms, solves
+and dumps one date's N x N matrices at a time. Each date's values and kept
+vectors come back through its worker's pipe into the (T,N) and (T,N,k)
+result arrays of this process, which tracemalloc traces with the rest: the
+peaks here are checked either beyond those arrays, whose shapes and nbytes
+are checked apart, or with their exact nbytes per date allowed for.
+Projector statistics read only the (T,N,k) leading vectors, sum them over
+chunks of dates (``subspace.CHUNK_BYTES``), and hold neither a (T,N,N)
+stack nor a copy of the (T,N,k) one. The lagged stage deals its dates in
+blocks (``runner.DATES_PER_BLOCK``), and each block walks its (T,N,L) return
+windows in chunks of ``subspace.CHUNK_BYTES``, feeding them to running sums
+and dropping them, so its peak grows neither with the number of dates nor
+with the block, and stays below one window stack.
 """
 
 import tracemalloc
@@ -33,7 +33,7 @@ from covspec.config import config_from_mapping
 from covspec.moments import weighted_windows
 from covspec.spectral import window_vectors
 from covspec.subspace import mean_projector
-from testutil import factor_lagged_correlation
+from testutil import TableSink, factor_lagged_correlation
 
 N_ASSETS = 60
 N_DATES = 300
@@ -67,11 +67,15 @@ STACK_BYTES = 8 * N_DATES * N_ASSETS**2
 
 
 def spectra_peak(panel_and_kernel, **options):
-    """Traced peak of one rolling_spectra call, with its result arrays checked."""
+    """Traced peak of one rolling_spectra call beyond its result arrays,
+    which are checked by their shapes and nbytes."""
     peak, spectra = peak_added_bytes(lambda: rolling_spectra(*panel_and_kernel, **options))
     assert spectra.values.shape == (N_DATES, N_ASSETS)
     assert spectra.values.nbytes == 8 * N_DATES * N_ASSETS
-    return peak, spectra
+    results = spectra.values.nbytes
+    if spectra.vectors is not None:
+        results += spectra.vectors.nbytes
+    return peak - results, spectra
 
 
 def test_direct_covariance_peaks_near_one_stack(panel_and_kernel):
@@ -126,16 +130,6 @@ def test_mean_projector_holds_no_copy_of_the_vectors():
     assert peak < 0.25 * vectors.nbytes
 
 
-class TableSink:
-    """Stands in for the bundle writer; keeps the rows of each table."""
-
-    def __init__(self):
-        self.tables = {}
-
-    def write_table(self, stem, header, rows):
-        self.tables[stem] = rows
-
-
 def lagged_stage_peak(n_dates, n=120, length=21):
     spec = EnsembleSpec("one-factor", n, length + n_dates - 1, beta=0.5, seed=4)
     returns = generate_returns(spec)
@@ -153,7 +147,7 @@ def lagged_stage_peak(n_dates, n=120, length=21):
 
 
 def test_lagged_stage_peaks_below_one_stack(monkeypatch):
-    monkeypatch.setattr(runner, "BLOCK_BYTES", 40 * 8 * 120 * 21)  # 40 dates
+    monkeypatch.setattr(runner, "DATES_PER_BLOCK", 40)
     short, short_stack = lagged_stage_peak(300)
     long, long_stack = lagged_stage_peak(1200)
     # one block of windows and the running sums, whatever the number of dates
@@ -163,9 +157,9 @@ def test_lagged_stage_peaks_below_one_stack(monkeypatch):
 
 
 def test_lagged_stage_peak_does_not_grow_with_the_block(monkeypatch):
-    monkeypatch.setattr(runner, "BLOCK_BYTES", 40 * 8 * 120 * 21)  # 40 dates
+    monkeypatch.setattr(runner, "DATES_PER_BLOCK", 40)
     blocked, _ = lagged_stage_peak(1200)
-    monkeypatch.setattr(runner, "BLOCK_BYTES", 1200 * 8 * 120 * 21)  # one block
+    monkeypatch.setattr(runner, "DATES_PER_BLOCK", 1200)  # one block
     whole, _ = lagged_stage_peak(1200)
     # a block is walked in chunks, however many dates it holds
     assert whole < 1.25 * blocked
@@ -191,8 +185,7 @@ def test_main_stage_holds_no_matrix_stack(tmp_path):
     config = main_config(
         tmp_path, n_dates, analyses="spectrum,density,ansatz,projectors,fluctuation"
     )
-    peak, bundle = peak_added_bytes(lambda: runner.run_analysis(config))
-    assert bundle.complete
+    peak, _ = peak_added_bytes(lambda: runner.run_analysis(config))
     assert peak < 0.25 * 8 * n_dates * n**2
 
 
@@ -214,17 +207,20 @@ def main_stage_peak(tmp_path, monkeypatch, n_dates):
 
     with monkeypatch.context() as patch:
         patch.setattr(runner, "_main_stage", traced)
-        assert runner.run_analysis(config).complete
+        runner.run_analysis(config)
     return peaks[0]
 
 
 def test_main_stage_peak_grows_only_by_values_and_vectors(tmp_path, monkeypatch):
-    # The main and the correlation values and 5 vectors of N = 80, 4480
-    # bytes per date, sit in the untraced result arrays. What is traced grows
-    # per date by the dump's registered (name, sha256, bytes) entry and the
-    # date, about 250 bytes on one worker and 100 on two (x86-64, CPython
-    # 3.11): 400 bounds it.
-    traced_per_date = 400
+    # Each date adds its rows of the result arrays: the main and the
+    # correlation values and 5 vectors of N = 80. Besides them, what is
+    # traced grows per date by the dump's registered (name, sha256, bytes)
+    # entry and the date, about 250 bytes on one worker and 100 on two
+    # (x86-64, CPython 3.11): 400 bounds it.
+    n, k = 80, 5
+    row_bytes = np.empty(n).nbytes * 2 + np.empty((n, k)).nbytes
+    assert row_bytes == 4480
+    traced_per_date = row_bytes + 400
     # built once and cached: the dump's cells and separators for N = 80, and
     # the CSV float kernel's table of powers of ten
     bundle._lower_triangle(80)

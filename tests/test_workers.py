@@ -1,7 +1,6 @@
 """The main stage's dates, and the lagged stage's blocks of dates, are dealt
 in turn to one worker per usable CPU: this process and forked children,
-which write their rows of shared result arrays and send back the rest, taken
-here in date order. The bundle bytes do not depend on the number of workers,
+which send back every result through their pipes, taken here in date order. The bundle bytes do not depend on the number of workers,
 a failure gives the error and the files of a one-worker run, and no child
 outlives the run. The worker count is set here through
 ``workers._usable_cpus``."""
@@ -14,12 +13,18 @@ import sys
 import threading
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from covspec import (
+    EnsembleSpec,
+    build_kernel,
     bundle,
+    generate_returns,
     make_business_dates,
+    rolling_spectra,
     run_analysis,
     runner,
     validate_config,
@@ -27,7 +32,7 @@ from covspec import (
 )
 from covspec.errors import AnalysisError, DegenerateAssetError, NumericalError
 from covspec.moments import correlation_of, covariance_at, weighted_windows
-from testutil import bundle_bytes
+from testutil import TableSink, bundle_bytes
 
 # 40 return dates, a 30-date kernel: 11 evaluation dates
 BASE_CFG = """
@@ -71,7 +76,7 @@ def run(tmp_path, monkeypatch, name, cpus, settings):
     """A run with ``cpus`` usable CPUs; returns its output directory."""
     with monkeypatch.context() as patch:
         patch.setattr(workers, "_usable_cpus", lambda: cpus)
-        assert run_analysis(run_config(tmp_path, name, settings)).complete
+        run_analysis(run_config(tmp_path, name, settings))
     return tmp_path / name
 
 
@@ -118,6 +123,27 @@ def test_bundles_identical_for_every_worker_count(tmp_path, monkeypatch, config)
         assert got.keys() == reference.keys(), cpus
         for name, data in reference.items():
             assert got[name] == data, (cpus, name)
+
+
+@forking
+@pytest.mark.parametrize("flavor", ["covariance", "correlation"])
+def test_library_spectra_identical_for_every_worker_count(monkeypatch, flavor):
+    """``rolling_spectra``'s values and kept vectors, sent back through the
+    workers' pipes, are the same bits on any number of workers."""
+    returns = generate_returns(EnsembleSpec("one-factor", 12, 40, beta=0.5, seed=5))
+    kernel = build_kernel("long-memory", 30)
+    spectra = {}
+    for cpus in CPU_COUNTS:
+        monkeypatch.setattr(workers, "_usable_cpus", lambda: cpus)
+        spectra[cpus] = rolling_spectra(returns, kernel, flavor, n_vectors=3)
+        assert_no_child_left()
+    reference = spectra.pop(1)
+    assert reference.dates == DATES
+    assert reference.vectors.shape == (len(DATES), 12, 3)
+    for cpus, got in spectra.items():
+        assert got.dates == reference.dates, cpus
+        assert np.array_equal(got.values, reference.values), cpus
+        assert np.array_equal(got.vectors, reference.vectors), cpus
 
 
 def failing_run(tmp_path, monkeypatch, name, cpus):
@@ -257,7 +283,7 @@ def test_lagged_blocks_identical_for_every_worker_count(tmp_path, monkeypatch):
             fh.write(f"{os.getpid()} {returns.dates[idx[-1]]}\n")
         return weighted_windows(returns, kernel, idx)
 
-    monkeypatch.setattr(runner, "BLOCK_BYTES", 4 * 8 * 12 * 8)
+    monkeypatch.setattr(runner, "DATES_PER_BLOCK", 4)
     monkeypatch.setattr(runner, "weighted_windows", logged)
     written = {}
     for cpus in CPU_COUNTS:
@@ -287,6 +313,33 @@ def test_lagged_blocks_identical_for_every_worker_count(tmp_path, monkeypatch):
 
 
 @forking
+def test_lagged_stage_of_600_dates_runs_on_two_workers(tmp_path, monkeypatch):
+    """600 lagged dates at N = 80, lags up to 42: the default blocks split
+    them in two, one per worker on two CPUs."""
+    n_dates, length = 600, 21
+    returns = generate_returns(EnsembleSpec("one-factor", 80, length + n_dates - 1, seed=4))
+    config = SimpleNamespace(
+        lagged_length=length, lags=(0, 1, 2, 5, 10, 21, 42), projector_ranks=(1, 3)
+    )
+    log = tmp_path / "blocks.log"
+
+    def logged(returns, kernel, idx):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return weighted_windows(returns, kernel, idx)
+
+    monkeypatch.setattr(workers, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(runner, "weighted_windows", logged)
+    dates = runner._lagged_dates(returns, config, None)
+    assert len(dates) == n_dates
+    sink = TableSink()
+    runner._lagged_file(sink, returns, config, dates)
+    assert_no_child_left()
+    assert len(set(log.read_text().split())) == 2
+    assert len(sink.tables["lagged_correlation"]) == 4 * len(config.lags)
+
+
+@forking
 def test_killed_lagged_worker_fails_the_run(tmp_path, monkeypatch):
     """A lagged worker that dies without reporting its block fails the run
     with an error naming the lagged stage and the block's dates, and an
@@ -298,7 +351,7 @@ def test_killed_lagged_worker_fails_the_run(tmp_path, monkeypatch):
             os.kill(os.getpid(), signal.SIGKILL)
         return weighted_windows(returns, kernel, idx)
 
-    monkeypatch.setattr(runner, "BLOCK_BYTES", 4 * 8 * 12 * 8)
+    monkeypatch.setattr(runner, "DATES_PER_BLOCK", 4)
     monkeypatch.setattr(runner, "weighted_windows", killed)
     monkeypatch.setattr(workers, "_usable_cpus", lambda: 2)
     with pytest.raises(AnalysisError) as err:

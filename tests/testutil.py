@@ -148,6 +148,16 @@ def synthesize_spectrum(a, b, eps_mid, n):
     return np.exp(np.log(eps_mid) + a * x / (1 - (2 * x / b) ** 4))
 
 
+class TableSink:
+    """Stands in for the bundle writer; keeps the rows of each table."""
+
+    def __init__(self):
+        self.tables = {}
+
+    def write_table(self, stem, header, rows):
+        self.tables[stem] = rows
+
+
 def bundle_bytes(directory):
     """Every file under ``directory``, by its path relative to it, with its bytes."""
     out = {}
