@@ -14,15 +14,15 @@ and the density-of-states curve it implies, whose leading term is
 1/(a*eps). ln eps_mid and a enter the fit linearly, so it searches
 c = (2/b)**4 alone (variable projection, Golub & Pereyra 1973).
 
-The scalar searches are ports of SciPy's two Brent routines, step for step
-and so bit for bit: ``_brent_root`` (``brentq``) finds the fit's c and
-inverts the fitted curve, and ``_bounded_minimum`` (``minimize_scalar`` with
-``method="bounded"``) fits the M-P q. Importing ``scipy.optimize`` for these
-three calls would cost every covspec process about 0.24 s and 21 MB of peak
-resident memory (x86-64 Linux, SciPy 1.17). For the same reason the
-tridiagonal route calls its four LAPACK routines (dsytrd, dsterf, dstemr,
-dormqr) through ``_lapack``, a ctypes binding to the OpenBLAS numpy's wheels
-bundle, not through ``scipy.linalg.lapack``; both return the same bits.
+The fit's c and the inversion of the fitted curve are found by bisection
+(``_bisect``), all grid points of the curve in one call; the M-P q is the
+best point of a fixed grid refined by golden sections (``_grid_minimum``).
+Neither needs ``scipy.optimize``, whose import would cost every covspec
+process about 0.24 s and 21 MB of peak resident memory (x86-64 Linux, SciPy
+1.17). For the same reason the tridiagonal route calls its four LAPACK
+routines (dsytrd, dsterf, dstemr, dormqr) through ``_lapack``, a ctypes
+binding to the OpenBLAS numpy's wheels bundle, not through
+``scipy.linalg.lapack``; both return the same bits.
 """
 
 from __future__ import annotations
@@ -44,6 +44,13 @@ from .moments import CORRELATION
 SYMMETRY_RTOL = 1e-10
 DEFAULT_BIN_COUNT = 60
 MP_Q_BOUNDS = (1e-3, 1.0)
+# fit_mp_q's grid steps over MP_Q_BOUNDS. The loss can have several local
+# minima. On 180 correlation histograms (Gaussian, Student and one-factor
+# panels, N = 10..60, 300 and 600 dates, three kernel schemes, bins over the
+# M-P support of N/T_eff or over the whole spectrum) the fit missed the best
+# point of a 200001-point grid in 5 cases, by up to 5.3% in loss, with 250
+# steps; with 1000 steps in 1 case, by 4.0e-5, as with 4000.
+MP_Q_GRID_STEPS = 1000
 # window_vectors takes a window's vectors from its L x L Gram as
 # V = W U_k Lambda_k^(-1/2), whose columns depart from orthonormal by about
 # 2.2e-16 lambda_1 / lambda_k. With lambda_k at 1e-4 lambda_1 its projectors
@@ -381,183 +388,101 @@ def default_density_bins(
     return DensityBins("logarithmic", float(positive.min()), 1.05 * vmax, count)
 
 
-def mp_support(q: float) -> tuple[float, float]:
-    """Support edges [(1-sqrt(q))^2, (1+sqrt(q))^2] of the M-P density."""
-    if not 0.0 < q <= 1.0:
+def mp_support(q):
+    """Support edges [(1-sqrt(q))^2, (1+sqrt(q))^2] of the M-P density, of
+    one q or elementwise of an array of them."""
+    q_arr = np.asarray(q, dtype=float)
+    if not np.all((q_arr > 0.0) & (q_arr <= 1.0)):
         raise ParameterError(f"q must be in (0, 1], got {q!r}")
-    root = math.sqrt(q)
-    return (1.0 - root) ** 2, (1.0 + root) ** 2
+    root = np.sqrt(q_arr)
+    lo, hi = (1.0 - root) ** 2, (1.0 + root) ** 2
+    if q_arr.ndim == 0:
+        return float(lo), float(hi)
+    return lo, hi
 
 
-def mp_density(lam, q: float):
+def mp_density(lam, q):
     """Marchenko-Pastur density sqrt(4*lam*q - (lam+q-1)^2) / (2*pi*lam*q).
 
-    Zero outside the support; scalar in, scalar out.
+    Zero outside the support. lam and q broadcast against each other;
+    scalars in, a scalar out.
     """
     lo, hi = mp_support(q)
-    lam_arr = np.asarray(lam, dtype=float)
-    out = np.zeros_like(lam_arr)
-    radicand = 4.0 * lam_arr * q - (lam_arr + q - 1.0) ** 2
+    lam_arr, q_arr = np.asarray(lam, dtype=float), np.asarray(q, dtype=float)
+    radicand = 4.0 * lam_arr * q_arr - (lam_arr + q_arr - 1.0) ** 2
     inside = (lam_arr > lo) & (lam_arr < hi) & (radicand > 0.0)
-    out[inside] = np.sqrt(radicand[inside]) / (2.0 * np.pi * q * lam_arr[inside])
-    if np.isscalar(lam) or np.ndim(lam) == 0:
+    with np.errstate(invalid="ignore", divide="ignore"):
+        out = np.where(inside, np.sqrt(radicand) / (2.0 * np.pi * q_arr * lam_arr), 0.0)
+    if out.ndim == 0:
         return float(out)
     return out
 
 
-def _brent_root(f, a, b, xtol, rtol=4.0 * np.finfo(float).eps, maxiter=100) -> float:
-    """A root of f between a and b, where f changes sign, by Brent's method:
-    SciPy's ``brentq`` (Zeros/brentq.c) step for step, so the same points are
-    evaluated and the same root returned. Converged once the bracket is
-    narrower than xtol + rtol*|x|. Raises NumericalError where ``brentq``
-    raises: f(a) and f(b) of one sign, a NaN value of f, or no convergence
-    within ``maxiter`` steps."""
+def _bisect(f, lo, hi, xtol):
+    """The root of an increasing f in each bracket [lo, hi] (scalars, or
+    arrays of one shape), where f(lo) <= 0 <= f(hi). Each bracket is halved
+    until it is no wider than xtol, or has no double inside it, and its
+    midpoint returned, so within xtol of the root. One call of f on the
+    array of midpoints per halving; a bracket's halvings do not depend on
+    the others, so an array call returns the scalar calls' bits. A NaN value
+    of f raises NumericalError."""
+    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    while True:
+        mid = lo + (hi - lo) / 2.0
+        active = (hi - lo > xtol) & (mid > lo) & (mid < hi)
+        if not active.any():
+            return float(mid) if mid.ndim == 0 else mid
+        value = f(mid)
+        if np.isnan(value).any():
+            x = np.asarray(mid)[np.isnan(value)][0]
+            raise NumericalError(f"root search: f({x!r}) is NaN")
+        lo = np.where(active & (value < 0.0), mid, lo)
+        hi = np.where(active & (value >= 0.0), mid, hi)
+
+
+def _grid_minimum(loss, lo, hi, steps, xtol):
+    """A minimiser of loss on [lo, hi]: the best of steps + 1 evenly spaced
+    points, whose losses come from one call of loss on their array, refined
+    by golden sections to xtol within one step either side of it. The
+    refined x is kept only if its loss is no larger than the grid point's.
+    A NaN loss raises NumericalError."""
 
     def value(x):
-        fx = float(f(x))  # brentq.c's doubles: a zero division raises below
-        if math.isnan(fx):
-            raise NumericalError(f"root search: f({x!r}) is NaN")
+        fx = loss(x)
+        if np.isnan(fx).any():
+            raise NumericalError(f"bounded minimum search on [{lo!r}, {hi!r}] met a NaN loss")
         return fx
 
-    a, b, xtol, rtol = float(a), float(b), float(xtol), float(rtol)
-    xpre, xcur = a, b
-    fpre, fcur = value(xpre), value(xcur)
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    if (fpre < 0.0) == (fcur < 0.0):  # C's signbit: neither is 0 or NaN
-        raise NumericalError(
-            f"root search: f({a!r}) = {fpre!r} and f({b!r}) = {fcur!r} have one sign"
-        )
-    # xcur is the best point, [xcur, xblk] brackets the root, xpre is the
-    # previous point; scur and spre are the last two steps
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(maxiter):
-        if (fpre < 0.0) != (fcur < 0.0):  # fpre is not 0, and an fcur of 0 returns below
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        stry = math.inf  # a bisection, unless interpolation gives a short step
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # secant
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # inverse quadratic; C's division by an underflowed 0 bisects
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                denom = dblk * dpre * (fblk - fpre)
-                if denom != 0.0:
-                    stry = -fcur * (fblk * dblk - fpre * dpre) / denom
-        if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-            spre, scur = scur, stry
+    grid = np.linspace(lo, hi, steps + 1)
+    losses = value(grid)
+    best = int(np.argmin(losses))
+    a, b = grid[max(best - 1, 0)], grid[min(best + 1, steps)]
+    ratio = (math.sqrt(5.0) - 1.0) / 2.0
+    c, d = b - ratio * (b - a), a + ratio * (b - a)
+    fc, fd = value(c), value(d)
+    while b - a > xtol:
+        if fc <= fd:  # a minimum lies in [a, d]
+            b, d, fd = d, c, fc
+            c = b - ratio * (b - a)
+            fc = value(c)
         else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = value(xcur)
-    raise NumericalError(
-        f"root search did not converge in {maxiter} steps on [{a!r}, {b!r}]: "
-        f"last x = {xcur!r}"
-    )
-
-
-def _bounded_minimum(f, lo, hi, xatol, maxiter=500) -> float:
-    """A minimiser of f on [lo, hi] by Brent's bounded search, golden
-    sections with parabolic steps: SciPy's ``minimize_scalar(method=
-    "bounded")`` (``_minimize_scalar_bounded``) step for step, so the same
-    points are evaluated and the same x returned. Converged once both ends
-    of the bracket around x lie within 2*(sqrt(2.2e-16)*|x| + xatol/3) of
-    it; after ``maxiter`` evaluations the best x so far is returned, as
-    SciPy's is. Raises NumericalError where SciPy flags its result NaN."""
-    sqrt_eps = math.sqrt(2.2e-16)
-    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
-
-    def sign(v):  # np.sign(v) + (v == 0): a zero step goes up
-        return -1.0 if v < 0.0 else 1.0
-
-    # xf is the best point, nfc the second best and fulc the third; e and
-    # rat are the last two steps
-    a, b = lo, hi
-    fulc = a + golden_mean * (b - a)
-    nfc = xf = fulc
-    rat = e = 0.0
-    fx = f(xf)
-    num = 1
-    fu = math.inf
-    ffulc = fnfc = fx
-    xm = 0.5 * (a + b)
-    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
-    tol2 = 2.0 * tol1
-    while abs(xf - xm) > tol2 - 0.5 * (b - a):
-        golden = True
-        if abs(e) > tol1:  # try a parabola through the three points
-            r = (xf - nfc) * (fx - ffulc)
-            q = (xf - fulc) * (fx - fnfc)
-            p = (xf - fulc) * q - (xf - nfc) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            r = e
-            e = rat
-            if abs(p) < abs(0.5 * q * r) and p > q * (a - xf) and p < q * (b - xf):
-                golden = False
-                rat = (p + 0.0) / q
-                x = xf + rat
-                if (x - a) < tol2 or (b - x) < tol2:
-                    rat = tol1 * sign(xm - xf)
-        if golden:
-            e = (a if xf >= xm else b) - xf
-            rat = golden_mean * e
-        x = xf + sign(rat) * max(abs(rat), tol1)
-        fu = f(x)
-        num += 1
-        if fu <= fx:
-            if x >= xf:
-                a = xf
-            else:
-                b = xf
-            fulc, ffulc = nfc, fnfc
-            nfc, fnfc = xf, fx
-            xf, fx = x, fu
-        else:
-            if x < xf:
-                a = x
-            else:
-                b = x
-            if fu <= fnfc or nfc == xf:
-                fulc, ffulc = nfc, fnfc
-                nfc, fnfc = x, fu
-            elif fu <= ffulc or fulc == xf or fulc == nfc:
-                fulc, ffulc = x, fu
-        xm = 0.5 * (a + b)
-        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
-        tol2 = 2.0 * tol1
-        if num >= maxiter:
-            break
-    if math.isnan(xf) or math.isnan(fx) or math.isnan(fu):
-        raise NumericalError(
-            f"bounded minimum search on [{lo!r}, {hi!r}] met a NaN: "
-            f"x = {xf!r}, f(x) = {fx!r}, last f = {fu!r}"
-        )
-    return xf
+            a, c, fc = c, d, fd
+            d = a + ratio * (b - a)
+            fd = value(d)
+    x, fx = (c, fc) if fc <= fd else (d, fd)
+    return float(x) if fx <= losses[best] else float(grid[best])
 
 
 def fit_mp_q(hist: DensityHistogram) -> float:
-    """Least-squares fit of the M-P ratio q to a binned density."""
-    def loss(q: float) -> float:
-        return float(np.sum((hist.densities - mp_density(hist.centers, q)) ** 2))
+    """Least-squares fit of the M-P ratio q to a binned density: the q in
+    MP_Q_BOUNDS of least summed squared deviation from the M-P density at
+    the bin centres, searched on a grid of MP_Q_GRID_STEPS steps and refined
+    to 1e-8 (``_grid_minimum``)."""
+    def loss(q):
+        q = np.asarray(q, dtype=float)[..., None]
+        return np.sum((hist.densities - mp_density(hist.centers, q)) ** 2, axis=-1)
 
-    return _bounded_minimum(loss, *MP_Q_BOUNDS, xatol=1e-8)
+    return _grid_minimum(loss, *MP_Q_BOUNDS, MP_Q_GRID_STEPS, xtol=1e-8)
 
 
 def default_fit_range(n_ranks: int) -> tuple[int, int]:
@@ -575,7 +500,8 @@ def fit_ansatz(mean_spectrum, fit_range: tuple[int, int] | None = None) -> Ansat
     x / (1 - c*x**4), with residuals r, and g(c) = a * sum(r * x**5 /
     (1 - c*x**4)**2) is the exact gradient of that residual. c = 0 (b = inf)
     unless g(0) is negative beyond rounding; then c is the root of g on
-    [0, c_max], kept only if its residual is no larger than at c = 0.
+    [0, c_max], bisected to 4 eps c_max (``_bisect``), and kept only if its
+    residual is no larger than at c = 0.
     c_max lies just below 1/max x**4, where the shape is singular
     (b = max|2x|). Non-positive or NaN ranks inside the range are dropped.
     Raises FitError when g is still negative at c_max or a is not positive.
@@ -628,7 +554,7 @@ def fit_ansatz(mean_spectrum, fit_range: tuple[int, int] | None = None) -> Ansat
     if g < -8.0 * eps * abs(a) * float(np.abs(y).max() * np.sum(np.abs(x) ** 5)):
         c = c_max
         if projection(c_max)[3] >= 0.0:
-            root = _brent_root(lambda t: projection(t)[3], 0.0, c_max, xtol=4.0 * eps * c_max)
+            root = _bisect(lambda t: projection(t)[3], 0.0, c_max, xtol=4.0 * eps * c_max)
             c = root if np.sum(projection(root)[2] ** 2) <= r @ r else 0.0
         a, ln_mid, r, _ = projection(c)
     b = 2.0 / c**0.25 if c > 0.0 else math.inf
@@ -646,7 +572,8 @@ def fit_ansatz(mean_spectrum, fit_range: tuple[int, int] | None = None) -> Ansat
 def density_of_states_curve(fit: AnsatzFit, eps_grid) -> DensityCurve:
     """Density of states implied by the fitted spectrum shape.
 
-    Inverts the fitted curve at each grid point and evaluates the exact
+    Inverts the fitted curve at every grid point by one vectorised bisection
+    to 4 eps of the largest |x| (``_bisect``) and evaluates the exact
     derivative, (1-u)^2 / (a * eps * (1+3u)) with u = (2x/b)^4; the b->inf
     limit is the scale-free leading term 1/(a*eps). Points outside the
     fitted eigenvalue range are flagged and left NaN.
@@ -657,21 +584,15 @@ def density_of_states_curve(fit: AnsatzFit, eps_grid) -> DensityCurve:
     density = np.full(eps_grid.shape, np.nan)
     in_range = (eps_grid >= eps_lo) & (eps_grid <= eps_hi)
 
-    ln_mid = math.log(fit.eps_mid)
-
-    def shape(xv: float) -> float:
+    def shape(xv):
         return fit.a * xv / (1.0 - (2.0 * xv / fit.b) ** 4)
 
-    shape_lo, shape_hi = shape(x_lo), shape(x_hi)
-    for i in np.nonzero(in_range)[0]:
-        target = math.log(eps_grid[i]) - ln_mid
-        # rounding of exp/log can push boundary targets a ulp outside
-        if target <= shape_lo:
-            xv = x_lo
-        elif target >= shape_hi:
-            xv = x_hi
-        else:
-            xv = _brent_root(lambda t: shape(t) - target, x_lo, x_hi, xtol=1e-14, rtol=1e-15)
-        u = (2.0 * xv / fit.b) ** 4
-        density[i] = (1.0 - u) ** 2 / (fit.a * eps_grid[i] * (1.0 + 3.0 * u))
+    eps = eps_grid[in_range]
+    target = np.log(eps) - math.log(fit.eps_mid)
+    xv = _bisect(lambda t: shape(t) - target, np.full(eps.shape, x_lo), x_hi,
+                 xtol=4.0 * np.finfo(float).eps * max(abs(x_lo), abs(x_hi)))
+    # rounding of exp/log can push boundary targets a ulp outside
+    xv = np.where(target <= shape(x_lo), x_lo, np.where(target >= shape(x_hi), x_hi, xv))
+    u = (2.0 * xv / fit.b) ** 4
+    density[in_range] = (1.0 - u) ** 2 / (fit.a * eps * (1.0 + 3.0 * u))
     return DensityCurve(eps_grid, density, in_range)

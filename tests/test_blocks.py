@@ -1,11 +1,10 @@
 """The main stage runs one date at a time, in date order, and the lagged
 stage over blocks of dates (``runner.DATES_PER_BLOCK``), each walked in chunks
-(``subspace.CHUNK_BYTES``): every output byte of the main stage is the same
-whatever the block size, the lagged rho moves by rounding only, and a fault
-at a later date fails the run with the same error whatever the block size.
-Tests that count calls through a function patched into the runner pin the
-main stage to one worker (``one_worker``), whose dates all run in this
-process."""
+(``subspace.CHUNK_BYTES``): the lagged rho moves by rounding only whatever
+the block size, and a fault in a later block, on a forked worker, fails the
+run with the same error and manifest as in one block. Tests that count
+calls through a function patched into the runner pin the stages to one
+worker (``one_worker``), whose items all run in this process."""
 
 import json
 
@@ -24,7 +23,7 @@ from covspec import (
     runner,
     validate_config,
 )
-from covspec import subspace
+from covspec import subspace, workers
 from covspec.errors import AnalysisError, DegenerateAssetError
 from covspec.moments import covariance_at, unit_rows, weighted_windows
 from covspec.spectral import leading_system, window_vectors
@@ -47,54 +46,38 @@ projectors.ranks = 1,3
 output.dump_matrices = true
 """
 
-# dates per block of the lagged stage (None: the default DATES_PER_BLOCK); the
-# main stage runs one date at a time whatever the block size
-BLOCKINGS = (1, 3, None)
-
-
 @pytest.mark.parametrize("flavor, out_format", [("covariance", "csv"), ("correlation", "json")])
-def test_bundles_identical_for_every_block_size(
-    tmp_path, monkeypatch, one_worker, flavor, out_format
+def test_main_stage_forms_each_covariance_once_in_date_order(
+    tmp_path, one_worker, monkeypatch, flavor, out_format
 ):
-    bundles = {}
-    for per_block in BLOCKINGS:
-        calls = []
+    calls = []
 
-        def counted(returns, kernel, j, calls=calls):
-            calls.append(returns.dates[j])
-            return covariance_at(returns, kernel, j)
+    def counted(returns, kernel, j):
+        calls.append(returns.dates[j])
+        return covariance_at(returns, kernel, j)
 
-        out = tmp_path / f"per-block-{per_block}"
-        cfg = tmp_path / f"{per_block}.cfg"
-        cfg.write_text(
-            BLOCKED_CFG
-            + f"matrix.flavor = {flavor}\noutput.format = {out_format}\noutput.dir = {out}\n"
-        )
-        with monkeypatch.context() as patch:
-            if per_block is not None:
-                patch.setattr(runner, "DATES_PER_BLOCK", per_block)
-            patch.setattr(runner, "covariance_at", counted)
-            run_analysis(validate_config(str(cfg)))
-        # one covariance per evaluation date, formed once, in date order
-        assert calls == list(make_business_dates(40)[-11:])
-        bundles[per_block] = bundle_bytes(out)
-
-    reference = bundles.pop(None)
-    assert sum(name.startswith("matrices") for name in reference) == 11
-    assert "mp_compare.json" in reference
-    for per_block, got in bundles.items():
-        assert got.keys() == reference.keys(), per_block
-        for name, data in reference.items():
-            assert got[name] == data, (per_block, name)
+    out = tmp_path / "out"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        BLOCKED_CFG
+        + f"matrix.flavor = {flavor}\noutput.format = {out_format}\noutput.dir = {out}\n"
+    )
+    monkeypatch.setattr(runner, "covariance_at", counted)
+    run_analysis(validate_config(str(cfg)))
+    # one covariance per evaluation date, formed once, in date order
+    assert calls == list(make_business_dates(40)[-11:])
+    bundle = bundle_bytes(out)
+    assert sum(name.startswith("matrices") for name in bundle) == 11
+    assert "mp_compare.json" in bundle
 
 
 def write_flat_asset_panel(path):
-    """Prices whose asset 'bbb' stays flat for 15 returns from return 30 on,
-    so a 10-date window of it has zero variance from return date 39 on."""
+    """Prices whose asset 'bbb' stays flat for 15 returns from return 33 on,
+    so a 10-date window of it has zero variance from return date 42 on."""
     dates = make_business_dates(61)
     rng = np.random.default_rng(8)
     prices = np.exp(np.cumsum(0.01 * rng.standard_normal((3, 61)), axis=1))
-    prices[1, 30:46] = prices[1, 30]
+    prices[1, 33:49] = prices[1, 33]
     lines = ["date,aaa,bbb,ccc"] + [
         d + "," + ",".join(f"{v:.17g}" for v in prices[:, t]) for t, d in enumerate(dates)
     ]
@@ -102,36 +85,38 @@ def write_flat_asset_panel(path):
 
 
 def test_variance_floor_fault_in_a_later_block(tmp_path, monkeypatch):
+    """The lagged stage's correlation series scales each 10-date window to
+    unit rows. Asset bbb's first zero-variance window ends at return date 42,
+    the 34th of the 51 lagged dates: in blocks of 3 dates that is block 11,
+    which the second of two workers, a forked child, runs after blocks that
+    pass. The run fails as it does with all dates in one block."""
     csv_path = tmp_path / "p.csv"
     write_flat_asset_panel(csv_path)
     returns = compute_returns(load_panel(csv_path, IngestConfig()), IngestConfig())
-    with pytest.raises(AnalysisError) as direct:
-        rolling_spectra(returns, build_kernel("rectangular", 10), "correlation")
-    assert isinstance(direct.value.__cause__, DegenerateAssetError)
-    # the first faulty date is the tenth or later
-    dates = returns.dates[9:]
-    fault_at = [d for d in dates if d in str(direct.value)]
-    assert len(fault_at) == 1 and dates.index(fault_at[0]) >= 9
-
-    errors = {}
+    monkeypatch.setattr(workers, "_usable_cpus", lambda: 2)
+    assert workers._worker_count(17) == 2
+    errors, manifests = {}, {}
     for per_block in (3, None):
         out = tmp_path / f"per-block-{per_block}"
         cfg = tmp_path / f"{per_block}.cfg"
         cfg.write_text(
             f"input.path = {csv_path}\nkernel.scheme = rectangular\nkernel.length = 10\n"
-            f"matrix.flavor = correlation\nanalyses = spectrum,density\noutput.dir = {out}\n"
+            "matrix.flavor = covariance\nanalyses = lagged\nlagged.length = 10\n"
+            f"lagged.lags = 0,1,2\noutput.dir = {out}\n"
         )
         with monkeypatch.context() as patch:
             if per_block is not None:
                 patch.setattr(runner, "DATES_PER_BLOCK", per_block)
             with pytest.raises(AnalysisError) as err:
                 run_analysis(validate_config(str(cfg)))
+        assert isinstance(err.value.__cause__, DegenerateAssetError)
+        assert f"asset 'bbb' at date {returns.dates[42]!r}" in str(err.value)
         errors[per_block] = str(err.value)
-        manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["complete"] is False
-        assert manifest["error"] == errors[per_block]
-        assert [f["name"] for f in manifest["files"]] == ["provenance.log"]
-    assert errors[3] == errors[None] == str(direct.value)
+        manifests[per_block] = json.loads((out / "manifest.json").read_text())
+        assert manifests[per_block]["complete"] is False
+        assert manifests[per_block]["error"] == errors[per_block]
+    assert errors[3] == errors[None]
+    assert manifests[3] == manifests[None]
 
 
 def test_run_without_spectra_or_dump_builds_no_main_matrices(tmp_path, monkeypatch, one_worker):

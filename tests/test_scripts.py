@@ -14,7 +14,6 @@ SCRIPT_ARGS = {
                           "--eval-dates", "5"],
 }
 SOAK_ARGS = ["--values", "10000", "--seed", "3"]
-SOLVER_SOAK_ARGS = ["--problems", "300", "--seed", "3"]
 LAPACK_SOAK_ARGS = ["--matrices", "60", "--seed", "3"]
 
 
@@ -34,8 +33,8 @@ def run_script(name, args):
 
 def test_scripts_run(tmp_path):
     scripts = sorted(p.name for p in (ROOT / "scripts").glob("*.py"))
-    assert scripts == sorted([*SCRIPT_ARGS, "format_soak.py", "solver_soak.py",
-                              "lapack_soak.py", "code_lines.py"]), (
+    assert scripts == sorted([*SCRIPT_ARGS, "format_soak.py", "lapack_soak.py",
+                              "code_lines.py"]), (
         "give new scripts arguments"
     )
     for name, args in SCRIPT_ARGS.items():
@@ -49,12 +48,6 @@ def test_format_soak_finds_no_mismatch():
     proc = run_script("format_soak.py", SOAK_ARGS)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert proc.stdout == "seed 3: 10000 values, kernel equals %.17g\n"
-
-
-def test_solver_soak_finds_no_mismatch():
-    proc = run_script("solver_soak.py", SOLVER_SOAK_ARGS)
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert proc.stdout == "seed 3: 300 problems, ports equal scipy\n"
 
 
 def test_lapack_soak_finds_no_mismatch():

@@ -1,10 +1,7 @@
-"""The two scalar searches of ``covspec.spectral``, ports of SciPy's Brent
-routines, against the routines themselves: ``_brent_root`` against
-``brentq`` and ``_bounded_minimum`` against ``minimize_scalar(method=
-"bounded")``. Each port must evaluate the same points and return the same
-bits, on the problems covspec poses (recorded from its own calls) and on
-edge cases, and raise NumericalError where SciPy raises. covspec itself
-loads no ``scipy`` module; these tests do."""
+"""The two scalar searches of ``covspec.spectral``: ``_bisect``, the root
+search of the spectrum fit and of the inversion of its curve, and
+``_grid_minimum``, the M-P q fit's search, through ``fit_mp_q``. covspec
+itself loads no ``scipy`` module."""
 
 import math
 import os
@@ -14,7 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.optimize import brentq, minimize_scalar
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from covspec import (
     CORRELATION,
@@ -22,11 +20,9 @@ from covspec import (
     DensityHistogram,
     EnsembleSpec,
     build_kernel,
-    density_of_states_curve,
-    fit_ansatz,
+    effective_length,
     fit_mp_q,
     generate_returns,
-    log_mean_spectrum,
     mp_density,
     mp_support,
     rolling_spectra,
@@ -36,131 +32,50 @@ from covspec import (
     validate_config,
 )
 from covspec.errors import AnalysisError, NumericalError
-from covspec.spectral import MP_Q_BOUNDS, _bounded_minimum, _brent_root
-from testutil import random_panel, synthesize_spectrum
+from covspec.spectral import MP_Q_BOUNDS, _bisect, _grid_minimum
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-
-
-def counted(f):
-    """f, counting its calls in ``.calls``."""
-    def wrapper(x):
-        wrapper.calls += 1
-        return f(x)
-    wrapper.calls = 0
-    return wrapper
-
-
-def assert_root_matches_brentq(f, a, b, **options):
-    port, ref = counted(f), counted(f)
-    got = _brent_root(port, a, b, **options)
-    want, result = brentq(ref, a, b, full_output=True, **options)
-    assert result.converged
-    assert got.hex() == want.hex()
-    assert port.calls == ref.calls == result.function_calls
-
-
-def assert_minimum_matches_scipy(f, lo, hi, xatol, maxiter=500):
-    port, ref = counted(f), counted(f)
-    got = _bounded_minimum(port, lo, hi, xatol=xatol, maxiter=maxiter)
-    res = minimize_scalar(ref, bounds=(lo, hi), method="bounded",
-                          options={"xatol": xatol, "maxiter": maxiter})
-    assert res.status in (0, 1)
-    assert got.hex() == float(res.x).hex()
-    assert port.calls == ref.calls == res.nfev
-
-
-def recorded(monkeypatch, name):
-    """Patch ``spectral.<name>`` to record each call's arguments, calling
-    the port; returns the list of (args, kwargs)."""
-    calls = []
-    port = getattr(spectral, name)
-
-    def record(*args, **kwargs):
-        calls.append((args, kwargs))
-        return port(*args, **kwargs)
-
-    monkeypatch.setattr(spectral, name, record)
-    return calls
-
-
-def long_memory_mean_spectrum():
-    spec = EnsembleSpec("one-factor", 60, 159, beta=0.5, seed=3)
-    kernel = build_kernel("long-memory", 120, tau0_days=1560)
-    return log_mean_spectrum(rolling_spectra(generate_returns(spec), kernel))
-
-
-def fitted_spectra():
-    """Spectra whose fit has a curvature root: noiseless, noisy and from a run."""
-    rng = np.random.default_rng(8)
-    clean = synthesize_spectrum(8.0, 1.1, 1e-4, 100)
-    return [
-        clean,
-        clean * np.exp(0.05 * rng.standard_normal(100)),
-        synthesize_spectrum(3.0, 1.6, 2.0, 57) * np.exp(0.01 * rng.standard_normal(57)),
-        long_memory_mean_spectrum(),
-    ]
 
 
 # ---------------------------------------------------------------- roots
 
 
-def test_fit_gradient_and_curve_inversion_roots_match_brentq(monkeypatch):
-    calls = recorded(monkeypatch, "_brent_root")
-    for spectrum in fitted_spectra():
-        del calls[:]
-        fit = fit_ansatz(spectrum)
-        assert len(calls) == 1 and math.isfinite(fit.b)  # the fit's c root
-        density_of_states_curve(fit, np.geomspace(*fit.eps_range(), 200))
-        assert len(calls) > 100  # the inversions, but for the two end points
-        for args, kwargs in calls:
-            assert_root_matches_brentq(*args, **kwargs)
+def rising(root, slope, cubic):
+    """slope*(x - root) + cubic*(x - root)^3, which rises through its root,
+    of one root or elementwise of an array of them."""
+    def f(x):
+        d = x - root
+        return slope * d + cubic * d * d * d
+    return f
 
 
-def test_root_at_an_end_matches_brentq():
-    for f in (lambda x: x - 1.0, lambda x: 3.0 - x):
-        assert_root_matches_brentq(f, 1.0, 3.0, xtol=1e-12)
-    assert _brent_root(lambda x: x - 1.0, 1.0, 3.0, xtol=1e-12) == 1.0
-    # -0.0 is a zero, whatever its sign bit
-    assert_root_matches_brentq(lambda x: -0.0 if x == 0.0 else x - 0.5, 0.0, 1.0, xtol=1e-12)
-
-
-@pytest.mark.parametrize(
-    "f, a, b, options",
-    [
-        # a reversed bracket
-        (lambda x: math.tanh(3.0 * (x - 0.2)), 1.0, -1.0, {"xtol": 1e-14}),
-        # a step: no interpolation ever helps, so every step bisects
-        (lambda x: -1.0 if x < 0.3 else 1.0, 0.0, 1.0, {"xtol": 1e-15}),
-        # values near underflow: the inverse quadratic step's denominator
-        # underflows to 0, and brentq.c's division by it bisects
-        (lambda x: 1e-150 * (x - 0.3) * ((x - 0.5) ** 2 + 0.01), 0.0, 1.0, {"xtol": 1e-12}),
-        # a flat root, an odd power, and a loose relative tolerance
-        (lambda x: math.copysign(abs(x - 0.7) ** 3, x - 0.7), 0.0, 4.0,
-         {"xtol": 1e-16, "rtol": 1e-6}),
-    ],
-    ids=["reversed", "step", "underflow", "flat-root"],
+@settings(max_examples=200, deadline=None)
+@given(
+    brackets=st.lists(
+        st.tuples(st.floats(-1.0, 1.0), st.floats(1e-6, 2.0), st.floats(1e-6, 2.0)),
+        min_size=1, max_size=8,
+    ),
+    slope=st.floats(1e-3, 1e3),
+    cubic=st.floats(0.0, 1e3),
+    xtol=st.floats(1e-17, 1e-3),
 )
-def test_edge_brackets_match_brentq(f, a, b, options):
-    assert_root_matches_brentq(f, a, b, **options)
+def test_bisection_lands_within_xtol_of_each_root(brackets, slope, cubic, xtol):
+    # each root r in its own bracket [r - below, r + above]
+    r, below, above = (np.array(column) for column in zip(*brackets))
+    lo, hi = r - below, r + above
+    got = _bisect(rising(r, slope, cubic), lo, hi, xtol)
+    # an xtol below the doubles' spacing stops where no double lies between
+    # the bracket's ends
+    assert np.all(np.abs(got - r) <= np.maximum(xtol, 2.0 * np.spacing(np.abs(r))))
+    for i, root in enumerate(r):
+        one = _bisect(rising(float(root), slope, cubic), lo[i], hi[i], xtol)
+        assert isinstance(one, float)
+        assert one.hex() == float(got[i]).hex()
 
 
-@pytest.mark.parametrize(
-    "f, a, b, maxiter, message",
-    [
-        (lambda x: 1.0 + x * x, -1.0, 1.0, 100, "have one sign"),
-        (lambda x: 1e-200, 0.0, 1.0, 100, "have one sign"),  # a product would underflow
-        (lambda x: math.nan if x == 0.0 else x, 0.0, 1.0, 100, "is NaN"),
-        (lambda x: math.nan if abs(x - 0.5) < 0.3 else x - 0.5, 0.0, 1.0, 100, "is NaN"),
-        (lambda x: -1.0 if x < 1.0 / 3.0 else 1.0, 0.0, 1.0, 5, "did not converge in 5 steps"),
-    ],
-    ids=["one-sign", "tiny-one-sign", "nan-at-end", "nan-inside", "maxiter"],
-)
-def test_root_search_failures_raise_where_brentq_raises(f, a, b, maxiter, message):
-    with pytest.raises((ValueError, RuntimeError)):
-        brentq(f, a, b, xtol=1e-14, maxiter=maxiter)
-    with pytest.raises(NumericalError, match=message):
-        _brent_root(f, a, b, xtol=1e-14, maxiter=maxiter)
+def test_bisection_meeting_a_nan_raises():
+    with pytest.raises(NumericalError, match="is NaN"):
+        _bisect(lambda x: np.where(x > 0.3, np.nan, x - 0.5), np.zeros(3), 1.0, 1e-12)
 
 
 # ---------------------------------------------------------------- minima
@@ -176,57 +91,40 @@ def mp_histogram(q, count=60):
 ORACLE_QS = (0.01, 0.1, 0.37, 0.8, 1.0)
 
 
-def test_mp_losses_match_minimize_scalar(monkeypatch):
-    calls = recorded(monkeypatch, "_bounded_minimum")
-    panel, kernel = random_panel(40, 200, 30, seed=4)
-    spectra = rolling_spectra(panel, kernel, flavor=CORRELATION)
-    histograms = [
-        spectral_density(spectra, DensityBins("linear", *mp_support(0.2), 60)),
-        spectral_density(spectra, DensityBins("linear", *mp_support(0.5), 25)),
-        *(mp_histogram(q) for q in ORACLE_QS),
-    ]
-    for hist in histograms:
-        fit_mp_q(hist)
-    assert len(calls) == len(histograms)
-    for args, kwargs in calls:
-        assert args[1:] == MP_Q_BOUNDS and kwargs == {"xatol": 1e-8}
-        assert_minimum_matches_scipy(*args, **kwargs)
-
-
 @pytest.mark.parametrize("q", ORACLE_QS)
 def test_fitted_q_of_an_exact_mp_histogram_is_q(q):
-    # the search stops with x within 2*(sqrt(2.2e-16)*|x| + xatol/3) of both
-    # ends of a bracket around the minimum, and the loss is 0 at q alone
+    # the golden sections stop once a bracket of the minimum is at most
+    # xtol = 1e-8 wide and return its better inner point, within 0.382 xtol
+    # of the minimum, well inside this bound; the loss is 0 at q alone
     tol = 2.0 * (math.sqrt(2.2e-16) * q + 1e-8 / 3.0)
     assert abs(fit_mp_q(mp_histogram(q)) - q) <= tol
 
 
-@pytest.mark.parametrize(
-    "f, lo, hi, xatol, maxiter",
-    [
-        (lambda x: (x - 0.3) ** 2, 0.0, 1.0, 1e-8, 500),
-        (lambda x: x, 2.0, 5.0, 1e-10, 500),  # the minimum at the lower bound
-        (lambda x: -x, 2.0, 5.0, 1e-10, 500),  # and at the upper
-        (lambda x: 4.0, -1.0, 1.0, 1e-6, 500),  # flat: golden sections only
-        (lambda x: math.cos(40.0 * x) + 0.1 * x * x, -1.0, 1.0, 1e-9, 500),
-        (lambda x: 1e6 + 1e-12 * (x - 0.3) ** 2, 0.0, 1.0, 1e-12, 500),
-        (lambda x: abs(x - 0.123) ** 0.5, 0.0, 1.0, 1e-12, 500),
-        (lambda x: (x - 0.3) ** 2, 0.0, 1.0, 1e-12, 5),  # stopped at maxiter
-    ],
-    ids=["parabola", "lower-bound", "upper-bound", "flat", "many-minima",
-         "last-bits", "cusp", "maxiter"],
-)
-def test_minima_match_minimize_scalar(f, lo, hi, xatol, maxiter):
-    assert_minimum_matches_scipy(f, lo, hi, xatol, maxiter)
+def squared_deviation(hist, q):
+    """fit_mp_q's loss at one q, from scalar calls of mp_density."""
+    return float(np.sum((hist.densities - mp_density(hist.centers, q)) ** 2))
+
+
+def test_fitted_q_is_the_least_squares_q_where_the_loss_has_two_minima():
+    # correlation spectra whose histogram over the support of q = N/T_eff =
+    # 0.4825 has a local minimum of the loss near q = 0.411 (loss 0.163); a
+    # search from a single bracket stopped there, short of the least-squares
+    # q near 0.436 (loss 0.144)
+    returns = generate_returns(EnsembleSpec("gaussian-iid", 40, 520, seed=7))
+    kernel = build_kernel("exponential", 120, mu=0.98)
+    spectra = rolling_spectra(returns, kernel, CORRELATION)
+    q_teff = 40 / effective_length(kernel)
+    hist = spectral_density(spectra, DensityBins("linear", *mp_support(q_teff), 60))
+    best = min(squared_deviation(hist, q) for q in np.linspace(*MP_Q_BOUNDS, 20001))
+    assert squared_deviation(hist, fit_mp_q(hist)) <= best * (1.0 + 1e-9)
 
 
 def test_minimum_search_meeting_a_nan_raises():
     def f(x):
-        return math.nan if x < 0.5 else (x - 0.7) ** 2
+        return np.where(x < 0.5, math.nan, (x - 0.7) ** 2)
 
-    assert minimize_scalar(f, bounds=(0.0, 1.0), method="bounded").status == 2
     with pytest.raises(NumericalError, match="met a NaN"):
-        _bounded_minimum(f, 0.0, 1.0, xatol=1e-8)
+        _grid_minimum(f, 0.0, 1.0, 1000, xtol=1e-8)
 
 
 def test_a_failed_search_names_the_stage(tmp_path, monkeypatch):

@@ -613,6 +613,19 @@ def test_mp_density_vectorized_non_negative():
     assert np.all(out >= 0.0)
 
 
+def test_mp_density_of_an_array_of_q_equals_its_scalar_calls():
+    qs = np.array([0.001, 0.2, 0.4825, 0.77, 1.0])
+    grid = np.linspace(-0.5, 4.5, 401)
+    out = mp_density(grid, qs[:, None])
+    assert out.shape == (qs.size, grid.size)
+    for row, q in zip(out, qs):
+        assert row.tobytes() == mp_density(grid, float(q)).tobytes()
+    lo, hi = mp_support(qs)
+    np.testing.assert_allclose(np.transpose([lo, hi]), [mp_support(q) for q in qs], rtol=1e-15)
+    assert isinstance(mp_density(1.0, 0.3), float)
+    assert isinstance(mp_support(0.3)[0], float)
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     st.floats(min_value=0.01, max_value=1.0),
@@ -728,7 +741,7 @@ def test_root_with_a_larger_residual_than_no_curvature_is_not_kept(monkeypatch):
     # than once) loses to c = 0; here the root finder is made to land next
     # to the singular end, where the residual is far above its value at 0
     eps = synthesize_spectrum(8.0, 1.1, 1e-4, 100)
-    monkeypatch.setattr(spectral, "_brent_root", lambda f, lo, hi, **kw: hi * (1.0 - 1e-6))
+    monkeypatch.setattr(spectral, "_bisect", lambda f, lo, hi, **kw: hi * (1.0 - 1e-6))
     fit = fit_ansatz(eps)
     assert fit.b == math.inf
     x = 0.5 - np.arange(11, 91) / 100
