@@ -76,10 +76,11 @@ logger = logging.getLogger(__name__)
 # dates. The blocks fix the order of the sums, and so the bytes, whatever
 # the number of workers; each re-gathers the max(lags) dates before it. A
 # block is never held whole: a worker walks it in chunks of
-# ``subspace.CHUNK_BYTES``, holding one chunk and the factors of the
-# max(lags) dates before it, and the run N x N sums per lagged series,
-# however long the block and however many dates are evaluated. The main
-# stage runs one date at a time.
+# ``subspace.CHUNK_BYTES``, holding one chunk and the terms of the
+# max(lags) dates before it (their factors, or, in a near-static series'
+# second walk, their N x N centred matrices), and the run N x N sums per
+# lagged series, however long the block and however many dates are
+# evaluated. The main stage runs one date at a time.
 DATES_PER_BLOCK = 300
 
 
@@ -253,34 +254,35 @@ def _series_factors(returns, compact, idx, ranks):
         yield f"projector_k{k}", vectors[:, :, :k]
 
 
-def _last_dates(earlier, factors, count):
-    """A copy of the factors of the last ``count`` dates of ``earlier``
-    (None for none) followed by ``factors``."""
-    if earlier is None or len(factors) >= count:
-        return factors[max(0, len(factors) - count) :].copy()
-    return np.concatenate((earlier[max(0, len(earlier) + len(factors) - count) :], factors))
+def _last_dates(earlier, terms, count):
+    """A copy of the terms of the last ``count`` dates of ``earlier``
+    (None for none) followed by ``terms``."""
+    if earlier is None or len(terms) >= count:
+        return terms[max(0, len(terms) - count) :].copy()
+    return np.concatenate((earlier[max(0, len(earlier) + len(terms) - count) :], terms))
 
 
 def _lagged_file(writer, returns, config, idx) -> None:
     """The lagged correlation of every lagged series at the panel indices
     ``idx``, from running sums over blocks of dates. The blocks run as the
     items of ``workers._forked``, and each walks its dates in chunks: it
-    gathers the chunk's windows, forms its factors, takes their terms with
-    ``LaggedSums.partial``, given the factors of the max(lags) dates before
-    the chunk, which its pairs across its start read, and keeps only those.
-    A block starts by walking the max(lags) dates before it for their
-    factors alone; it sends back its terms per series, and the terms are
-    merged in block order, so the bytes do not depend on the number of
-    workers. The factors of the first and last max(lags) dates, which the
-    with-mean terms read, are rebuilt here."""
+    gathers the chunk's windows, forms its factors and their terms
+    (``LaggedSums.terms``), takes their sums with ``LaggedSums.partial``,
+    given the terms of the max(lags) dates before the chunk, which its
+    pairs across its start read, and keeps only those. A block starts by
+    walking the max(lags) dates before it for their terms alone; it sends
+    back its sums per series, and the sums are merged in block order, so
+    the bytes do not depend on the number of workers. The factors of the
+    first and last max(lags) dates, which the with-mean terms read, are
+    rebuilt here. A near-static series, whose ``rho`` is None, is summed
+    once more over its centred terms, in a second walk over the same
+    blocks for those series alone."""
     compact = build_kernel("rectangular", config.lagged_length)
     n, length = returns.n_assets, compact.length
     # A window of L dates spans at most L directions, so ranks above L get no
     # lagged projector series; nor does rank N, whose projector is the
     # identity at every date, a constant series.
     ranks = [k for k in config.projector_ranks if k <= length and k < n]
-    names = ["covariance", "correlation", *(f"projector_k{k}" for k in ranks)]
-    sums = {name: LaggedSums(config.lags, len(idx)) for name in names}
     reach = max(config.lags)
     step = DATES_PER_BLOCK
     # bounds both the windows and the L x L grams of the sums
@@ -288,26 +290,37 @@ def _lagged_file(writer, returns, config, idx) -> None:
     dates = [returns.dates[j] for j in idx]
     blocks = [dates[lo : lo + step] for lo in range(0, len(dates), step)]
 
-    def run_block(b):
-        lo, hi = b * step, min(b * step + step, len(idx))
-        carry = dict.fromkeys(names)  # factors of the last max(lags) dates walked
-        parts = dict.fromkeys(names)
-        # the dates before the block, for their factors alone, then its own
-        for first, last in ((lo - min(reach, lo), lo), (lo, hi)):
-            for start in range(first, last, chunk):
-                chunk_idx = idx[start : min(start + chunk, last)]
-                for name, f in _series_factors(returns, compact, chunk_idx, ranks):
-                    if first == lo:
-                        part = sums[name].partial(f, carry[name])
-                        parts[name] = part if parts[name] is None else parts[name].then(part)
-                    carry[name] = _last_dates(carry[name], f, reach)
-        return [parts[name] for name in names]
+    def walk(sums):
+        """Feed each series of ``sums``, keyed by name, every block's terms."""
+        wanted = [k for k in ranks if f"projector_k{k}" in sums]
 
-    def merge(b, parts):
-        for name, part in zip(names, parts):
-            sums[name].merge(part)
+        def run_block(b):
+            lo, hi = b * step, min(b * step + step, len(idx))
+            carry = dict.fromkeys(sums)  # terms of the last max(lags) dates walked
+            parts = dict.fromkeys(sums)
+            # the dates before the block, for their terms alone, then its own
+            for first, last in ((lo - min(reach, lo), lo), (lo, hi)):
+                for start in range(first, last, chunk):
+                    chunk_idx = idx[start : min(start + chunk, last)]
+                    for name, f in _series_factors(returns, compact, chunk_idx, wanted):
+                        if name not in sums:
+                            continue
+                        terms = sums[name].terms(f)
+                        if first == lo:
+                            part = sums[name].partial(terms, carry[name])
+                            parts[name] = part if parts[name] is None else parts[name].then(part)
+                        carry[name] = _last_dates(carry[name], terms, reach)
+            return list(parts.values())
 
-    workers._forked("lagged stage", blocks, run_block, merge)
+        def merge(b, parts):
+            for s, part in zip(sums.values(), parts):
+                s.merge(part)
+
+        workers._forked("lagged stage", blocks, run_block, merge)
+
+    names = ["covariance", "correlation", *(f"projector_k{k}" for k in ranks)]
+    sums = {name: LaggedSums(config.lags, len(idx)) for name in names}
+    walk(sums)
 
     @functools.cache
     def ends():
@@ -317,20 +330,12 @@ def _lagged_file(writer, returns, config, idx) -> None:
         edge = _series_factors(returns, compact, edge_idx, ranks)
         return {s: (f[:reach].copy(), f[reach:].copy()) for s, f in edge}
 
-    def stack(name):
-        """The (T, N, m) factors of one series, built only for a near-static one."""
-        windows = weighted_windows(returns, compact, idx)[1]
-        if name == "covariance":
-            return windows
-        if name == "correlation":
-            return unit_rows(windows, dates, returns.asset_ids)
-        return window_vectors(windows, int(name.removeprefix("projector_k")))
-
-    rows = [
-        [name, lag, float(rho)]
-        for name in names
-        for lag, rho in zip(config.lags, sums[name].rho(lambda: ends()[name], lambda: stack(name)))
-    ]
+    rho = {name: sums[name].rho(lambda: ends()[name]) for name in names}
+    centred = {name: sums[name].centred() for name in names if rho[name] is None}
+    if centred:
+        walk(centred)
+        rho.update((name, c.rho(None)) for name, c in centred.items())
+    rows = [[name, lag, float(r)] for name in names for lag, r in zip(config.lags, rho[name])]
     writer.write_table("lagged_correlation", ["series", "lag", "rho"], rows)
 
 

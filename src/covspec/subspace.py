@@ -4,7 +4,8 @@ The rank-k projector at a date is the sum of outer products of the top-k
 eigenvectors. Its time average has trace k and eigenvalues in [0, 1]; how
 far those eigenvalues sit below one is what the fluctuation index quantifies.
 The lagged correlation of a series X_t = F_t F_t' (covariance, correlation or
-projector) comes from the (T, N, m) factors F, without per-date matrices.
+projector) comes from running sums over its (T, N, m) factors F, fed a chunk
+of dates at a time; a near-static series is summed once more, centred.
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ from .spectral import eigenvalues
 
 # The trace identities of LaggedSums move rho by about 3e-16 / g,
 # g the ratio of centred to total variance (gamma, for projectors; measured from
-# 0.9 down to 3e-5); below this g, where that passes 3e-13, the stack is used.
+# 0.9 down to 3e-5); below this g, where that passes 3e-13, the series is
+# summed once more over the centred terms X_t - M, which cancel nothing.
 GRAM_MIN_GAMMA = 1e-3
 LAGGED_KERNEL_LENGTH = 21
 # Sums over dates of per-date N x m factors run over chunks of dates holding
@@ -65,11 +67,6 @@ def _leading_vectors(series, k: int) -> np.ndarray:
             f"{vectors.shape[2]}"
         )
     return vectors[:, :, :k]
-
-
-def _outer_stack(factors: np.ndarray) -> np.ndarray:
-    """F_t F_t' per date, exactly symmetric as numpy forms it (syrk)."""
-    return factors @ np.transpose(factors, (0, 2, 1))
 
 
 def _outer_sum(factors: np.ndarray) -> np.ndarray:
@@ -128,40 +125,15 @@ def checked_lags(lags, t_len: int) -> list[int]:
     return lags
 
 
-def matrix_lagged_correlation(series, lags) -> np.ndarray:
-    """Trace-normalized autocorrelation of a matrix time series.
-
-    rho(tau) = tr<(X(t)-<X>)(X(t+tau)-<X>)> / tr<(X-<X>)^2> with <X> the
-    global time average; rho(0) is 1 exactly. The normalization uses the
-    full-sample mean, so finite samples may marginally exceed |rho| = 1;
-    that soft bound is a diagnostic, not an error.
-    """
-    matrices = np.asarray(getattr(series, "matrices", series), dtype=float)
-    if matrices.ndim != 3 or matrices.shape[1] != matrices.shape[2]:
-        raise ParameterError(f"expected a (T,N,N) stack, got {matrices.shape}")
-    t_len = matrices.shape[0]
-    lags = checked_lags(lags, t_len)
-    centered = matrices - matrices.mean(axis=0)
-    products = np.einsum("tij,tij->t", centered, centered)
-    denom = products.mean()
-    scale = np.einsum("tij,tij->t", matrices, matrices).mean()
-    if denom <= 1e-24 * max(scale, 1e-300):
-        raise DegenerateSeriesError("matrix series is constant; rho is undefined")
-
-    out = np.empty(len(lags))
-    for i, lag in enumerate(lags):
-        if lag == 0:
-            out[i] = 1.0
-            continue
-        cross = np.einsum("tij,tij->", centered[:-lag], centered[lag:])
-        out[i] = cross / (t_len - lag) / denom
-    return out
-
-
 def _overlaps(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """||A_t' B_t||_F^2 per date, which is tr(A_t A_t' B_t B_t')."""
     gram = np.transpose(a, (0, 2, 1)) @ b
     return np.einsum("tij,tij->t", gram, gram)
+
+
+def _frobenius(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """tr(A_t B_t) per date of symmetric A_t and B_t."""
+    return np.einsum("tij,tij->t", a, b)
 
 
 def _with_mean(factors: np.ndarray, mean: np.ndarray) -> np.ndarray:
@@ -173,8 +145,8 @@ class LaggedPartial(NamedTuple):
     """The terms of ``LaggedSums`` of a run of consecutive dates, from
     ``LaggedSums.partial``."""
 
-    carried: int  # dates before the run whose factors it was given
-    total: np.ndarray  # sum over the run's dates of X_t
+    carried: int  # dates before the run whose terms it was given
+    total: np.ndarray  # sum over the run's dates of X_t (0 for centred sums)
     own: np.ndarray  # tr(X_t^2) per date of the run
     cross: np.ndarray  # per lag, sum of tr(X_t X_{t+tau}) over pairs whose later date is in it
 
@@ -190,49 +162,78 @@ class LaggedPartial(NamedTuple):
 
 
 class LaggedSums:
-    """Running sums that give ``matrix_lagged_correlation`` of X_t = F_t F_t'
-    over T dates whose (T, N, m) factors come in blocks, by
-    tr(X_t X_s) = ||F_t' F_s||_F^2 and tr(X_t M) = tr(F_t' M F_t).
+    """Running sums that give the lagged correlation of X_t = F_t F_t' over
+    T dates whose (T, N, m) factors come in blocks,
 
-    The terms of each run of dates come from ``partial``, which reads
-    nothing but the lags, so any process can run it; ``LaggedPartial.then``
+        rho(tau) = sum_{t < T-tau} tr(C_t C_{t+tau}) / (T - tau) / mean_t tr(C_t^2),
+
+    C_t = X_t - M, M = sum_t X_t / T; rho(0) is 1 exactly. M is the
+    full-sample mean, so finite samples may marginally exceed |rho| = 1;
+    that soft bound is a diagnostic, not an error.
+
+    Each run of dates is fed as the ``terms`` of its factors. Their sums
+    come from ``partial``, which reads nothing but the lags, so any process
+    can run it; ``LaggedPartial.then``
     joins those of consecutive runs, and ``merge`` adds them in date order,
     one block of dates after another. Kept: S = sum_t X_t, tr(X_t^2) per
-    date and sum_t tr(X_t X_{t+tau}) per lag. With M = S / T the with-mean terms
-    follow from sum_t tr(X_t M) = T tr(M^2) minus the first and last
-    max(lags) dates a lag leaves out, whose factors ``rho`` is given.
+    date and sum_t tr(X_t X_{t+tau}) per lag, by tr(X_t X_s) =
+    ||F_t' F_s||_F^2. With M = S / T the with-mean terms follow from sum_t
+    tr(X_t M) = T tr(M^2) minus the first and last max(lags) dates a lag
+    leaves out, whose factors ``rho`` is given, by tr(X_t M) = tr(F_t' M F_t).
+    Where the series is near-static those terms cancel, and ``rho`` reports
+    None: the sums ``centred()`` returns are then fed the same dates again,
+    their terms the (b, N, N) C_t themselves, carried across runs as the
+    factors are, and keep the same sums of them, as Frobenius products.
     """
 
-    def __init__(self, lags, t_len: int):
+    def __init__(self, lags, t_len: int, mean=None, scale=None):
         self.lags = checked_lags(lags, t_len)
         self.t_len = t_len
         self.reach = max(self.lags, default=0)
+        self.mean = mean  # M, for centred sums; None for the sums of X_t
+        self.scale = scale  # mean_t tr(X_t^2), for centred sums
         self.seen = 0
         self.total = None
         self.own: list[np.ndarray] = []
         self.cross = np.zeros(len(self.lags))
 
-    def partial(self, factors, earlier=None) -> LaggedPartial:
-        """The terms of a run of b consecutive dates from their (b, N, m)
-        factors, given as ``earlier`` the factors of the min(max(lags), dates
-        before the run) dates just before it (None for none), which its
-        pairs across its start read."""
-        f = np.asarray(factors, dtype=float)
+    def centred(self) -> "LaggedSums":
+        """Empty sums of C_t = X_t - M over the same dates, with M = S / T
+        from these sums, once all T dates are merged."""
+        own = float(np.mean(np.concatenate(self.own)))
+        return LaggedSums(self.lags, self.t_len, self.total / self.t_len, own)
+
+    def terms(self, factors):
+        """What ``partial`` sums of b dates with (b, N, m) ``factors``: the
+        factors themselves, or, for centred sums, C_t = F_t F_t' - M."""
+        if self.mean is None:
+            return factors
+        terms = factors @ np.transpose(factors, (0, 2, 1))
+        terms -= self.mean
+        return terms
+
+    def partial(self, terms, earlier=None) -> LaggedPartial:
+        """The sums of a run of b consecutive dates from their ``terms``,
+        given as ``earlier`` the terms of the min(max(lags), dates before
+        the run) dates just before it (None for none), which its pairs
+        across its start read."""
+        f = np.asarray(terms, dtype=float)
         if f.ndim != 3:
             raise ParameterError(f"expected a (T,N,m) factor stack, got {f.shape}")
         earlier = f[:0] if earlier is None else np.asarray(earlier, dtype=float)
         carried = len(earlier)
+        pairs = _overlaps if self.mean is None else _frobenius
         cross = np.zeros(len(self.lags))
         for i, lag in enumerate(self.lags):
             if lag == 0:
                 continue
             if lag < len(f):
-                cross[i] = _overlaps(f[:-lag], f[lag:]).sum()
+                cross[i] = pairs(f[:-lag], f[lag:]).sum()
             lo, hi = max(0, lag - carried), min(lag, len(f))
             if lo < hi:
-                pairs = earlier[carried + lo - lag : carried + hi - lag], f[lo:hi]
-                cross[i] += _overlaps(*pairs).sum()
-        return LaggedPartial(carried, _outer_sum(f), _overlaps(f, f), cross)
+                cross[i] += pairs(earlier[carried + lo - lag : carried + hi - lag], f[lo:hi]).sum()
+        total = _outer_sum(f) if self.mean is None else 0.0
+        return LaggedPartial(carried, total, pairs(f, f), cross)
 
     def merge(self, part: LaggedPartial) -> None:
         """Add the terms of the next run of dates."""
@@ -250,41 +251,44 @@ class LaggedSums:
         self.cross += part.cross
         self.seen += len(part.own)
 
-    def rho(self, ends, stack) -> np.ndarray:
-        """rho(tau) per lag, once all T dates are merged. ``ends()`` returns
-        the factors of the first and of the last max(lags) dates, read where
-        a lag is positive. A constant or near-static series (GRAM_MIN_GAMMA)
-        goes to ``matrix_lagged_correlation`` of the F_t F_t' stack, built
-        from the (T, N, m) factors ``stack()`` returns, which refuses a
-        constant one."""
+    def rho(self, ends) -> np.ndarray | None:
+        """rho(tau) per lag, once all T dates are merged, or None for a
+        near-static series, whose ratio of centred to total variance is at
+        most GRAM_MIN_GAMMA: its rho comes from ``centred()``. ``ends()``
+        returns the factors of the first and of the last max(lags) dates,
+        read where a lag is positive and the sums are not centred. Centred
+        sums of a constant series raise DegenerateSeriesError."""
         if self.seen != self.t_len:
             raise ContractViolationError(f"{self.seen} of {self.t_len} dates fed")
-        t_len = self.t_len
-        mean = self.total / t_len
-        mean_sq = float(np.sum(mean * mean))
         own = float(np.mean(np.concatenate(self.own)))
-        denom = own - mean_sq
-        if denom <= GRAM_MIN_GAMMA * own:
-            return matrix_lagged_correlation(_outer_stack(stack()), self.lags)
         out = np.ones(len(self.lags))
-        if not self.reach:
-            return out
-        head, tail = (np.asarray(f, dtype=float) for f in ends())
-        if not len(head) == len(tail) == self.reach:
-            raise ContractViolationError(
-                f"{len(head)} first and {len(tail)} last dates given, not {self.reach}"
-            )
-        head, tail = _with_mean(head, mean), _with_mean(tail, mean)
-        for i, lag in enumerate(self.lags):
-            if lag == 0:
-                continue
+        if self.mean is not None:
+            if own <= 1e-24 * max(self.scale, 1e-300):
+                raise DegenerateSeriesError("matrix series is constant; rho is undefined")
+            cross, denom = self.cross, own
+        else:
+            mean = self.total / self.t_len
+            mean_sq = float(np.sum(mean * mean))
+            denom = own - mean_sq
+            if denom <= GRAM_MIN_GAMMA * own:
+                return None
+            if not self.reach:
+                return out
+            head, tail = (np.asarray(f, dtype=float) for f in ends())
+            if not len(head) == len(tail) == self.reach:
+                raise ContractViolationError(
+                    f"{len(head)} first and {len(tail)} last dates given, not {self.reach}"
+                )
+            head, tail = _with_mean(head, mean), _with_mean(tail, mean)
             # sum over t < T - tau of tr((X_t - M)(X_{t+tau} - M))
-            cross = (
+            cross = [
                 self.cross[i]
                 + head[:lag].sum()
                 + tail[len(tail) - lag :].sum()
-                - (t_len + lag) * mean_sq
-            )
-            out[i] = cross / (t_len - lag) / denom
+                - (self.t_len + lag) * mean_sq
+                for i, lag in enumerate(self.lags)
+            ]
+        for i, lag in enumerate(self.lags):
+            if lag:
+                out[i] = cross[i] / (self.t_len - lag) / denom
         return out
-

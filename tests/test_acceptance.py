@@ -30,11 +30,11 @@ from covspec import (
 )
 from covspec import spectral
 from covspec.cli import main
-from covspec.subspace import matrix_lagged_correlation
 from testutil import (
     assert_correlation_constraints,
     basis_series,
     covariance_stack,
+    matrix_lagged_correlation,
     projector_series,
     random_symmetric,
 )

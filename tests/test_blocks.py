@@ -27,8 +27,7 @@ from covspec import subspace, workers
 from covspec.errors import AnalysisError, DegenerateAssetError
 from covspec.moments import covariance_at, unit_rows, weighted_windows
 from covspec.spectral import leading_system, window_vectors
-from covspec.subspace import matrix_lagged_correlation
-from testutil import bundle_bytes
+from testutil import bundle_bytes, matrix_lagged_correlation
 
 N_ASSETS = 12
 
@@ -261,15 +260,10 @@ def test_lagged_blocks_gather_each_date_once(tmp_path, monkeypatch, one_worker):
         assert err <= 1e-12, per_block
 
 
-def test_near_static_lagged_series_rebuild_their_stack(tmp_path, monkeypatch, one_worker):
-    """With the guard above every ratio, each series takes the stacked route
-    on the whole factor stack, rebuilt after its blocks were dropped."""
-    monkeypatch.setattr(subspace, "GRAM_MIN_GAMMA", 1.0)
-    rows, gathered = lagged_rows(tmp_path, monkeypatch, "static", 4)
-    # 9 blocks, then one whole stack per series, and no gather of the first
-    # and last dates, which only the terms with the mean read
-    assert [len(g) for g in gathered] == block_gathers(4) + [33] * 4
-    config = validate_config(str(tmp_path / "static.cfg"))
+def stacked_reference(config):
+    """The lagged correlation of each lagged series of ``config`` by
+    ``matrix_lagged_correlation`` of its (T, N, N) stack of F_t F_t', with
+    the centred to total variance ratio of each."""
     returns = generate_returns(config.ensemble)
     compact = build_kernel("rectangular", config.lagged_length)
     dates, windows = weighted_windows(returns, compact)
@@ -277,11 +271,75 @@ def test_near_static_lagged_series_rebuild_their_stack(tmp_path, monkeypatch, on
     factors["correlation"] = unit_rows(windows.copy(), dates, returns.asset_ids)
     for k in (1, 3):
         factors[f"projector_k{k}"] = window_vectors(windows, k)
-    want = [
-        (label, lag, float(rho))
-        for label, f in factors.items()
-        for lag, rho in zip(
-            config.lags, matrix_lagged_correlation(subspace._outer_stack(f), config.lags)
-        )
-    ]
-    assert rows == want
+    rho, ratio = {}, {}
+    for label, f in factors.items():
+        stack = f @ np.transpose(f, (0, 2, 1))
+        centred = stack - stack.mean(axis=0)
+        rho[label] = matrix_lagged_correlation(stack, config.lags)
+        ratio[label] = np.sum(centred * centred) / np.sum(stack * stack)
+    return rho, ratio
+
+
+def assert_near_reference(rows, reference):
+    """The rho of each series within 1e-12 of its largest |rho| of the
+    reference's."""
+    for label in reference:
+        got = np.array([rho for name, _, rho in rows if name == label])
+        want = reference[label]
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), label
+
+
+def test_near_static_lagged_series_rebuild_their_stack(tmp_path, monkeypatch, one_worker):
+    """With the guard above every ratio, every series is summed once more,
+    centred, in a second walk over the same blocks."""
+    monkeypatch.setattr(subspace, "GRAM_MIN_GAMMA", 1.0)
+    rows, gathered = lagged_rows(tmp_path, monkeypatch, "static", 4)
+    # 9 blocks, then the same 9 blocks again, and no gather of the first
+    # and last dates, which only the terms with the mean read
+    walks = len(block_gathers(4))
+    assert [len(g) for g in gathered] == block_gathers(4) * 2
+    assert gathered[:walks] == gathered[walks:]
+    config = validate_config(str(tmp_path / "static.cfg"))
+    reference, _ = stacked_reference(config)
+    assert [row[:2] for row in rows] == [(label, lag) for label in reference for lag in config.lags]
+    assert_near_reference(rows, reference)
+
+
+NEAR_STATIC_CFG = LAGGED_CFG.replace("ensemble.beta = 0.5", "ensemble.beta = 0.999")
+
+
+@pytest.mark.parametrize("per_chunk", [3, None])
+def test_one_factor_near_static_series_are_summed_centred(
+    tmp_path, monkeypatch, one_worker, per_chunk
+):
+    """At beta = 0.999 the market mode holds still: the correlation and the
+    rank-1 projector fall below GRAM_MIN_GAMMA and take a second, centred
+    walk over the blocks, after the first walk and the gather of the first
+    and last REACH dates. Every block and chunk size gives rho within 1e-12
+    of the stacked reference."""
+    for per_block in LAGGED_BLOCKINGS:
+        name = f"near-static-{per_block}-{per_chunk}"
+        with monkeypatch.context() as patch:
+            if per_chunk is not None:
+                patch.setattr(subspace, "CHUNK_BYTES", per_chunk * WINDOW_BYTES)
+            rows, gathered = lagged_rows(tmp_path, monkeypatch, name, per_block, NEAR_STATIC_CFG)
+        walk = block_gathers(per_block or 33, per_chunk or 33)
+        assert [len(g) for g in gathered] == walk + [2 * REACH] + walk, per_block
+        reference, ratio = stacked_reference(validate_config(str(tmp_path / f"{name}.cfg")))
+        assert ratio["correlation"] < ratio["projector_k1"] < subspace.GRAM_MIN_GAMMA
+        assert min(ratio["covariance"], ratio["projector_k3"]) > subspace.GRAM_MIN_GAMMA
+        assert_near_reference(rows, reference)
+
+
+def test_one_asset_lagged_run_fails_on_its_constant_correlation(tmp_path, one_worker):
+    """With one asset the correlation is 1 at every date: its second,
+    centred walk finds a constant series, and the run fails."""
+    cfg = tmp_path / "one.cfg"
+    cfg.write_text(
+        LAGGED_CFG.replace(f"ensemble.assets = {N_ASSETS}", "ensemble.assets = 1")
+        .replace("projectors.ranks = 1,3", "projectors.ranks = 1")
+        + f"output.dir = {tmp_path / 'one'}\n"
+    )
+    with pytest.raises(AnalysisError) as err:
+        run_analysis(validate_config(str(cfg)))
+    assert str(err.value) == "subspace: matrix series is constant; rho is undefined"

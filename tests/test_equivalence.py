@@ -32,11 +32,11 @@ from covspec import (
 )
 from covspec.moments import weighted_windows
 from covspec.spectral import leading_system, window_vectors
-from covspec.subspace import matrix_lagged_correlation
 from testutil import (
     correlation_stack,
     covariance_stack,
     eigendecompose,
+    matrix_lagged_correlation,
     projector_series,
     reference_values,
 )

@@ -28,6 +28,7 @@ from covspec import (
     generate_returns,
     rolling_spectra,
     runner,
+    subspace,
 )
 from covspec.config import config_from_mapping
 from covspec.moments import weighted_windows
@@ -130,8 +131,8 @@ def test_mean_projector_holds_no_copy_of_the_vectors():
     assert peak < 0.25 * vectors.nbytes
 
 
-def lagged_stage_peak(n_dates, n=120, length=21):
-    spec = EnsembleSpec("one-factor", n, length + n_dates - 1, beta=0.5, seed=4)
+def lagged_stage_peak(n_dates, n=120, length=21, beta=0.5):
+    spec = EnsembleSpec("one-factor", n, length + n_dates - 1, beta=beta, seed=4)
     returns = generate_returns(spec)
     config = SimpleNamespace(
         lagged_length=length, lags=(0, 1, 5, 21), projector_ranks=(1, 2, 5)
@@ -163,6 +164,23 @@ def test_lagged_stage_peak_does_not_grow_with_the_block(monkeypatch):
     whole, _ = lagged_stage_peak(1200)
     # a block is walked in chunks, however many dates it holds
     assert whole < 1.25 * blocked
+
+
+def test_near_static_lagged_stage_peak_does_not_grow_with_the_dates(monkeypatch):
+    """At beta = 0.999 the correlation and the rank-1 projector are
+    near-static and walk the blocks once more, centred: one chunk of N x N
+    terms and those of the max(lags) dates before it at a time, so the
+    peak does not grow with the number of dates."""
+    centred = []
+    summed = subspace.LaggedSums.centred
+    monkeypatch.setattr(
+        subspace.LaggedSums, "centred", lambda sums: centred.append(1) or summed(sums)
+    )
+    monkeypatch.setattr(runner, "DATES_PER_BLOCK", 40)
+    short, _ = lagged_stage_peak(300, beta=0.999)
+    long, _ = lagged_stage_peak(600, beta=0.999)
+    assert len(centred) == 2 * 2
+    assert long < 1.25 * short
 
 
 def main_config(tmp_path, n_dates, n=80, length=100, **keys):

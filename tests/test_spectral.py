@@ -626,6 +626,20 @@ def test_mp_density_of_an_array_of_q_equals_its_scalar_calls():
     assert isinstance(mp_support(0.3)[0], float)
 
 
+# q at which libm's pow(x, 2) and x * x round an edge apart: lo for the
+# first two, hi for the third
+@pytest.mark.parametrize("q", [0.06701641422735066, 0.27056694871529935, 0.3349781513924486])
+def test_mp_support_and_density_of_a_scalar_q_have_its_array_bits(q):
+    lo, hi = mp_support(q)
+    arr_lo, arr_hi = mp_support(np.array([q]))
+    assert (lo, hi) == (arr_lo[0], arr_hi[0])
+    edges = np.array([lo, hi])
+    lam = np.concatenate((edges, np.nextafter(edges, 0.0), np.nextafter(edges, 5.0), [1.0]))
+    arr = mp_density(lam, np.array([q]))
+    assert np.array([mp_density(float(x), q) for x in lam]).tobytes() == arr.tobytes()
+    assert mp_density(lam, q).tobytes() == arr.tobytes()
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     st.floats(min_value=0.01, max_value=1.0),

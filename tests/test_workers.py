@@ -313,6 +313,46 @@ def test_lagged_blocks_identical_for_every_worker_count(tmp_path, monkeypatch):
 
 
 @forking
+def test_near_static_lagged_bundle_identical_for_every_worker_count(tmp_path, monkeypatch):
+    """At beta = 0.999 the correlation and the rank-1 projector are
+    near-static: after the first walk and the gather of the first and last
+    max(lags) dates, their blocks are walked once more, centred, dealt to
+    the workers in turn as the first walk's are, and the bundle is the same
+    bytes on 1, 2 and 3 CPUs."""
+    log = tmp_path / "blocks.log"
+
+    def logged(returns, kernel, idx):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()} {returns.dates[idx[-1]]}\n")
+        return weighted_windows(returns, kernel, idx)
+
+    monkeypatch.setattr(runner, "DATES_PER_BLOCK", 4)
+    monkeypatch.setattr(runner, "weighted_windows", logged)
+    ends = [block[-1] for block in BLOCK_DATES]
+    bundles = {}
+    for cpus in (1, 2, 3):
+        log.write_text("")
+        name = f"near-static-{cpus}"
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_text(
+            BASE_CFG.replace("ensemble.beta = 0.5", "ensemble.beta = 0.999")
+            + LAGGED_SETTINGS + f"output.dir = {tmp_path / name}\n"
+        )
+        with monkeypatch.context() as patch:
+            patch.setattr(workers, "_usable_cpus", lambda: cpus)
+            run_analysis(validate_config(str(cfg)))
+        assert_no_child_left()
+        bundles[cpus] = bundle_bytes(tmp_path / name)
+        mine = [line.split()[1] for line in log.read_text().splitlines()
+                if int(line.split()[0]) == os.getpid()]
+        walk = [d for b in range(0, len(ends), cpus) for d in ends[max(0, b - 1) : b + 1]]
+        assert mine == walk + [ends[-1]] + walk, cpus
+    assert b"projector_k1" in bundles[1]["lagged_correlation.csv"]
+    assert bundles[2] == bundles[1]
+    assert bundles[3] == bundles[1]
+
+
+@forking
 def test_lagged_stage_of_600_dates_runs_on_two_workers(tmp_path, monkeypatch):
     """600 lagged dates at N = 80, lags up to 42: the default blocks split
     them in two, one per worker on two CPUs."""

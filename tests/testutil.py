@@ -17,7 +17,8 @@ from covspec import (
     generate_returns,
     make_business_dates,
 )
-from covspec.subspace import LaggedSums, _leading_vectors
+from covspec.errors import DegenerateSeriesError, ParameterError
+from covspec.subspace import LaggedSums, _leading_vectors, checked_lags
 
 
 class MatrixSeries(NamedTuple):
@@ -77,16 +78,46 @@ def projector_series(series, k):
     return vk @ np.transpose(vk, (0, 2, 1))
 
 
+def matrix_lagged_correlation(series, lags):
+    """Trace-normalized autocorrelation of a (T, N, N) matrix stack, or of a
+    series holding one as ``matrices``, stacked: rho(tau) = tr<(X(t)-<X>)
+    (X(t+tau)-<X>)> / tr<(X-<X>)^2> with <X> the global time average, and
+    rho(0) = 1 exactly; a constant series raises DegenerateSeriesError."""
+    matrices = np.asarray(getattr(series, "matrices", series), dtype=float)
+    if matrices.ndim != 3 or matrices.shape[1] != matrices.shape[2]:
+        raise ParameterError(f"expected a (T,N,N) stack, got {matrices.shape}")
+    t_len = matrices.shape[0]
+    lags = checked_lags(lags, t_len)
+    centered = matrices - matrices.mean(axis=0)
+    denom = np.einsum("tij,tij->t", centered, centered).mean()
+    scale = np.einsum("tij,tij->t", matrices, matrices).mean()
+    if denom <= 1e-24 * max(scale, 1e-300):
+        raise DegenerateSeriesError("matrix series is constant; rho is undefined")
+    out = np.ones(len(lags))
+    for i, lag in enumerate(lags):
+        if lag:
+            cross = np.einsum("tij,tij->", centered[:-lag], centered[lag:])
+            out[i] = cross / (t_len - lag) / denom
+    return out
+
+
 def fed_in_blocks(factors, lags, step):
     """The lagged correlation of X_t = F_t F_t' from one ``LaggedSums`` fed
     the (T, N, m) factor stack in blocks of ``step`` dates, each block's
-    partial given the max(lags) dates before it, as the lagged stage does."""
-    sums = LaggedSums(lags, len(factors))
-    for lo in range(0, len(factors), step):
-        carried = min(sums.reach, lo)
-        sums.merge(sums.partial(factors[lo : lo + step], factors[lo - carried : lo]))
+    partial given the terms of the max(lags) dates before it, and, for a
+    near-static series, from its centred sums fed the same blocks, as the
+    lagged stage does."""
+
+    def fed(sums):
+        for lo in range(0, len(factors), step):
+            earlier = factors[lo - min(sums.reach, lo) : lo]
+            sums.merge(sums.partial(sums.terms(factors[lo : lo + step]), sums.terms(earlier)))
+        return sums
+
+    sums = fed(LaggedSums(lags, len(factors)))
     reach = sums.reach
-    return sums.rho(lambda: (factors[:reach], factors[len(factors) - reach :]), lambda: factors)
+    rho = sums.rho(lambda: (factors[:reach], factors[len(factors) - reach :]))
+    return fed(sums.centred()).rho(None) if rho is None else rho
 
 
 def factor_lagged_correlation(factors, lags):
