@@ -1,12 +1,17 @@
 #!/usr/bin/env python3
-"""Soak test of covspec's LAPACK binding against SciPy's LAPACK wrappers.
+"""Soak test of covspec's LAPACK binding against SciPy's LAPACK wrappers, and
+of its Sturm counts against the dsterf values.
 
 Draws M random symmetric N x N matrices from the seed, N from 1 to 400
 (log-uniform, so the small sizes where edge cases live come up often) and k
-from 0 to N, and runs the four routines of ``covspec._lapack`` and of
+from 0 to N, and runs four routines of ``covspec._lapack`` and of
 ``scipy.linalg.lapack`` on each, as ``spectral._tridiagonal_system`` calls
 them: dsytrd on the lower triangle, dsterf on the tridiagonal, dstemr for the
-top k eigenvectors and dormqr to transform them back. The matrices are
+top k eigenvectors and dormqr to transform them back. The fifth, dlaebz,
+which SciPy does not wrap, gives ``spectral.eigenvalue_counts`` at up to 64
+points drawn from the seed over the Gerschgorin interval of the tridiagonal
+form, less those within 64 N eps max(1, max|lambda|) of an eigenvalue; each
+count must equal the number of dsterf values at or below its point. The matrices are
 Gaussian symmetric ones, W W' of full rank (N <= L) and rank-deficient
 (N > L, down to the zero matrix), and ones with clustered eigenvalues, each at a random scale. Both
 sides get the same inputs, copied fresh for every call because dsterf and
@@ -21,7 +26,7 @@ import argparse
 import sys
 
 # covspec before numpy: importing it runs OpenBLAS on one thread.
-from covspec import _lapack
+from covspec import _lapack, spectral
 
 import numpy as np
 from scipy.linalg import lapack
@@ -50,13 +55,29 @@ def draw(rng):
     return f"{family} N={n} k={k} scale={scale:.3e}", scale * sym, k
 
 
+def sturm_points(rng, d, e, values):
+    """Up to 64 points drawn uniformly over the Gerschgorin interval of the
+    tridiagonal matrix with diagonal ``d`` and subdiagonal ``e`` (N entries,
+    the last 0), without those within 64 N eps max(1, max|lambda|) of one of
+    its ascending eigenvalues ``values``."""
+    n = d.size
+    radius = np.abs(e) + np.abs(np.concatenate(([0.0], e[:-1])))
+    points = rng.uniform((d - radius).min(), (d + radius).max(), 64)
+    tol = 64 * n * np.finfo(float).eps * max(1.0, float(np.abs(values).max()))
+    gap = np.abs(points[:, None] - values[None, :]).min(axis=1)
+    return points[gap > tol]
+
+
 def bits(*arrays):
     return [np.ascontiguousarray(a).tobytes() for a in arrays]
 
 
-def compare(sym, k):
-    """The first routine whose outputs differ between the two sides, or None."""
+def compare(sym, k, rng=None):
+    """The first routine whose outputs differ between the two sides, or
+    "dlaebz" where a Sturm count at a point drawn from ``rng`` (by default
+    seeded with N) differs from the dsterf values', or None."""
     n = sym.shape[0]
+    rng = np.random.default_rng(n) if rng is None else rng
     lwork = int(lapack.dsytrd_lwork(n, lower=1)[0])
     c, d, e, tau, info = lapack.dsytrd(sym.T, lower=1, lwork=lwork)
     ours = sym.T.copy(order="F")
@@ -69,6 +90,11 @@ def compare(sym, k):
     info2 = _lapack.dsterf(values2, e.copy())
     if info != info2 or bits(values) != bits(values2):
         return "dsterf"
+    points = sturm_points(rng, d2, e2, values2)
+    if points.size and not np.array_equal(
+        spectral.eigenvalue_counts(sym, points), np.searchsorted(values2, points, side="right")
+    ):
+        return "dlaebz"
     if not k:
         return None
     _, _, z, info = lapack.dstemr(d.copy(), e.copy(), 2, 0.0, 0.0, n - k + 1, n)
@@ -95,11 +121,13 @@ def main():
     rng = np.random.default_rng(args.seed)
     for i in range(args.matrices):
         desc, sym, k = draw(rng)
-        routine = compare(sym, k)
+        routine = compare(sym, k, rng)
         if routine is not None:
-            print(f"seed {args.seed}: matrix {i} ({desc}): {routine} differs from scipy's")
+            reference = "dsterf's counts" if routine == "dlaebz" else "scipy's"
+            print(f"seed {args.seed}: matrix {i} ({desc}): {routine} differs from {reference}")
             sys.exit(1)
-    print(f"seed {args.seed}: {args.matrices} matrices, binding equals scipy")
+    print(f"seed {args.seed}: {args.matrices} matrices, binding equals scipy, "
+          "Sturm counts equal dsterf's")
 
 
 if __name__ == "__main__":

@@ -1,20 +1,21 @@
-"""The four LAPACK routines of the tridiagonal eigensolve, bound through ctypes
-from the OpenBLAS that numpy's wheels bundle.
+"""The five LAPACK routines of the tridiagonal eigensolve and its Sturm counts,
+bound through ctypes from the OpenBLAS that numpy's wheels bundle.
 
 numpy's wheels link ``numpy.linalg`` against scipy-openblas64, an ILP64
 OpenBLAS that exports all of LAPACK under the prefix ``scipy_`` and the
 suffix ``64_``: every integer argument is 64 bits wide. Binding dsytrd,
-dsterf, dstemr and dormqr from it spares each covspec process SciPy's LAPACK
-wrappers, a second OpenBLAS and about 25 MB of peak resident memory (x86-64
-Linux, SciPy 1.17). A numpy built on another LAPACK (Accelerate, MKL, a
-distribution's shared library) exports no such symbols, and importing this
-module raises ImportError.
+dsterf, dstemr, dormqr and dlaebz (the Sturm-count loop dstebz runs) from it
+spares each covspec process SciPy's LAPACK wrappers, a second OpenBLAS and
+about 25 MB of peak resident memory (x86-64 Linux, SciPy 1.17). A numpy
+built on another LAPACK (Accelerate, MKL, a distribution's shared library)
+exports no such symbols, and importing this module raises ImportError.
 
 Each routine takes float64 arrays the caller owns and works in place, as
 LAPACK does. A matrix must have unit row stride (Fortran order); a view into a
 larger such matrix is passed as a pointer with the larger matrix's leading
-dimension, not copied. Each returns LAPACK's INFO, 0 on success. Work space is
-allocated per call, so calls from several threads do not share it.
+dimension, not copied. Each returns LAPACK's INFO, 0 on success (dsytrd and
+dlaebz with their outputs). Work space is allocated per call, so calls from
+several threads do not share it.
 """
 
 from __future__ import annotations
@@ -58,10 +59,13 @@ def _bind(*signatures):
     return routines
 
 
-_DSYTRD, _DSTERF, _DSTEMR, _DORMQR = _bind(
-    ("dsytrd", 10, 1), ("dsterf", 4, 0), ("dstemr", 21, 2), ("dormqr", 13, 2)
+_DSYTRD, _DSTERF, _DSTEMR, _DORMQR, _DLAEBZ = _bind(
+    ("dsytrd", 10, 1), ("dsterf", 4, 0), ("dstemr", 21, 2), ("dormqr", 13, 2),
+    ("dlaebz", 20, 0),
 )
-_ZERO = ctypes.byref(_DOUBLE(0.0))  # dstemr's VL and VU, not read for RANGE = 'I'
+# dstemr's VL and VU, not read for RANGE = 'I', and dlaebz's ABSTOL and
+# RELTOL, not read for IJOB = 1
+_ZERO = ctypes.byref(_DOUBLE(0.0))
 
 
 @cache
@@ -174,3 +178,30 @@ def dormqr(a: np.ndarray, tau: np.ndarray, c: np.ndarray) -> int:
     _DORMQR(b"L", b"N", _int(m), _int(n), _int(tau.size), *_view(a), _address(tau),
             *_view(c), _address(work), _int(n), ctypes.byref(info), 1, 1)
     return info.value
+
+
+def dlaebz(d: np.ndarray, e2: np.ndarray, pivmin: float, points: np.ndarray):
+    """Sturm counts (IJOB = 1): the number of eigenvalues at or below each of
+    the P ``points`` of the tridiagonal matrix with diagonal ``d`` and squared
+    subdiagonal ``e2`` (N entries, the last one not read; a zero one splits
+    the matrix), a pivot of magnitude below ``pivmin`` taken as -pivmin. The
+    points are the ends of ceil(P/2) intervals, counted in one call. Returns
+    (the P counts as int64, info)."""
+    n, p = d.size, points.size
+    _check(e2.size >= n and p >= 1, f"dlaebz with {n} d, {e2.size} e2 and {p} points")
+    m = (p + 1) // 2
+    # AB, NAB, C, WORK and IWORK in one allocation: AB and NAB are M x 2 in
+    # Fortran order, AB's first column the first M points and its second the
+    # rest, the last point twice for odd P; the integers are 64 bits
+    scratch = np.empty(7 * m)
+    scratch[:p] = points
+    scratch[p : 2 * m] = points[-1]
+    at = _address(scratch)
+    mout, info = _INT(), _INT()
+    # IJOB = 1 reads none of NITMAX, NBMIN, E, NVAL, C, WORK and IWORK; E is
+    # passed as E2 and NVAL as C
+    _DLAEBZ(_int(1), _int(0), _int(n), _int(m), _int(m), _int(0), _ZERO, _ZERO,
+            ctypes.byref(_DOUBLE(pivmin)), _address(d), _address(e2), _address(e2),
+            at + 32 * m, at, at + 32 * m, ctypes.byref(mout), at + 16 * m, at + 40 * m,
+            at + 48 * m, ctypes.byref(info))
+    return scratch[2 * m : 4 * m].view(np.int64)[:p].copy(), info.value

@@ -8,11 +8,12 @@ is still written, marked incomplete.
 
 The main stage forms and solves each evaluation date's matrices. Its dates
 are independent, so they run as the items of ``workers._forked``, dealt to
-one worker per usable CPU, each date sending back its values, kept vectors
-and dump entry, which this process stores in date order; a failure leaves
-the error and the files a one-worker run leaves. ``rolling_spectra``, the
-library's route from returns to spectra, is this same stage. The lagged
-stage's blocks of dates run the same way.
+one worker per usable CPU, each date sending back its values, kept vectors,
+mp-compare's counts of correlation eigenvalues at or below its points and
+dump entry; this process stores the values and vectors in date order and
+sums the counts. A failure leaves the error and the files a one-worker run
+leaves. ``rolling_spectra``, the library's route from returns to spectra, is
+this same stage. The lagged stage's blocks of dates run the same way.
 """
 
 from __future__ import annotations
@@ -51,8 +52,10 @@ from .panel import ReturnPanel, compute_returns, load_panel
 from .spectral import (
     DensityBins,
     SpectrumSeries,
+    counted_density,
     default_density_bins,
     density_of_states_curve,
+    eigenvalue_counts,
     fit_ansatz,
     fit_mp_q,
     leading_system,
@@ -169,16 +172,24 @@ def _mp_q(config, kernel, n_assets) -> tuple[float, float]:
     return q_teff, q_used
 
 
-def _mp_compare_file(writer, corr_spectra, q_teff, q_used, config) -> None:
+def _mp_points(q_used, config) -> np.ndarray:
+    """mp-compare's points, ascending: the edges of its bins over the M-P
+    support [lo, hi] between its outside thresholds lo - 0.1 and hi + 0.1."""
+    bins = DensityBins("linear", *mp_support(q_used), config.density_bins)
+    return np.concatenate(([bins.lo - 0.1], bins.edges(), [bins.hi + 0.1]))
+
+
+def _mp_compare_file(writer, below, total, q_teff, q_used, config) -> None:
+    """mp_compare.json from the numbers ``below`` of the ``total`` correlation
+    eigenvalues at or below each of mp-compare's points (``_mp_points``)."""
     lo, hi = mp_support(q_used)
-    hist = spectral_density(
-        corr_spectra, DensityBins("linear", lo, hi, config.density_bins)
+    hist = counted_density(
+        DensityBins("linear", lo, hi, config.density_bins), below[1:-1], total
     )
     reference = mp_density(hist.centers, q_used)
     peak = float(reference.max())
     mad = float(np.mean(np.abs(hist.densities - reference)))
-    values = corr_spectra.values.ravel()
-    outside = float(np.mean((values < lo - 0.1) | (values > hi + 0.1)))
+    outside = float((below[0] + total - below[-1]) / total)
     writer.write_json(
         "mp_compare.json",
         {
@@ -339,56 +350,83 @@ def _lagged_file(writer, returns, config, idx) -> None:
     writer.write_table("lagged_correlation", ["series", "lag", "rho"], rows)
 
 
-def _solved(date, matrix, k):
-    """``leading_system`` of one of the run's own matrices, exactly symmetric
+def _at_date(date, solve, *args):
+    """``solve(*args)`` on one of the run's own matrices, exactly symmetric
     by construction and so not checked; a failure names the date."""
     try:
-        return leading_system(matrix, k)
+        return solve(*args)
     except CovspecError as exc:
         raise type(exc)(f"at date {date!r}: {exc}") from exc
 
 
-def _main_stage(returns, kernel, idx, solves, dump=None):
+def _solved(date, matrix, k):
+    """``leading_system`` of one of the run's own matrices, at ``date``."""
+    return _at_date(date, leading_system, matrix, k)
+
+
+def _counts(date, corr, points, system):
+    """The number of eigenvalues of the correlation ``corr`` at ``date`` at
+    or below each of ``points``: from the values of its ``system`` where the
+    run solves it (None where it does not), else by Sturm counts where the
+    points number at most N, else from its values solved here."""
+    if system is None and len(points) <= len(corr):
+        return _at_date(date, eigenvalue_counts, corr, points)
+    values = (system or _solved(date, corr, 0))[0]
+    return np.searchsorted(values[::-1], points, side="right")
+
+
+def _main_stage(returns, kernel, idx, solves, dump=None, points=None):
     """The main matrices at panel indices ``idx``, date by date: each date's
-    covariance W W' and, where a solve or the dump reads it, its correlation
-    are formed once, the matrix of each flavor in ``solves`` solved for its
-    values and as many top vectors as ``solves`` maps it to, and then, with
-    ``dump`` a (bundle writer, flavor) pair, the matrix of that flavor
-    dumped, so a date whose solve fails writes no dump. The dates run as the
-    items of ``workers._forked``, each sending back its solves and its dump
-    entry, stored here in date order; a failure raises as a one-worker run
-    would, the error of the earliest date as an AnalysisError naming its
-    stage, with that run's dumps: those of the dates before it registered,
-    and every later one, whichever worker wrote it, deleted.
-    Returns the spectra of each flavor in ``solves``, keyed by it."""
+    covariance W W' and, where a solve, the counts or the dump reads it, its
+    correlation are formed once, the matrix of each flavor in ``solves``
+    solved for its values and as many top vectors as ``solves`` maps it to,
+    with ``points`` the number of correlation eigenvalues at or below each
+    of them counted (``_counts``), and then, with ``dump`` a (bundle writer,
+    flavor) pair, the matrix of that flavor dumped, so a date whose solve
+    fails writes no dump. The dates run as the items of ``workers._forked``,
+    each sending back its solves, its counts and its dump entry; the solves
+    are stored here in date order and the counts summed. A failure raises as
+    a one-worker run would, the error of the earliest date as an
+    AnalysisError naming its stage, with that run's dumps: those of the
+    dates before it registered, and every later one, whichever worker wrote
+    it, deleted. Returns the spectra of each flavor in ``solves``, keyed by
+    it, and the summed counts (None without ``points``)."""
     n = returns.n_assets
     dates = tuple(returns.dates[j] for j in idx)
     writer, dumped = dump or (None, None)
     values = {f: np.empty((len(dates), n)) for f in solves}
     vectors = {f: np.empty((len(dates), n, k)) for f, k in solves.items() if k}
+    below = None if points is None else np.zeros(len(points), dtype=np.int64)
     entries = []  # the dump entries of the dates taken, in date order
 
     def run_date(t):
-        """Date t's solves, then its dump (the solves leave the matrices
-        intact), and the dump's entry, or None with no dump."""
+        """Date t's solves and counts, then its dump (neither changes the
+        matrices), and the dump's entry, or None with no dump."""
         date, j = dates[t], idx[t]
         cov = _stage("moments", lambda: covariance_at(returns, kernel, j))
         matrices = {COVARIANCE: cov}
-        if CORRELATION in (*solves, dumped):
+        if CORRELATION in (*solves, dumped) or points is not None:
             matrices[CORRELATION] = _stage(
                 "moments", lambda: correlation_of(cov, date, returns.asset_ids)
             )
-        systems = [
-            _stage("spectral", lambda: _solved(date, matrices[f], k)) for f, k in solves.items()
-        ]
-        return systems, writer.write_matrix(dumped, date, matrices[dumped]) if writer else None
+        systems = {
+            f: _stage("spectral", lambda: _solved(date, matrices[f], k)) for f, k in solves.items()
+        }
+        counts = None if points is None else _stage(
+            "spectral",
+            lambda: _counts(date, matrices[CORRELATION], points, systems.get(CORRELATION)),
+        )
+        entry = writer.write_matrix(dumped, date, matrices[dumped]) if writer else None
+        return list(systems.values()), counts, entry
 
     def take(t, result):
-        systems, entry = result
+        systems, counts, entry = result
         for f, (row, kept) in zip(solves, systems):
             values[f][t] = row
             if kept is not None:
                 vectors[f][t] = kept
+        if counts is not None:
+            below[:] += counts
         entries.append(entry)
 
     try:
@@ -401,7 +439,7 @@ def _main_stage(returns, kernel, idx, solves, dump=None):
             for date in dates[len(entries) :]:
                 with contextlib.suppress(FileNotFoundError):
                     os.remove(os.path.join(writer.output_dir, writer.matrix_name(dumped, date)))
-    return {f: SpectrumSeries(dates, values[f], vectors.get(f)) for f in solves}
+    return {f: SpectrumSeries(dates, values[f], vectors.get(f)) for f in solves}, below
 
 
 def rolling_spectra(
@@ -426,7 +464,7 @@ def rolling_spectra(
     if not 0 <= n_vectors <= returns.n_assets:
         raise ParameterError(f"n_vectors={n_vectors} outside [0, {returns.n_assets}]")
     idx = resolve_eval_indices(returns, kernel, eval_dates)
-    return _main_stage(returns, kernel, idx, {flavor: n_vectors})[flavor]
+    return _main_stage(returns, kernel, idx, {flavor: n_vectors})[0][flavor]
 
 
 def run_analysis(config: RunConfig) -> ReportBundle:
@@ -470,21 +508,20 @@ def run_analysis(config: RunConfig) -> ReportBundle:
             lagged_dates = _stage(
                 "subspace", lambda: _lagged_dates(returns, config, eval_dates)
             )
+        points = None  # mp-compare's, at which its correlation eigenvalues are counted
         if "mp-compare" in analyses:
             mp_q = _stage("spectral", lambda: _mp_q(config, kernel, n))
+            points = _stage("spectral", lambda: _mp_points(mp_q[1], config))
 
         solves = {}  # the flavors whose spectra are read, with their kept vectors
         if analyses & {"spectrum", "density", "ansatz", "projectors", "fluctuation"}:
             solves[config.flavor] = (
                 max(config.projector_ranks) if analyses & {"projectors", "fluctuation"} else 0
             )
-        if "mp-compare" in analyses:
-            # correlation spectra: the main ones in correlation flavor, else its own
-            solves.setdefault(CORRELATION, 0)
-        spectra = {}
-        if solves or config.dump_matrices:
+        spectra, below = {}, None
+        if solves or points is not None or config.dump_matrices:
             dump = (writer, config.flavor) if config.dump_matrices else None
-            spectra = _main_stage(returns, kernel, idx, solves, dump)
+            spectra, below = _main_stage(returns, kernel, idx, solves, dump, points)
         main = spectra.get(config.flavor)
 
         if "spectrum" in analyses:
@@ -493,7 +530,7 @@ def run_analysis(config: RunConfig) -> ReportBundle:
             _stage("spectral", lambda: _density_file(writer, main, config.flavor, config))
         if "mp-compare" in analyses:
             _stage(
-                "spectral", lambda: _mp_compare_file(writer, spectra[CORRELATION], *mp_q, config)
+                "spectral", lambda: _mp_compare_file(writer, below, len(idx) * n, *mp_q, config)
             )
         if "ansatz" in analyses:
             _stage("spectral", lambda: _ansatz_files(writer, main))

@@ -1,11 +1,14 @@
 """Eigen-spectra of matrix series, spectral densities, and the spectrum fit.
 
 Covers the eigendecomposition of one symmetric matrix (values only where no
-vectors are read, and only the kept vectors where some are), the series of
-descending spectra the runner's main stage solves one date at a time
-(``runner.rolling_spectra``), leading eigenvectors of rolling covariances
-from the Gram matrices of their return windows, the geometric (logarithmic) mean spectrum, histogram
-spectral densities, the Marchenko-Pastur reference density, the
+vectors are read, and only the kept vectors where some are), the number of
+its eigenvalues at or below given points by Sturm counts, which solve for no
+eigenvalue (``eigenvalue_counts``), the series of descending spectra the
+runner's main stage solves one date at a time (``runner.rolling_spectra``),
+leading eigenvectors of rolling covariances from the Gram matrices of their
+return windows, the geometric (logarithmic) mean spectrum, histogram
+spectral densities of values or of counts at the bin edges
+(``counted_density``), the Marchenko-Pastur reference density, the
 three-parameter parametric fit of the log spectrum
 
     ln eps(alpha) = ln eps_mid + a*x / (1 - (2x/b)**4),   x = 1/2 - alpha/N,
@@ -19,10 +22,11 @@ The fit's c and the inversion of the fitted curve are found by bisection
 best point of a fixed grid refined by golden sections (``_grid_minimum``).
 Neither needs ``scipy.optimize``, whose import would cost every covspec
 process about 0.24 s and 21 MB of peak resident memory (x86-64 Linux, SciPy
-1.17). For the same reason the tridiagonal route calls its four LAPACK
-routines (dsytrd, dsterf, dstemr, dormqr) through ``_lapack``, a ctypes
+1.17). For the same reason the tridiagonal route calls its five LAPACK
+routines (dsytrd, dsterf, dstemr, dormqr, dlaebz) through ``_lapack``, a ctypes
 binding to the OpenBLAS numpy's wheels bundle, not through
-``scipy.linalg.lapack``; both return the same bits.
+``scipy.linalg.lapack``, whose wrappers of the first four return the same
+bits (it wraps no dlaebz).
 """
 
 from __future__ import annotations
@@ -226,6 +230,17 @@ def _check_info(name: str, info: int, n: int) -> None:
         raise NumericalError(f"{name} failed for {n}x{n} matrix (info {info})")
 
 
+def _tridiagonal(sym: np.ndarray):
+    """dsytrd of the lower triangle of a copy of ``sym``: the copy, holding
+    the reflectors, and the tridiagonal form's d and e, and tau."""
+    # Exactly symmetric, so the transpose is the same matrix in Fortran order:
+    # dsytrd reduces a copy of it, and the blocked workspace is dsyevd's.
+    c = sym.T.copy(order="F")
+    d, e, tau, info = _lapack.dsytrd(c)
+    _check_info("dsytrd", info, sym.shape[0])
+    return c, d, e, tau
+
+
 def _tridiagonal_system(sym: np.ndarray, k: int):
     """Descending eigenvalues of ``sym`` and its top k eigenvectors, from one
     tridiagonal reduction: every value from dsterf (what ``eigvalsh`` runs),
@@ -234,11 +249,7 @@ def _tridiagonal_system(sym: np.ndarray, k: int):
     back-transform fails. ``sym`` must be exactly symmetric; it is left
     intact."""
     n = sym.shape[0]
-    # Exactly symmetric, so the transpose is the same matrix in Fortran order:
-    # dsytrd reduces a copy of it, and the blocked workspace is dsyevd's.
-    c = sym.T.copy(order="F")
-    d, e, tau, info = _lapack.dsytrd(c)
-    _check_info("dsytrd", info, n)
+    c, d, e, tau = _tridiagonal(sym)
     # dsterf destroys its d and e, which dstemr reads next
     values = d.copy()
     info = _lapack.dsterf(values, e.copy())
@@ -256,6 +267,27 @@ def _tridiagonal_system(sym: np.ndarray, k: int):
     if n > 1 and _lapack.dormqr(c[1:, :-1], tau[:-1], z[1:]) != 0:
         return values, None
     return values, z[:, ::-1]
+
+
+def eigenvalue_counts(sym: np.ndarray, points) -> np.ndarray:
+    """The number of eigenvalues of ``sym`` at or below each of ``points``,
+    as int64, with no eigenvalue computed: Kahan's Sturm counts (LAPACK
+    dlaebz) on the tridiagonal form of one dsytrd, with dstebz's splitting
+    and pivot guard. They are the counts of the dsterf values except at a
+    point within rounding of an eigenvalue. They cost N steps per point
+    where dsterf costs about N^2 in all, so they pay for at most about N
+    points. ``sym`` is taken as ``leading_system`` takes it."""
+    n = sym.shape[0]
+    _, d, e, _ = _tridiagonal(sym)
+    e2 = e * e  # e's last entry, and so e2's, is 0
+    # dstebz splits where e_j^2 is negligible against |d_j d_(j+1)|, and
+    # guards the pivots with the safe minimum times the largest e_j^2 kept
+    ulp, safe_min = np.finfo(float).eps, np.finfo(float).tiny
+    e2[:-1][np.abs(d[1:] * d[:-1]) * (ulp * ulp) + safe_min > e2[:-1]] = 0.0
+    counts, info = _lapack.dlaebz(d, e2, safe_min * max(1.0, float(e2.max())),
+                                  np.asarray(points, dtype=float))
+    _check_info("dlaebz", info, n)
+    return counts
 
 
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
@@ -358,14 +390,20 @@ def spectral_density(series: SpectrumSeries, bins: DensityBins) -> DensityHistog
     """
     if len(series) < 1 or series.values.size == 0:
         raise ParameterError("empty spectrum series")
+    counts, _ = np.histogram(series.values, bins=bins.edges())
+    return counted_density(bins, np.concatenate(([0], np.cumsum(counts))), series.values.size)
+
+
+def counted_density(bins: DensityBins, below, total: int) -> DensityHistogram:
+    """Histogram density of ``total`` eigenvalues from cumulative counts at
+    the edges of ``bins``: bin i holds below[i+1] - below[i] of them, and
+    the rest are counted as excluded. For ``below[i]`` the number at or
+    below edge i, each bin is (a, b]."""
     edges = bins.edges()
-    values = series.values.ravel()
-    counts, _ = np.histogram(values, bins=edges)
     widths = np.diff(edges)
     centers = (edges[:-1] + edges[1:]) / 2.0
-    total = values.size
-    densities = counts / (total * widths)
-    return DensityHistogram(centers, widths, densities, int(total - counts.sum()), total)
+    densities = np.diff(below) / (total * widths)
+    return DensityHistogram(centers, widths, densities, int(total - (below[-1] - below[0])), total)
 
 
 def default_density_bins(

@@ -26,7 +26,7 @@ from covspec import (
 from covspec import subspace, workers
 from covspec.errors import AnalysisError, DegenerateAssetError
 from covspec.moments import covariance_at, unit_rows, weighted_windows
-from covspec.spectral import leading_system, window_vectors
+from covspec.spectral import eigenvalue_counts, leading_system, window_vectors
 from testutil import bundle_bytes, matrix_lagged_correlation
 
 N_ASSETS = 12
@@ -166,6 +166,46 @@ def test_mp_compare_alone_solves_only_the_spectra_it_reads(tmp_path, monkeypatch
     alone = bundles["covariance", "mp-compare"]
     for reference in (("covariance", "mp-compare,spectrum"), ("correlation", "mp-compare")):
         assert alone["mp_compare.json"] == bundles[reference]["mp_compare.json"], reference
+
+
+def test_mp_compare_alone_counts_at_its_points_by_sturm_sequences(
+    tmp_path, monkeypatch, one_worker
+):
+    """With 8 bins mp-compare has 11 points (9 bin edges and the two outside
+    thresholds), at most N = 12. Alone in covariance flavor it reads the
+    correlation only through them: each date's correlation eigenvalues are
+    counted at them by Sturm sequences, once per date, and none is solved
+    for. Its mp_compare.json is the bytes of the values source, the spectra
+    of a correlation-flavor run with spectrum on."""
+    bundles = {}
+    for flavor, analyses in [("covariance", "mp-compare"), ("correlation", "mp-compare,spectrum")]:
+        solved, counted = [], []
+
+        def solving(matrix, k, solved=solved):
+            solved.append(k)
+            return leading_system(matrix, k)
+
+        def counting(matrix, points, counted=counted):
+            counted.append(len(points))
+            return eigenvalue_counts(matrix, points)
+
+        out = tmp_path / flavor
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            BLOCKED_CFG.replace("output.dump_matrices = true", "density.bins = 8")
+            .replace("spectrum,density,mp-compare,ansatz,projectors,fluctuation", analyses)
+            + f"matrix.flavor = {flavor}\noutput.dir = {out}\n"
+        )
+        with monkeypatch.context() as patch:
+            patch.setattr(runner, "leading_system", solving)
+            patch.setattr(runner, "eigenvalue_counts", counting)
+            run_analysis(validate_config(str(cfg)))
+        bundles[flavor] = bundle_bytes(out)
+        if flavor == "covariance":
+            assert (solved, counted) == ([], [11] * 11)
+        else:
+            assert (solved, counted) == ([0] * 11, [])
+    assert bundles["covariance"]["mp_compare.json"] == bundles["correlation"]["mp_compare.json"]
 
 
 LAGGED_CFG = BLOCKED_CFG.replace("output.dump_matrices = true", "").replace(

@@ -1,16 +1,19 @@
 """End-to-end equivalence of the solvers each analysis uses with the
-reference ones: a full eigendecomposition for every date's matrix, stacked
-(T,N,N) projector series and their stacked mean, and for every lagged
-series the stacked F_t F_t' of its factors with eigh vectors of the lagged
-covariance. The library's ``rolling_spectra`` writes the bytes of the run's
-spectrum files, and matches the plain numpy reference.
+reference ones: a full eigendecomposition for every date's matrix, the
+counts of its values for mp-compare, stacked (T,N,N) projector series and
+their stacked mean, and for every lagged series the stacked F_t F_t' of its
+factors with eigh vectors of the lagged covariance. The library's
+``rolling_spectra`` writes the bytes of the run's spectrum files, and
+matches the plain numpy reference.
 
 Each config runs twice, once as shipped and once with the reference
-functions patched into the runner in place of its per-date solve and its
-mean projector, on one worker (``one_worker``), so the shipped run's
-solves are all counted in this process. The lagged rows are computed here from the whole window
-stack, apart from the runner. Every number of every output must agree to
-1e-12 relative to the largest magnitude in its column.
+functions patched into the runner in place of its per-date solve, its
+per-date Sturm counts and its mean projector, on one worker
+(``one_worker``), so the shipped run's solves are all counted in this
+process. The lagged rows are computed here from the whole window stack,
+apart from the runner, and mp-compare's histogram from every date's eigh
+values. Every number of every output must agree to 1e-12 relative to the
+largest magnitude in its column.
 """
 
 import csv
@@ -24,20 +27,24 @@ from covspec import (
     MeanProjector,
     bundle,
     build_kernel,
+    effective_length,
     generate_returns,
+    mp_density,
+    mp_support,
     rolling_spectra,
     run_analysis,
     runner,
     validate_config,
 )
 from covspec.moments import weighted_windows
-from covspec.spectral import leading_system, window_vectors
+from covspec.spectral import eigenvalue_counts, leading_system, window_vectors
 from testutil import (
     correlation_stack,
     covariance_stack,
     eigendecompose,
     matrix_lagged_correlation,
     projector_series,
+    reference_counts,
     reference_values,
 )
 
@@ -68,6 +75,8 @@ CASES = {
     "window-above-2n": dict(n=12, ranks="1,2,5", lagged_length=30),
     # more assets: five of 60 vectors from MRRR on the tridiagonal form
     "mrrr-vectors": dict(n=60, ranks="1,2,5", lagged_length=8),
+    # 20 bins: mp-compare's 23 points, at most N, take Sturm counts
+    "sturm-counts": dict(n=24, ranks="1,2,5", lagged_length=8, bins=20),
 }
 
 
@@ -132,7 +141,8 @@ def read_columns(path):
 
 def case_config(tmp_path, name, case):
     cfg = tmp_path / f"{name}.cfg"
-    cfg.write_text(ALL_ANALYSES.format(**case) + f"output.dir = {tmp_path / name}\n")
+    bins = f"density.bins = {case['bins']}\n" if "bins" in case else ""
+    cfg.write_text(ALL_ANALYSES.format(**case) + bins + f"output.dir = {tmp_path / name}\n")
     return validate_config(str(cfg))
 
 
@@ -142,7 +152,7 @@ def run(tmp_path, name, case):
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_outputs_match_reference_solvers(tmp_path, monkeypatch, one_worker, case):
-    svd_ranks, kept_vectors = [], []
+    svd_ranks, kept_vectors, counted = [], [], []
 
     def counted_window_vectors(windows, k):
         svd_ranks.append(k)
@@ -153,20 +163,33 @@ def test_outputs_match_reference_solvers(tmp_path, monkeypatch, one_worker, case
         kept_vectors.append(("correlation" if unit_diagonal else "covariance", k))
         return leading_system(matrix, k)
 
+    def counted_eigenvalue_counts(matrix, points):
+        counted.append(len(points))
+        return eigenvalue_counts(matrix, points)
+
     with monkeypatch.context() as patch:
         patch.setattr(runner, "window_vectors", counted_window_vectors)
         patch.setattr(runner, "leading_system", counted_leading_system)
+        patch.setattr(runner, "eigenvalue_counts", counted_eigenvalue_counts)
         shipped = run(tmp_path, "shipped", CASES[case])
-    # per date: the main (covariance) matrix keeps max(k) vectors and the
-    # M-P correlation matrix none; the lagged stage takes max(k) vectors
-    # from its windows
+    # per date: the main (covariance) matrix keeps max(k) vectors, and the
+    # M-P correlation matrix is counted at mp-compare's bins + 3 points, by
+    # Sturm sequences where they number at most N, else from its values;
+    # the lagged stage takes max(k) vectors from its windows
     k_max = max(int(k) for k in CASES[case]["ranks"].split(","))
     assert svd_ranks and set(svd_ranks) == {k_max}
     n_dates = 420 - 120 + 1
-    assert kept_vectors[0::2] == [("covariance", k_max)] * n_dates
-    assert kept_vectors[1::2] == [("correlation", 0)] * n_dates
+    points = CASES[case].get("bins", 60) + 3
+    if points <= CASES[case]["n"]:
+        assert kept_vectors == [("covariance", k_max)] * n_dates
+        assert counted == [points] * n_dates
+    else:
+        assert kept_vectors[0::2] == [("covariance", k_max)] * n_dates
+        assert kept_vectors[1::2] == [("correlation", 0)] * n_dates
+        assert counted == []
     with monkeypatch.context() as patch:
         patch.setattr(runner, "leading_system", reference_system)
+        patch.setattr(runner, "eigenvalue_counts", reference_counts)
         patch.setattr(runner, "mean_projector", reference_mean_projector)
         reference = run(tmp_path, "reference", CASES[case])
 
@@ -192,6 +215,34 @@ def test_outputs_match_reference_solvers(tmp_path, monkeypatch, one_worker, case
             scale = max(float(np.nanmax(np.abs(expected))), 1e-300)
             err = float(np.nanmax(np.abs(actual - expected)))
             assert err <= RTOL * scale, (name, key, err / scale)
+
+
+@pytest.mark.parametrize("case", ["sturm-counts", "thin-svd"])
+def test_mp_compare_is_the_histogram_of_every_dates_eigh_values(tmp_path, case):
+    """mp_compare.json's per-bin deviation and outside fraction are those of
+    the (a, b] histogram of the eigh values of every date's correlation,
+    pooled here in plain numpy, whether the run counts them by Sturm
+    sequences or among its values."""
+    config = case_config(tmp_path, "mp", CASES[case])
+    cfg = tmp_path / "mp.cfg"
+    cfg.write_text(cfg.read_text().replace(
+        "spectrum,density,mp-compare,ansatz,projectors,fluctuation,lagged", "mp-compare"))
+    run_analysis(validate_config(str(cfg)))
+    got = json.loads((tmp_path / "mp" / "mp_compare.json").read_text())
+
+    kernel = build_kernel("long-memory", 120)
+    values = np.sort(reference_values(
+        correlation_stack(covariance_stack(generate_returns(config.ensemble), kernel))
+    ).ravel())
+    q = CASES[case]["n"] / effective_length(kernel)
+    lo, hi = mp_support(q)
+    edges = np.linspace(lo, hi, CASES[case].get("bins", 60) + 1)
+    below = np.searchsorted(values, edges, side="right")
+    densities = np.diff(below) / (values.size * np.diff(edges))
+    mad = np.mean(np.abs(densities - mp_density((edges[:-1] + edges[1:]) / 2.0, q)))
+    outside = np.mean((values <= lo - 0.1) | (values > hi + 0.1))
+    assert abs(got["mad_per_bin"] - mad) <= RTOL * mad
+    assert abs(got["outside_support_fraction"] - outside) <= RTOL * max(outside, 1e-300)
 
 
 @pytest.mark.parametrize("flavor", ["covariance", "correlation"])

@@ -53,7 +53,9 @@ def test_format_soak_finds_no_mismatch():
 def test_lapack_soak_finds_no_mismatch():
     proc = run_script("lapack_soak.py", LAPACK_SOAK_ARGS)
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert proc.stdout == "seed 3: 60 matrices, binding equals scipy\n"
+    assert proc.stdout == (
+        "seed 3: 60 matrices, binding equals scipy, Sturm counts equal dsterf's\n"
+    )
 
 
 # 9 code lines: the docstrings, the comment line and the blank lines are not

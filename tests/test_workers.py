@@ -20,6 +20,7 @@ import pytest
 
 from covspec import (
     EnsembleSpec,
+    _lapack,
     build_kernel,
     bundle,
     generate_returns,
@@ -54,6 +55,9 @@ CONFIGS = {
     "correlation-json": "matrix.flavor = correlation\noutput.format = json\n"
     "analyses = spectrum,mp-compare,projectors,fluctuation,lagged\n"
     "lagged.length = 8\nlagged.lags = 0,1,5\n",
+    # 11 points, at most N = 12: Sturm counts of the correlation eigenvalues
+    "covariance-sturm-counts": "matrix.flavor = covariance\nanalyses = mp-compare\n"
+    "density.bins = 8\n",
 }
 
 # 1, 2 and 3 workers, and more CPUs than dates: one worker per date
@@ -146,12 +150,13 @@ def test_library_spectra_identical_for_every_worker_count(monkeypatch, flavor):
         assert np.array_equal(got.vectors, reference.vectors), cpus
 
 
-def failing_run(tmp_path, monkeypatch, name, cpus):
-    """A covariance run with dump and mp-compare on ``cpus`` CPUs that fails;
-    returns the error's type and message and the bundle's files."""
+def failing_run(tmp_path, monkeypatch, name, cpus, settings=CONFIGS["covariance-csv-dump"]):
+    """A run on ``cpus`` CPUs that fails, by default a covariance run with
+    dump and mp-compare; returns the error's type and message and the
+    bundle's files."""
     monkeypatch.setattr(workers, "_usable_cpus", lambda: cpus)
     with pytest.raises(AnalysisError) as err:
-        run_analysis(run_config(tmp_path, name))
+        run_analysis(run_config(tmp_path, name, settings))
     assert_no_child_left()
     manifest = json.loads((tmp_path / name / "manifest.json").read_text())
     assert manifest["complete"] is False and manifest["error"] == str(err.value)
@@ -202,6 +207,40 @@ def test_failure_matches_one_worker(tmp_path, monkeypatch, where, fail_at):
         assert (kind, message) == reference[:2], cpus
         assert files.keys() == reference[2].keys(), cpus
         assert files == reference[2], cpus
+
+
+@forking
+@pytest.mark.parametrize("fail_at", [0, 5])
+def test_sturm_count_failure_matches_one_worker(tmp_path, monkeypatch, fail_at):
+    """A dsytrd failure in the Sturm counts of one date's correlation, on
+    this process or a child, fails the run naming the date, with the error
+    and the manifest of one worker."""
+    config = run_config(tmp_path, "probe", CONFIGS["covariance-sturm-counts"])
+    returns = generate_returns(config.ensemble)
+    j = returns.dates.index(DATES[fail_at])
+    cov = covariance_at(returns, build_kernel("long-memory", 30), j)
+    target = correlation_of(cov, DATES[fail_at], returns.asset_ids)
+    dsytrd = _lapack.dsytrd
+
+    def faulty(a):
+        failing = np.array_equal(a, target)
+        d, e, tau, info = dsytrd(a)
+        return d, e, tau, 3 if failing else info
+
+    monkeypatch.setattr(_lapack, "dsytrd", faulty)
+    results = {
+        cpus: failing_run(tmp_path, monkeypatch, f"cpus-{cpus}", cpus,
+                          CONFIGS["covariance-sturm-counts"])
+        for cpus in CPU_COUNTS
+    }
+    reference = results.pop(1)
+    assert reference[:2] == (
+        AnalysisError,
+        f"spectral: at date {DATES[fail_at]!r}: dsytrd failed for 12x12 matrix (info 3)",
+    )
+    assert set(reference[2]) == {"manifest.json"}
+    for cpus, got in results.items():
+        assert got == reference, cpus
 
 
 @forking

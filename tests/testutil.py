@@ -1,7 +1,8 @@
 """Shared helpers for the test suite, and the reference routes the package is
 checked against, in plain numpy where they stand for a package route: each
 date's covariance W W' and its correlation cov / outer(sqrt(diag),
-sqrt(diag)) stacked (T,N,N), a full ``eigh`` per matrix, stacked (T,N,N)
+sqrt(diag)) stacked (T,N,N), a full ``eigh`` per matrix, the eigenvalue
+counts at given points from its values, stacked (T,N,N)
 projector series, the lagged correlation of a whole factor stack, and the
 per-row % template the CSV writer's text must equal."""
 
@@ -52,6 +53,12 @@ def correlation_stack(series):
 def reference_values(series):
     """The (T, N) descending eigenvalues of each matrix, by ``eigendecompose``."""
     return np.array([eigendecompose(m).values for m in series.matrices])
+
+
+def reference_counts(matrix, points):
+    """The number of ``eigendecompose`` values of a symmetric matrix at or
+    below each point."""
+    return np.searchsorted(eigendecompose(matrix).values[::-1], points, side="right")
 
 
 class EigenSystem(NamedTuple):
