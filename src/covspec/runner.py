@@ -6,14 +6,17 @@ records each file with its content hash plus the resolved config. Outputs
 are byte-deterministic for a fixed config and seed. On failure the manifest
 is still written, marked incomplete.
 
-The main stage forms and solves each evaluation date's matrices. Its dates
-are independent, so they run as the items of ``workers._forked``, dealt to
-one worker per usable CPU, each date sending back its values, kept vectors,
-mp-compare's counts of correlation eigenvalues at or below its points and
-dump entry; this process stores the values and vectors in date order and
-sums the counts. A failure leaves the error and the files a one-worker run
-leaves. ``rolling_spectra``, the library's route from returns to spectra, is
-this same stage. The lagged stage's blocks of dates run the same way.
+The main stage forms each evaluation date's matrices and solves the one of
+the run's flavor. Its dates are independent, so they run as the items of
+``workers._forked``, dealt to one worker per usable CPU, each date sending
+back its values, kept vectors, mp-compare's counts of correlation
+eigenvalues at or below its points and dump entry; this process stores the
+values and vectors in date order and sums the counts. A failure leaves the
+error and the files a one-worker run leaves. ``rolling_spectra``, the
+library's route from returns to spectra, is this same stage. The analyses
+that read its spectra write their files within ``_main_files``, so the
+spectra are dropped before the lagged stage, whose blocks of dates run the
+same way, forks its workers.
 """
 
 from __future__ import annotations
@@ -364,67 +367,65 @@ def _solved(date, matrix, k):
     return _at_date(date, leading_system, matrix, k)
 
 
-def _counts(date, corr, points, system):
+def _counts(date, corr, points, values):
     """The number of eigenvalues of the correlation ``corr`` at ``date`` at
-    or below each of ``points``: from the values of its ``system`` where the
-    run solves it (None where it does not), else by Sturm counts where the
+    or below each of ``points``: from its solved ``values`` where the run
+    solves it (None where it does not), else by Sturm counts where the
     points number at most N, else from its values solved here."""
-    if system is None and len(points) <= len(corr):
-        return _at_date(date, eigenvalue_counts, corr, points)
-    values = (system or _solved(date, corr, 0))[0]
+    if values is None:
+        if len(points) <= len(corr):
+            return _at_date(date, eigenvalue_counts, corr, points)
+        values = _solved(date, corr, 0)[0]
     return np.searchsorted(values[::-1], points, side="right")
 
 
-def _main_stage(returns, kernel, idx, solves, dump=None, points=None):
+def _main_stage(returns, kernel, idx, flavor, k=None, writer=None, points=None):
     """The main matrices at panel indices ``idx``, date by date: each date's
-    covariance W W' and, where a solve, the counts or the dump reads it, its
-    correlation are formed once, the matrix of each flavor in ``solves``
-    solved for its values and as many top vectors as ``solves`` maps it to,
-    with ``points`` the number of correlation eigenvalues at or below each
-    of them counted (``_counts``), and then, with ``dump`` a (bundle writer,
-    flavor) pair, the matrix of that flavor dumped, so a date whose solve
-    fails writes no dump. The dates run as the items of ``workers._forked``,
-    each sending back its solves, its counts and its dump entry; the solves
-    are stored here in date order and the counts summed. A failure raises as
-    a one-worker run would, the error of the earliest date as an
-    AnalysisError naming its stage, with that run's dumps: those of the
-    dates before it registered, and every later one, whichever worker wrote
-    it, deleted. Returns the spectra of each flavor in ``solves``, keyed by
-    it, and the summed counts (None without ``points``)."""
+    covariance W W' and, where the ``flavor`` or the counts read it, its
+    correlation are formed once; the matrix of ``flavor`` is solved for its
+    values and its top ``k`` vectors (no solve for k None), the number of
+    correlation eigenvalues at or below each of ``points`` counted
+    (``_counts``), and then, with a bundle ``writer``, that same matrix
+    dumped, so a date whose solve fails writes no dump. The dates run as the
+    items of ``workers._forked``, each sending back its values and vectors,
+    its counts and its dump entry; the values and vectors are stored here in
+    date order and the counts summed. A failure raises as a one-worker run
+    would, the error of the earliest date as an AnalysisError naming its
+    stage, with that run's dumps: those of the dates before it registered,
+    and every later one, whichever worker wrote it, deleted. Returns the
+    spectra (None for k None) and the summed counts (None without
+    ``points``)."""
     n = returns.n_assets
     dates = tuple(returns.dates[j] for j in idx)
-    writer, dumped = dump or (None, None)
-    values = {f: np.empty((len(dates), n)) for f in solves}
-    vectors = {f: np.empty((len(dates), n, k)) for f, k in solves.items() if k}
+    values = None if k is None else np.empty((len(dates), n))
+    vectors = np.empty((len(dates), n, k)) if k else None
     below = None if points is None else np.zeros(len(points), dtype=np.int64)
     entries = []  # the dump entries of the dates taken, in date order
 
     def run_date(t):
-        """Date t's solves and counts, then its dump (neither changes the
-        matrices), and the dump's entry, or None with no dump."""
+        """Date t's solve and counts, then its dump (neither changes the
+        matrix), and the dump's entry, or None with no dump."""
         date, j = dates[t], idx[t]
-        cov = _stage("moments", lambda: covariance_at(returns, kernel, j))
-        matrices = {COVARIANCE: cov}
-        if CORRELATION in (*solves, dumped) or points is not None:
-            matrices[CORRELATION] = _stage(
-                "moments", lambda: correlation_of(cov, date, returns.asset_ids)
-            )
-        systems = {
-            f: _stage("spectral", lambda: _solved(date, matrices[f], k)) for f, k in solves.items()
-        }
+        matrix = _stage("moments", lambda: covariance_at(returns, kernel, j))
+        corr = None
+        if flavor == CORRELATION or points is not None:
+            corr = _stage("moments", lambda: correlation_of(matrix, date, returns.asset_ids))
+            if flavor == CORRELATION:
+                matrix = corr
+        system = None if k is None else _stage("spectral", lambda: _solved(date, matrix, k))
+        solved = system[0] if system and flavor == CORRELATION else None
         counts = None if points is None else _stage(
-            "spectral",
-            lambda: _counts(date, matrices[CORRELATION], points, systems.get(CORRELATION)),
+            "spectral", lambda: _counts(date, corr, points, solved)
         )
-        entry = writer.write_matrix(dumped, date, matrices[dumped]) if writer else None
-        return list(systems.values()), counts, entry
+        entry = writer.write_matrix(flavor, date, matrix) if writer else None
+        return system, counts, entry
 
     def take(t, result):
-        systems, counts, entry = result
-        for f, (row, kept) in zip(solves, systems):
-            values[f][t] = row
-            if kept is not None:
-                vectors[f][t] = kept
+        system, counts, entry = result
+        if system is not None:
+            values[t] = system[0]
+            if vectors is not None:
+                vectors[t] = system[1]
         if counts is not None:
             below[:] += counts
         entries.append(entry)
@@ -438,8 +439,8 @@ def _main_stage(returns, kernel, idx, solves, dump=None, points=None):
             # workers that ran ahead of it
             for date in dates[len(entries) :]:
                 with contextlib.suppress(FileNotFoundError):
-                    os.remove(os.path.join(writer.output_dir, writer.matrix_name(dumped, date)))
-    return {f: SpectrumSeries(dates, values[f], vectors.get(f)) for f in solves}, below
+                    os.remove(os.path.join(writer.output_dir, writer.matrix_name(flavor, date)))
+    return None if k is None else SpectrumSeries(dates, values, vectors), below
 
 
 def rolling_spectra(
@@ -464,7 +465,37 @@ def rolling_spectra(
     if not 0 <= n_vectors <= returns.n_assets:
         raise ParameterError(f"n_vectors={n_vectors} outside [0, {returns.n_assets}]")
     idx = resolve_eval_indices(returns, kernel, eval_dates)
-    return _main_stage(returns, kernel, idx, {flavor: n_vectors})[0][flavor]
+    return _main_stage(returns, kernel, idx, flavor, n_vectors)[0]
+
+
+def _main_files(writer, returns, kernel, idx, config) -> None:
+    """The main stage at panel indices ``idx`` and the files of the analyses
+    that read it. Its spectra go out of scope on return, so the lagged
+    stage's workers, forked afterwards, do not count their pages."""
+    analyses = set(config.analyses)
+    n = returns.n_assets
+    points = None  # mp-compare's, at which its correlation eigenvalues are counted
+    if "mp-compare" in analyses:
+        mp_q = _stage("spectral", lambda: _mp_q(config, kernel, n))
+        points = _stage("spectral", lambda: _mp_points(mp_q[1], config))
+    k = None  # the kept vectors, where the spectra are read
+    if analyses & {"spectrum", "density", "ansatz", "projectors", "fluctuation"}:
+        k = max(config.projector_ranks) if analyses & {"projectors", "fluctuation"} else 0
+    if k is None and points is None and not config.dump_matrices:
+        return
+    dump = writer if config.dump_matrices else None
+    main, below = _main_stage(returns, kernel, idx, config.flavor, k, dump, points)
+
+    if "spectrum" in analyses:
+        _stage("spectral", lambda: _spectrum_files(writer, main))
+    if "density" in analyses:
+        _stage("spectral", lambda: _density_file(writer, main, config.flavor, config))
+    if "mp-compare" in analyses:
+        _stage("spectral", lambda: _mp_compare_file(writer, below, len(idx) * n, *mp_q, config))
+    if "ansatz" in analyses:
+        _stage("spectral", lambda: _ansatz_files(writer, main))
+    if analyses & {"projectors", "fluctuation"}:
+        _stage("subspace", lambda: _projector_files(writer, main, config))
 
 
 def run_analysis(config: RunConfig) -> ReportBundle:
@@ -508,34 +539,7 @@ def run_analysis(config: RunConfig) -> ReportBundle:
             lagged_dates = _stage(
                 "subspace", lambda: _lagged_dates(returns, config, eval_dates)
             )
-        points = None  # mp-compare's, at which its correlation eigenvalues are counted
-        if "mp-compare" in analyses:
-            mp_q = _stage("spectral", lambda: _mp_q(config, kernel, n))
-            points = _stage("spectral", lambda: _mp_points(mp_q[1], config))
-
-        solves = {}  # the flavors whose spectra are read, with their kept vectors
-        if analyses & {"spectrum", "density", "ansatz", "projectors", "fluctuation"}:
-            solves[config.flavor] = (
-                max(config.projector_ranks) if analyses & {"projectors", "fluctuation"} else 0
-            )
-        spectra, below = {}, None
-        if solves or points is not None or config.dump_matrices:
-            dump = (writer, config.flavor) if config.dump_matrices else None
-            spectra, below = _main_stage(returns, kernel, idx, solves, dump, points)
-        main = spectra.get(config.flavor)
-
-        if "spectrum" in analyses:
-            _stage("spectral", lambda: _spectrum_files(writer, main))
-        if "density" in analyses:
-            _stage("spectral", lambda: _density_file(writer, main, config.flavor, config))
-        if "mp-compare" in analyses:
-            _stage(
-                "spectral", lambda: _mp_compare_file(writer, below, len(idx) * n, *mp_q, config)
-            )
-        if "ansatz" in analyses:
-            _stage("spectral", lambda: _ansatz_files(writer, main))
-        if analyses & {"projectors", "fluctuation"}:
-            _stage("subspace", lambda: _projector_files(writer, main, config))
+        _main_files(writer, returns, kernel, idx, config)
         if "lagged" in analyses:
             _stage("subspace", lambda: _lagged_file(writer, returns, config, lagged_dates))
     except Exception as exc:

@@ -324,11 +324,12 @@ def eigenvalues(matrix) -> np.ndarray:
 
 
 def _gram_vectors(windows: np.ndarray, k: int) -> np.ndarray:
-    """``window_vectors`` of one batch of windows, by one batched ``eigh``."""
+    """``window_vectors`` of one batch of windows: for L < N, by one batched
+    ``eigh`` of their Grams W'W; for L >= N, by ``leading_system`` of each
+    W W', as the main stage solves its matrices."""
     n, length = windows.shape[1:]
     if length >= n:
-        u = _solve(np.linalg.eigh, windows @ np.swapaxes(windows, 1, 2))[1]
-        return _fix_signs(u[:, :, : -k - 1 : -1])
+        return np.stack([leading_system(w @ w.T, k)[1] for w in windows])
     values, u = _solve(np.linalg.eigh, np.swapaxes(windows, 1, 2) @ windows)
     kept = values[:, : -k - 1 : -1]
     deficient = kept[:, -1] <= GRAM_RANK_FLOOR * kept[:, 0]
@@ -343,12 +344,13 @@ def window_vectors(windows: np.ndarray, k: int) -> np.ndarray:
     """Top-k left singular vectors of each N x L window, shape (T, N, k): for
     the windows W of ``moments.weighted_windows``, the leading eigenvectors of
     W W', signed as ``leading_system`` signs them. They come from the smaller
-    Gram of each window, solved by ``eigh`` over batches of windows whose
-    Grams hold GRAM_BATCH_BYTES: for L < N, G = W'W, whose top eigenvectors
-    U_k and values Lambda_k give V = W U_k Lambda_k^(-1/2); for L >= N,
-    G = W W', whose top eigenvectors are V. A window whose lambda_k is at or
-    below GRAM_RANK_FLOOR times its lambda_1 gets its vectors from
-    ``leading_system`` of W W'."""
+    Gram of each window, over batches of windows whose Grams hold
+    GRAM_BATCH_BYTES. For L < N, the batch's Grams G = W'W are solved by one
+    batched ``eigh``, whose top eigenvectors U_k and values Lambda_k give
+    V = W U_k Lambda_k^(-1/2); a window whose lambda_k is at or below
+    GRAM_RANK_FLOOR times its lambda_1 gets its vectors from
+    ``leading_system`` of W W'. For L >= N, every window's G = W W' is
+    solved so, as the main stage solves its N x N matrices."""
     t_len, n, length = windows.shape
     if not 1 <= k <= min(n, length):
         raise ParameterError(f"rank k={k} outside [1, {min(n, length)}]")
@@ -359,22 +361,13 @@ def window_vectors(windows: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
-def log_mean_spectrum(series: SpectrumSeries, floor: float | None = None) -> MeanSpectrum:
-    """Geometric mean of each rank over the dates where it clears the floor.
-
-    ``floor`` is an absolute threshold; None uses the per-date relative
-    default 1e-12 times the date's top eigenvalue.
-    """
+def log_mean_spectrum(series: SpectrumSeries) -> MeanSpectrum:
+    """Geometric mean of each rank over the dates where it clears the floor,
+    1e-12 times the date's top eigenvalue."""
     if len(series) < 1:
         raise ParameterError("empty spectrum series")
     vals = series.values
-    if floor is None:
-        thresh = 1e-12 * vals[:, :1]
-    else:
-        if floor <= 0:
-            raise ParameterError(f"floor must be > 0, got {floor!r}")
-        thresh = np.full_like(vals, floor)
-    mask = vals > thresh
+    mask = vals > 1e-12 * vals[:, :1]
     counts = mask.sum(axis=0)
     logs = np.where(mask, np.log(np.where(mask, vals, 1.0)), 0.0)
     with np.errstate(invalid="ignore"):

@@ -16,6 +16,7 @@ with the block, and stays below one window stack.
 """
 
 import tracemalloc
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -230,14 +231,13 @@ def main_stage_peak(tmp_path, monkeypatch, n_dates):
 
 
 def test_main_stage_peak_grows_only_by_values_and_vectors(tmp_path, monkeypatch):
-    # Each date adds its rows of the result arrays: the main and the
-    # correlation values and 5 vectors of N = 80. Besides them, what is
-    # traced grows per date by the dump's registered (name, sha256, bytes)
-    # entry and the date, about 250 bytes on one worker and 100 on two
-    # (x86-64, CPython 3.11): 400 bounds it.
+    # Each date adds its rows of the result arrays: the values and 5 vectors
+    # of N = 80. Besides them, what is traced grows per date by the dump's
+    # registered (name, sha256, bytes) entry and the date, about 250 bytes on
+    # one worker and 100 on two (x86-64, CPython 3.11): 400 bounds it.
     n, k = 80, 5
-    row_bytes = np.empty(n).nbytes * 2 + np.empty((n, k)).nbytes
-    assert row_bytes == 4480
+    row_bytes = np.empty(n).nbytes + np.empty((n, k)).nbytes
+    assert row_bytes == 3840
     traced_per_date = row_bytes + 400
     # built once and cached: the dump's cells and separators for N = 80, and
     # the CSV float kernel's table of powers of ten
@@ -246,3 +246,29 @@ def test_main_stage_peak_grows_only_by_values_and_vectors(tmp_path, monkeypatch)
     short = main_stage_peak(tmp_path, monkeypatch, 100)
     long = main_stage_peak(tmp_path, monkeypatch, 400)
     assert long - short < 300 * traced_per_date
+
+
+def test_no_main_spectra_alive_when_the_lagged_stage_starts(tmp_path, monkeypatch):
+    """The main stage's values and vectors are dropped once their files are
+    written, so the lagged stage's workers, forked from this process, do not
+    count their pages."""
+    config = main_config(
+        tmp_path, 30, n=12, length=20,
+        analyses="spectrum,density,ansatz,projectors,fluctuation,lagged",
+        **{"lagged.length": "10", "lagged.lags": "0,1"},
+    )
+    main_stage, lagged_file, spectra, alive = runner._main_stage, runner._lagged_file, [], []
+
+    def kept(*args):
+        series, below = main_stage(*args)
+        spectra.append(weakref.ref(series))
+        return series, below
+
+    def lagged(*args):
+        alive.append([ref() is not None for ref in spectra])
+        return lagged_file(*args)
+
+    monkeypatch.setattr(runner, "_main_stage", kept)
+    monkeypatch.setattr(runner, "_lagged_file", lagged)
+    runner.run_analysis(config)
+    assert alive == [[False]]

@@ -489,21 +489,16 @@ def test_log_mean_is_geometric():
 
 def test_floor_excludes_zeros():
     values = np.array([[1.0], [0.0]])
-    mean = log_mean_spectrum(spectra_from(values), floor=1e-12)
+    mean = log_mean_spectrum(spectra_from(values))
     assert mean.values[0] == pytest.approx(1.0)
     assert mean.counts[0] == 1
 
 
 def test_rank_excluded_everywhere_is_nan():
     values = np.array([[1.0, 0.0], [2.0, 0.0]])
-    mean = log_mean_spectrum(spectra_from(values), floor=1e-12)
+    mean = log_mean_spectrum(spectra_from(values))
     assert math.isnan(mean.values[1])
     assert mean.counts[1] == 0
-
-
-def test_non_positive_floor_rejected():
-    with pytest.raises(ParameterError, match="floor"):
-        log_mean_spectrum(spectra_from([[1.0]]), floor=0.0)
 
 
 # ---------------------------------------------------------------- density

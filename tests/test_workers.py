@@ -55,6 +55,10 @@ CONFIGS = {
     "correlation-json": "matrix.flavor = correlation\noutput.format = json\n"
     "analyses = spectrum,mp-compare,projectors,fluctuation,lagged\n"
     "lagged.length = 8\nlagged.lags = 0,1,5\n",
+    # lagged windows of L = 16 > N = 12: their vectors solved as the main
+    # stage solves its matrices
+    "correlation-long-lagged": "matrix.flavor = correlation\n"
+    "analyses = spectrum,projectors,lagged\nlagged.length = 16\nlagged.lags = 0,1,5\n",
     # 11 points, at most N = 12: Sturm counts of the correlation eigenvalues
     "covariance-sturm-counts": "matrix.flavor = covariance\nanalyses = mp-compare\n"
     "density.bins = 8\n",
