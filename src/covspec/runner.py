@@ -82,8 +82,9 @@ logger = logging.getLogger(__name__)
 # dates. The blocks fix the order of the sums, and so the bytes, whatever
 # the number of workers; each re-gathers the max(lags) dates before it. A
 # block is never held whole: a worker walks it in chunks of
-# ``subspace.CHUNK_BYTES``, holding one chunk and the terms of the
-# max(lags) dates before it (their factors, or, in a near-static series'
+# ``subspace.CHUNK_BYTES`` or of max(lags) dates, whichever is more,
+# holding one chunk and the terms of the max(lags) dates before it, the
+# tail of the chunk before (their factors, or, in a near-static series'
 # second walk, their N x N centred matrices), and the run N x N sums per
 # lagged series, however long the block and however many dates are
 # evaluated. The main stage runs one date at a time.
@@ -268,23 +269,16 @@ def _series_factors(returns, compact, idx, ranks):
         yield f"projector_k{k}", vectors[:, :, :k]
 
 
-def _last_dates(earlier, terms, count):
-    """A copy of the terms of the last ``count`` dates of ``earlier``
-    (None for none) followed by ``terms``."""
-    if earlier is None or len(terms) >= count:
-        return terms[max(0, len(terms) - count) :].copy()
-    return np.concatenate((earlier[max(0, len(earlier) + len(terms) - count) :], terms))
-
-
 def _lagged_file(writer, returns, config, idx) -> None:
     """The lagged correlation of every lagged series at the panel indices
     ``idx``, from running sums over blocks of dates. The blocks run as the
-    items of ``workers._forked``, and each walks its dates in chunks: it
-    gathers the chunk's windows, forms its factors and their terms
-    (``LaggedSums.terms``), takes their sums with ``LaggedSums.partial``,
-    given the terms of the max(lags) dates before the chunk, which its
-    pairs across its start read, and keeps only those. A block starts by
-    walking the max(lags) dates before it for their terms alone; it sends
+    items of ``workers._forked``, and each walks its dates in chunks of at
+    least max(lags) dates: it gathers the chunk's windows, forms its
+    factors and their terms (``LaggedSums.terms``), takes their sums with
+    ``LaggedSums.partial``, given the terms of the max(lags) dates before
+    the chunk, which its pairs across its start read, and keeps only the
+    last max(lags) of its own, the next chunk's. A block starts by walking
+    the max(lags) dates before it, one chunk, for their terms alone; it sends
     back its sums per series, and the sums are merged in block order, so
     the bytes do not depend on the number of workers. The factors of the
     first and last max(lags) dates, which the with-mean terms read, are
@@ -299,8 +293,9 @@ def _lagged_file(writer, returns, config, idx) -> None:
     ranks = [k for k in config.projector_ranks if k <= length and k < n]
     reach = max(config.lags)
     step = DATES_PER_BLOCK
-    # bounds both the windows and the L x L grams of the sums
-    chunk = max(1, subspace.CHUNK_BYTES // (8 * length * max(n, length)))
+    # bounds both the windows and the L x L grams of the sums, but spans
+    # max(lags) dates, so a chunk's carry is the tail of the one before it
+    chunk = max(1, reach, subspace.CHUNK_BYTES // (8 * length * max(n, length)))
     dates = [returns.dates[j] for j in idx]
     blocks = [dates[lo : lo + step] for lo in range(0, len(dates), step)]
 
@@ -323,7 +318,11 @@ def _lagged_file(writer, returns, config, idx) -> None:
                         if first == lo:
                             part = sums[name].partial(terms, carry[name])
                             parts[name] = part if parts[name] is None else parts[name].then(part)
-                        carry[name] = _last_dates(carry[name], terms, reach)
+                        # the old carry goes before its successor is copied, and these
+                        # terms before the next chunk's are formed
+                        carry[name] = None
+                        carry[name] = terms[max(0, len(terms) - reach) :].copy()
+                        del terms
             return list(parts.values())
 
         def merge(b, parts):

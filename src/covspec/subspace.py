@@ -27,7 +27,8 @@ LAGGED_KERNEL_LENGTH = 21
 # Sums over dates of per-date N x m factors run over chunks of dates holding
 # at most this many bytes of factors, so no copy of a whole stack is made:
 # the mean projector's, and each lagged block's walk over its N x L windows
-# (``runner._lagged_file``). Up to 1 MiB the chunk does not set the lagged
+# (``runner._lagged_file``), whose chunks span at least max(lags) dates,
+# however few windows this holds. Up to 1 MiB the chunk does not set the lagged
 # stage's traced peak: 4.1 MB on csv-dump and 6.7 MB on longmem-full at
 # 256 KiB, 512 KiB and 1 MiB alike, against 6.1 and 8.7 MB at 2 MiB; smaller
 # chunks only add calls (2-vCPU x86-64 host, one worker).

@@ -277,11 +277,12 @@ def test_lagged_rho_agrees_for_every_block_size(tmp_path, monkeypatch, one_worke
 
 
 def test_lagged_blocks_gather_each_date_once(tmp_path, monkeypatch, one_worker):
-    """Each block walks its dates in chunks, here of 3 dates, fewer than
-    REACH, so the factors carried into a chunk span several chunks before
-    it. Every date of a block is gathered once, in date order, and only the
-    REACH dates before a block's start once more, as its first walk; rho
-    agrees with one chunk per block."""
+    """Each block walks its dates in chunks of at least REACH dates: here
+    CHUNK_BYTES holds the windows of 3 dates, so a chunk holds 25, and the
+    factors carried into a chunk are the tail of the one before it. Every
+    date of a block is gathered once, in date order, and only the REACH
+    dates before a block's start once more, as its first walk; rho agrees
+    with one chunk per block."""
     first = 40 - 33  # the panel index of the first lagged date
     reference, _ = lagged_rows(tmp_path, monkeypatch, "one-chunk", None)
     for per_block in (4, 30, None):
@@ -289,7 +290,7 @@ def test_lagged_blocks_gather_each_date_once(tmp_path, monkeypatch, one_worker):
             patch.setattr(subspace, "CHUNK_BYTES", 3 * WINDOW_BYTES)
             rows, gathered = lagged_rows(tmp_path, monkeypatch, f"chunks-{per_block}", per_block)
         *walks, edges = gathered
-        assert [len(g) for g in walks] == block_gathers(per_block or 33, 3), per_block
+        assert [len(g) for g in walks] == block_gathers(per_block or 33, max(REACH, 3)), per_block
         want = []
         for lo in range(0, 33, per_block or 33):
             want += range(first + lo - min(REACH, lo), first + min(lo + (per_block or 33), 33))
@@ -356,14 +357,15 @@ def test_one_factor_near_static_series_are_summed_centred(
     rank-1 projector fall below GRAM_MIN_GAMMA and take a second, centred
     walk over the blocks, after the first walk and the gather of the first
     and last REACH dates. Every block and chunk size gives rho within 1e-12
-    of the stacked reference."""
+    of the stacked reference; a chunk holds at least REACH dates, however
+    few windows CHUNK_BYTES holds."""
     for per_block in LAGGED_BLOCKINGS:
         name = f"near-static-{per_block}-{per_chunk}"
         with monkeypatch.context() as patch:
             if per_chunk is not None:
                 patch.setattr(subspace, "CHUNK_BYTES", per_chunk * WINDOW_BYTES)
             rows, gathered = lagged_rows(tmp_path, monkeypatch, name, per_block, NEAR_STATIC_CFG)
-        walk = block_gathers(per_block or 33, per_chunk or 33)
+        walk = block_gathers(per_block or 33, max(REACH, per_chunk or 33))
         assert [len(g) for g in gathered] == walk + [2 * REACH] + walk, per_block
         reference, ratio = stacked_reference(validate_config(str(tmp_path / f"{name}.cfg")))
         assert ratio["correlation"] < ratio["projector_k1"] < subspace.GRAM_MIN_GAMMA

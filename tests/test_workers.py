@@ -28,6 +28,7 @@ from covspec import (
     rolling_spectra,
     run_analysis,
     runner,
+    subspace,
     validate_config,
     workers,
 )
@@ -355,13 +356,29 @@ def test_lagged_blocks_identical_for_every_worker_count(tmp_path, monkeypatch):
     assert all(got == written[1] for got in written.values())
 
 
+def gather_ends(per_block, per_chunk, blocks):
+    """The last date of each window gather of the lagged ``blocks`` (their
+    numbers), in blocks of ``per_block`` dates walked in chunks of
+    ``per_chunk``: the dates before a block, one gather, then its chunks."""
+    lagged = make_business_dates(40)[-33:]
+    ends = []
+    for b in blocks:
+        lo, hi = b * per_block, min(b * per_block + per_block, len(lagged))
+        if lo:
+            ends.append(lagged[lo - 1])
+        ends += [lagged[min(a + per_chunk, hi) - 1] for a in range(lo, hi, per_chunk)]
+    return ends
+
+
 @forking
 def test_near_static_lagged_bundle_identical_for_every_worker_count(tmp_path, monkeypatch):
     """At beta = 0.999 the correlation and the rank-1 projector are
     near-static: after the first walk and the gather of the first and last
     max(lags) dates, their blocks are walked once more, centred, dealt to
     the workers in turn as the first walk's are, and the bundle is the same
-    bytes on 1, 2 and 3 CPUs."""
+    bytes on 1, 2 and 3 CPUs. So it is in blocks of 12 dates with
+    CHUNK_BYTES below the windows of max(lags) = 5 dates: a chunk then
+    holds 5 dates, and carries its last 5 terms into the next."""
     log = tmp_path / "blocks.log"
 
     def logged(returns, kernel, idx):
@@ -369,30 +386,34 @@ def test_near_static_lagged_bundle_identical_for_every_worker_count(tmp_path, mo
             fh.write(f"{os.getpid()} {returns.dates[idx[-1]]}\n")
         return weighted_windows(returns, kernel, idx)
 
-    monkeypatch.setattr(runner, "DATES_PER_BLOCK", 4)
     monkeypatch.setattr(runner, "weighted_windows", logged)
-    ends = [block[-1] for block in BLOCK_DATES]
-    bundles = {}
-    for cpus in (1, 2, 3):
-        log.write_text("")
-        name = f"near-static-{cpus}"
-        cfg = tmp_path / f"{name}.cfg"
-        cfg.write_text(
-            BASE_CFG.replace("ensemble.beta = 0.5", "ensemble.beta = 0.999")
-            + LAGGED_SETTINGS + f"output.dir = {tmp_path / name}\n"
-        )
-        with monkeypatch.context() as patch:
-            patch.setattr(workers, "_usable_cpus", lambda: cpus)
-            run_analysis(validate_config(str(cfg)))
-        assert_no_child_left()
-        bundles[cpus] = bundle_bytes(tmp_path / name)
-        mine = [line.split()[1] for line in log.read_text().splitlines()
-                if int(line.split()[0]) == os.getpid()]
-        walk = [d for b in range(0, len(ends), cpus) for d in ends[max(0, b - 1) : b + 1]]
-        assert mine == walk + [ends[-1]] + walk, cpus
-    assert b"projector_k1" in bundles[1]["lagged_correlation.csv"]
-    assert bundles[2] == bundles[1]
-    assert bundles[3] == bundles[1]
+    window_bytes = 8 * 8 * 12  # one date's 12 x 8 window
+    # (dates per block, windows CHUNK_BYTES holds, dates per chunk)
+    for per_block, windows, per_chunk in ((4, None, 33), (12, 2, 5)):
+        bundles = {}
+        for cpus in (1, 2, 3):
+            log.write_text("")
+            name = f"near-static-{per_block}-{cpus}"
+            cfg = tmp_path / f"{name}.cfg"
+            cfg.write_text(
+                BASE_CFG.replace("ensemble.beta = 0.5", "ensemble.beta = 0.999")
+                + LAGGED_SETTINGS + f"output.dir = {tmp_path / name}\n"
+            )
+            with monkeypatch.context() as patch:
+                patch.setattr(workers, "_usable_cpus", lambda: cpus)
+                patch.setattr(runner, "DATES_PER_BLOCK", per_block)
+                if windows is not None:
+                    patch.setattr(subspace, "CHUNK_BYTES", windows * window_bytes)
+                run_analysis(validate_config(str(cfg)))
+            assert_no_child_left()
+            bundles[cpus] = bundle_bytes(tmp_path / name)
+            mine = [line.split()[1] for line in log.read_text().splitlines()
+                    if int(line.split()[0]) == os.getpid()]
+            walk = gather_ends(per_block, per_chunk, range(0, -(-33 // per_block), cpus))
+            assert mine == walk + [DATES[-1]] + walk, (per_block, cpus)
+        assert b"projector_k1" in bundles[1]["lagged_correlation.csv"]
+        assert bundles[2] == bundles[1], per_block
+        assert bundles[3] == bundles[1], per_block
 
 
 @forking
